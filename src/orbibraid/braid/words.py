@@ -13,6 +13,7 @@ inverse), e.g. ``"k s1 K s1"``.  The strand count is given separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..errors import ArityError, MalformedWordError
 
@@ -58,69 +59,46 @@ def _letters_text(letters: tuple[Letter, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class BraidWord:
+class _Word:
+    n: int
+    letters: tuple[Letter, ...] = ()
+
+    allow_kappa: ClassVar[bool] = False
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise MalformedWordError("strand count must be positive")
+        _check_letters(self.n, self.letters, self.allow_kappa)
+
+    @classmethod
+    def from_text(cls, n: int, text: str):
+        return cls(n, _parse_letters(text, cls.allow_kappa))
+
+    def to_text(self) -> str:
+        return _letters_text(self.letters)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n:
+            raise ArityError(f"cannot concatenate words on {self.n} and {other.n} strands")
+        return type(self)(self.n, self.letters + other.letters)
+
+    def inverse(self):
+        return type(self)(self.n, tuple((i, -e) for i, e in reversed(self.letters)))
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+
+class BraidWord(_Word):
     """A word in the Artin generators of B_n; the empty word is the identity."""
 
-    n: int
-    letters: tuple[Letter, ...] = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise MalformedWordError("strand count must be positive")
-        _check_letters(self.n, self.letters, allow_kappa=False)
-
-    @staticmethod
-    def from_text(n: int, text: str) -> BraidWord:
-        return BraidWord(n, _parse_letters(text, allow_kappa=False))
-
-    def to_text(self) -> str:
-        return _letters_text(self.letters)
-
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        if not isinstance(other, BraidWord):
-            return NotImplemented
-        if self.n != other.n:
-            raise ArityError(f"cannot concatenate words on {self.n} and {other.n} strands")
-        return BraidWord(self.n, self.letters + other.letters)
-
-    def inverse(self) -> BraidWord:
-        return BraidWord(self.n, tuple((i, -e) for i, e in reversed(self.letters)))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
-class CylBraidWord:
+class CylBraidWord(_Word):
     """A word in the generators sigma_1..sigma_{n-1}, kappa of B^cyl_n."""
 
-    n: int
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise MalformedWordError("strand count must be positive")
-        _check_letters(self.n, self.letters, allow_kappa=True)
-
-    @staticmethod
-    def from_text(n: int, text: str) -> CylBraidWord:
-        return CylBraidWord(n, _parse_letters(text, allow_kappa=True))
-
-    def to_text(self) -> str:
-        return _letters_text(self.letters)
-
-    def __mul__(self, other: CylBraidWord) -> CylBraidWord:
-        if not isinstance(other, CylBraidWord):
-            return NotImplemented
-        if self.n != other.n:
-            raise ArityError(f"cannot concatenate words on {self.n} and {other.n} strands")
-        return CylBraidWord(self.n, self.letters + other.letters)
-
-    def inverse(self) -> CylBraidWord:
-        return CylBraidWord(self.n, tuple((i, -e) for i, e in reversed(self.letters)))
-
-    def __len__(self) -> int:
-        return len(self.letters)
+    allow_kappa = True
 
 
 def embed_cyl(w: CylBraidWord) -> BraidWord:

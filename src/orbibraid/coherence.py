@@ -13,8 +13,9 @@ positions.
 
 The decision procedure: two parallel structural isomorphisms commute in
 every Z2-braided pair whenever their underlying (cylinder) braids are
-equal, for Z2-monoidal pairs whenever both are braiding-free, and in
-every Z2-symmetric pair whenever the underlying signed permutations
+equal (their Garside normal forms, which are canonical, agree), for
+Z2-monoidal pairs whenever both are braiding-free, and in every
+Z2-symmetric pair whenever the underlying signed permutations
 (permutation plus per-strand winding parity) agree.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .braid.garside import GarsideNF, braid_eq, cyl_braid_eq, garside_nf
+from .braid.garside import GarsideNF, garside_nf
 from .braid.words import (
     KAPPA,
     BraidWord,
@@ -36,7 +37,6 @@ from .braid.words import (
 from .dsl.morphisms import (
     ActMor,
     Gen,
-    Horiz,
     Id,
     Inv,
     MorExpr,
@@ -45,8 +45,9 @@ from .dsl.morphisms import (
     Vert,
     codomain,
     domain,
-    expand_horiz,
+    fold,
     mentions_braiding,
+    unexpected,
 )
 from .dsl.objects import SignedSignature, signature, strand_count
 from .errors import ArityError, FlavorError, TypingError
@@ -81,39 +82,42 @@ def _cable_kappa(ell: int, c: int) -> list[Letter]:
     return _cable_kappa(0, c - 1) + _block_swap(0, c - 1, 1) + [(KAPPA, 1)]
 
 
-def _walk(f: MorExpr, offset: int) -> list[Letter]:
+def _letters(f: MorExpr, kids: list) -> list[Letter]:
+    """Word of one node, its strands counted from 0 (kids are the children's words)."""
     if isinstance(f, Id):
         return []
     if isinstance(f, Gen):
         if f.name == "sigma":
             x, y = f.params
-            return _block_swap(offset, strand_count(x), strand_count(y))
+            return _block_swap(0, strand_count(x), strand_count(y))
         if f.name == "kappa":
             m, x = f.params
-            assert offset == 0, "module-typed morphisms sit leftmost"
             return _cable_kappa(strand_count(m), strand_count(x))
         return []
     if isinstance(f, Inv):
-        return [(i, -e) for i, e in reversed(_walk(f.inner, offset))]
+        return [(i, -e) for i, e in reversed(kids[0])]
     if isinstance(f, Vert):
-        return _walk(f.before, offset) + _walk(f.after, offset)
-    if isinstance(f, TensorMor):
-        return _walk(f.left, offset) + _walk(f.right, offset + strand_count(domain(f.left)))
-    if isinstance(f, ActMor):
-        return _walk(f.module, offset) + _walk(f.algebra, offset + strand_count(domain(f.module)))
+        after, before = kids
+        before.extend(after)
+        return before
     if isinstance(f, PhiMor):
         c = strand_count(domain(f.inner))
-        return [(offset + c - i, e) for i, e in _walk(f.inner, 0)]
-    if isinstance(f, Horiz):
-        return _walk(expand_horiz(f), offset)
-    raise TypingError(f"unknown morphism node {f!r}")
+        return [(c - i, e) for i, e in kids[0]]
+    if not isinstance(f, (TensorMor, ActMor)):
+        unexpected(f)
+    # The right factor's strands follow the left factor's; typing keeps the
+    # module-typed factor (the only one with pole windings) on the left.
+    left, right = kids
+    shift = strand_count(domain(f.children()[0]))
+    left.extend((i + shift, e) for i, e in right)
+    return left
 
 
 def extract_braid(f: MorExpr) -> BraidWord | CylBraidWord:
     """Underlying braid of a presentation; cylinder word iff f is M-typed."""
     sig = signature(domain(f))
     n = max(1, len(sig.strands))
-    letters = tuple(_walk(f, 0))
+    letters = tuple(fold(f, _letters))
     if sig.module is not None:
         return CylBraidWord(n, letters)
     return BraidWord(n, letters)
@@ -178,8 +182,8 @@ def check(lhs: MorExpr, rhs: MorExpr, flavor: str) -> Verdict:
     nf_l = garside_nf(embed_cyl(wl) if cylinder else wl)
     nf_r = garside_nf(embed_cyl(wr) if cylinder else wr)
     if flavor == "braided":
-        equal = cyl_braid_eq(wl, wr) if cylinder else braid_eq(wl, wr)
-        return Verdict(COMMUTES if equal else NOT_COMMUTES, wl, wr, nf_l, nf_r)
+        # Garside normal forms are canonical, so they decide equality.
+        return Verdict(COMMUTES if nf_l == nf_r else NOT_COMMUTES, wl, wr, nf_l, nf_r)
     # symmetric: signed symmetric group invariant
     equal = word_positions(wl) == word_positions(wr)
     if cylinder:

@@ -2,14 +2,24 @@
 
 Generator leaves are instantiated at explicit object parameters; vertical
 composition demands syntactic equality at the seam (users insert explicit
-associators).  Horizontal composition ``Horiz(outer, inners)`` whiskers
-morphisms into the parameter slots of a generator instance; it is sugar
-and expands to a Vert of the re-instantiated generator with the functor
-image of the inners.
+associators).  Each generator's domain and codomain are written once, as
+shapes over tensor, action, Phi and the unit (``GENERATORS``); the same
+shapes type an instance and build the functor image used in whiskering.
+
+Horizontal composition ``Horiz(outer, inners)`` whiskers morphisms into the
+parameter slots of a generator instance.  It is sugar for a Vert of the
+re-instantiated generator with the functor image of the inners: the parser
+expands each ``horiz`` as it reads it, and ``expand_horiz`` expands a tree
+built by hand, so no other pass sees the node (``mor_text`` of a parsed
+``horiz`` renders its expansion).
+
+Every pass over a tree is a post-order ``fold`` on an explicit stack, so
+the depth of a tree is not limited by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from ..errors import TypingError
@@ -17,7 +27,14 @@ from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, is_module, obj_text
 
 
 class MorExpr:
-    pass
+    def children(self) -> tuple[MorExpr, ...]:
+        return ()
+
+    def rebuild(self, kids) -> MorExpr:
+        """The same node over new children; the node itself if none changed."""
+        if all(map(operator.is_, kids, self.children())):
+            return self
+        return type(self)(*kids)
 
 
 @dataclass(frozen=True)
@@ -35,11 +52,17 @@ class Gen(MorExpr):
 class Inv(MorExpr):
     inner: MorExpr
 
+    def children(self):
+        return (self.inner,)
+
 
 @dataclass(frozen=True)
 class Vert(MorExpr):
     after: MorExpr
     before: MorExpr  # applied first
+
+    def children(self):
+        return (self.after, self.before)
 
 
 @dataclass(frozen=True)
@@ -47,16 +70,25 @@ class TensorMor(MorExpr):
     left: MorExpr
     right: MorExpr
 
+    def children(self):
+        return (self.left, self.right)
+
 
 @dataclass(frozen=True)
 class ActMor(MorExpr):
     module: MorExpr
     algebra: MorExpr
 
+    def children(self):
+        return (self.module, self.algebra)
+
 
 @dataclass(frozen=True)
 class PhiMor(MorExpr):
     inner: MorExpr
+
+    def children(self):
+        return (self.inner,)
 
 
 @dataclass(frozen=True)
@@ -64,259 +96,200 @@ class Horiz(MorExpr):
     outer: MorExpr
     inners: tuple[MorExpr, ...]
 
+    def children(self):
+        return (self.outer, *self.inners)
 
-# Parameter sorts and domain/codomain shapes of the generators.
-GEN_PARAM_KINDS: dict[str, tuple[str, ...]] = {
-    "alpha": ("A", "A", "A"),
-    "lambda": ("A",),
-    "rho": ("A",),
-    "a": ("M", "A", "A"),
-    "r": ("M",),
-    "sigma": ("A", "A"),
-    "kappa": ("M", "A"),
-    "phi2": ("A", "A"),
-    "phi0": (),
-    "t": ("A",),
+    def rebuild(self, kids) -> MorExpr:
+        return Horiz(kids[0], tuple(kids[1:]))
+
+
+# Surface keyword of each composite node, shared by the parser and mor_text.
+KEYWORDS = {"inv": Inv, "vert": Vert, "tens": TensorMor, "act": ActMor, "phi": PhiMor}
+_KEYWORD_OF = {node: word for word, node in KEYWORDS.items()}
+
+
+def fold(f: MorExpr, rule, slot: str | None = None):
+    """Post-order fold ``rule(node, values of its children)``, on an explicit stack.
+
+    With ``slot``, each node keeps its value under that attribute, and
+    later folds with the same slot reuse it without descending.
+    """
+    values: list = []
+    stack: list = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node, children), the children's values are on top
+            node, kids = node
+            cut = len(values) - len(kids)
+            value = rule(node, values[cut:])
+            del values[cut:]
+        elif slot is not None and slot in node.__dict__:
+            values.append(node.__dict__[slot])
+            continue
+        else:
+            kids = node.children()
+            if kids:
+                stack.append((node, kids))
+                stack.extend(reversed(kids))
+                continue
+            value = rule(node, kids)
+        if slot is not None:
+            object.__setattr__(node, slot, value)
+        values.append(value)
+    return values[0]
+
+
+def unexpected(f: MorExpr):
+    raise TypingError(f"no rule for a {type(f).__name__} node (horiz is expanded by expand_horiz)")
+
+
+ONE = AUnit()
+
+# Parameter sorts, domain shape and codomain shape of each generator.  A
+# shape is a parameter index, ONE (the tensor unit) or (Tensor | Act | Phi,
+# *shapes).
+GENERATORS: dict[str, tuple[str, object, object]] = {
+    "alpha": ("AAA", (Tensor, (Tensor, 0, 1), 2), (Tensor, 0, (Tensor, 1, 2))),
+    "lambda": ("A", (Tensor, ONE, 0), 0),
+    "rho": ("A", (Tensor, 0, ONE), 0),
+    "a": ("MAA", (Act, (Act, 0, 1), 2), (Act, 0, (Tensor, 1, 2))),
+    "r": ("M", (Act, 0, ONE), 0),
+    "sigma": ("AA", (Tensor, 0, 1), (Tensor, 1, 0)),
+    "kappa": ("MA", (Act, 0, 1), (Act, 0, (Phi, 1))),
+    "phi2": ("AA", (Tensor, (Phi, 0), (Phi, 1)), (Phi, (Tensor, 1, 0))),
+    "phi0": ("", (Phi, ONE), ONE),
+    "t": ("A", (Phi, (Phi, 0)), 0),
 }
 
-BRAID_SILENT_GENERATORS = frozenset({"alpha", "lambda", "rho", "a", "r", "phi2", "phi0", "t"})
+_OBJ_OF_MOR = {TensorMor: Tensor, ActMor: Act, PhiMor: Phi}
+_MOR_OF_OBJ = {obj: mor for mor, obj in _OBJ_OF_MOR.items()}
 
 
-def gen_domain(name: str, p: tuple[ObjectExpr, ...]) -> ObjectExpr:
-    if name == "alpha":
-        return Tensor(Tensor(p[0], p[1]), p[2])
-    if name == "lambda":
-        return Tensor(AUnit(), p[0])
-    if name == "rho":
-        return Tensor(p[0], AUnit())
-    if name == "a":
-        return Act(Act(p[0], p[1]), p[2])
-    if name == "r":
-        return Act(p[0], AUnit())
-    if name == "sigma":
-        return Tensor(p[0], p[1])
-    if name == "kappa":
-        return Act(p[0], p[1])
-    if name == "phi2":
-        return Tensor(Phi(p[0]), Phi(p[1]))
-    if name == "phi0":
-        return Phi(AUnit())
-    if name == "t":
-        return Phi(Phi(p[0]))
-    raise TypingError(f"unknown generator {name!r}")
+def _fill(shape, slots: tuple, on_morphisms: bool = False):
+    """A shape at objects, or at morphisms (the functor image, for whiskering)."""
+    if type(shape) is int:
+        return slots[shape]
+    if shape is ONE:
+        return Id(ONE) if on_morphisms else ONE
+    node, *args = shape
+    if on_morphisms:
+        node = _MOR_OF_OBJ[node]
+    return node(*(_fill(a, slots, on_morphisms) for a in args))
 
 
-def gen_codomain(name: str, p: tuple[ObjectExpr, ...]) -> ObjectExpr:
-    if name == "alpha":
-        return Tensor(p[0], Tensor(p[1], p[2]))
-    if name == "lambda" or name == "rho" or name == "t":
-        return p[0]
-    if name == "a":
-        return Act(p[0], Tensor(p[1], p[2]))
-    if name == "r":
-        return p[0]
-    if name == "sigma":
-        return Tensor(p[1], p[0])
-    if name == "kappa":
-        return Act(p[0], Phi(p[1]))
-    if name == "phi2":
-        return Phi(Tensor(p[1], p[0]))
-    if name == "phi0":
-        return AUnit()
-    raise TypingError(f"unknown generator {name!r}")
-
-
-def _gen_functor_image(name: str, inners: tuple[MorExpr, ...], side: str) -> MorExpr:
-    """The domain- or codomain-functor of a generator applied to morphisms."""
-    if name == "alpha":
-        if side == "dom":
-            return TensorMor(TensorMor(inners[0], inners[1]), inners[2])
-        return TensorMor(inners[0], TensorMor(inners[1], inners[2]))
-    if name == "lambda":
-        return TensorMor(Id(AUnit()), inners[0]) if side == "dom" else inners[0]
-    if name == "rho":
-        return TensorMor(inners[0], Id(AUnit())) if side == "dom" else inners[0]
-    if name == "a":
-        if side == "dom":
-            return ActMor(ActMor(inners[0], inners[1]), inners[2])
-        return ActMor(inners[0], TensorMor(inners[1], inners[2]))
-    if name == "r":
-        return ActMor(inners[0], Id(AUnit())) if side == "dom" else inners[0]
-    if name == "sigma":
-        if side == "dom":
-            return TensorMor(inners[0], inners[1])
-        return TensorMor(inners[1], inners[0])
-    if name == "kappa":
-        if side == "dom":
-            return ActMor(inners[0], inners[1])
-        return ActMor(inners[0], PhiMor(inners[1]))
-    if name == "phi2":
-        if side == "dom":
-            return TensorMor(PhiMor(inners[0]), PhiMor(inners[1]))
-        return PhiMor(TensorMor(inners[1], inners[0]))
-    if name == "t":
-        return PhiMor(PhiMor(inners[0])) if side == "dom" else inners[0]
-    raise TypingError(f"generator {name!r} admits no horizontal composition")
-
-
-def _check_gen(name: str, params: tuple[ObjectExpr, ...]) -> None:
-    kinds = GEN_PARAM_KINDS.get(name)
-    if kinds is None:
+def _check_gen(name: str, params: tuple[ObjectExpr, ...]) -> tuple[str, object, object]:
+    entry = GENERATORS.get(name)
+    if entry is None:
         raise TypingError(f"unknown generator {name!r}")
+    kinds = entry[0]
     if len(params) != len(kinds):
         raise TypingError(f"{name} expects {len(kinds)} parameters, got {len(params)}")
     for kind, p in zip(kinds, params):
         if (kind == "M") != is_module(p):
             raise TypingError(f"{name} parameter {obj_text(p)} has the wrong sort")
+    return entry
 
 
-def expand_horiz(h: Horiz) -> MorExpr:
-    cached = getattr(h, "_expand_cache", None)
-    if cached is not None:
-        return cached
-    out = _expand_horiz(h)
-    object.__setattr__(h, "_expand_cache", out)
-    return out
+def expand_horiz(f: MorExpr) -> MorExpr:
+    """f with every Horiz node desugared, innermost first; f itself if it has none."""
+    return fold(f, _desugar)
 
 
-def _expand_horiz(h: Horiz) -> MorExpr:
-    outer = h.outer
+def _desugar(f: MorExpr, kids: list) -> MorExpr:
+    f = f.rebuild(kids)
+    return desugar_horiz(f) if isinstance(f, Horiz) else f
+
+
+def desugar_horiz(h: Horiz) -> MorExpr:
+    """The morphism a Horiz node stands for; its parts must be free of Horiz."""
+    outer, inners = h.outer, h.inners
     if isinstance(outer, Id):
-        if len(h.inners) != 1:
+        if len(inners) != 1:
             raise TypingError("identity whiskering takes exactly one inner morphism")
-        inner = h.inners[0]
+        inner = inners[0]
         if domain(inner) != outer.obj:
             raise TypingError(
                 f"inner morphism starts at {obj_text(domain(inner))}, slot is {obj_text(outer.obj)}"
             )
         return inner
-    inverted = False
-    if isinstance(outer, Inv) and isinstance(outer.inner, Gen):
-        inverted = True
-        outer = outer.inner
-    if not isinstance(outer, Gen):
+    inverted = isinstance(outer, Inv) and isinstance(outer.inner, Gen)
+    gen = outer.inner if inverted else outer
+    if not isinstance(gen, Gen):
         raise TypingError("the outer morphism of a horizontal composition must be a generator instance")
-    _check_gen(outer.name, outer.params)
-    if len(h.inners) != len(outer.params):
-        raise TypingError(f"{outer.name} has {len(outer.params)} slots, got {len(h.inners)} inner morphisms")
-    for p, inner in zip(outer.params, h.inners):
+    _, dom_shape, cod_shape = _check_gen(gen.name, gen.params)
+    if len(inners) != len(gen.params):
+        raise TypingError(f"{gen.name} has {len(gen.params)} slots, got {len(inners)} inner morphisms")
+    for p, inner in zip(gen.params, inners):
         if domain(inner) != p:
             raise TypingError(
                 f"inner morphism starts at {obj_text(domain(inner))}, slot is {obj_text(p)}"
             )
-    new_params = tuple(codomain(inner) for inner in h.inners)
-    if not h.inners:
-        return Inv(outer) if inverted else outer
+    if not inners:
+        return outer
+    new_gen = Gen(gen.name, tuple(codomain(inner) for inner in inners))
     if inverted:
-        return Vert(Inv(Gen(outer.name, new_params)), _gen_functor_image(outer.name, h.inners, "cod"))
-    return Vert(Gen(outer.name, new_params), _gen_functor_image(outer.name, h.inners, "dom"))
+        return Vert(Inv(new_gen), _fill(cod_shape, inners, on_morphisms=True))
+    return Vert(new_gen, _fill(dom_shape, inners, on_morphisms=True))
 
 
-def domain(f: MorExpr) -> ObjectExpr:
-    cached = getattr(f, "_dom_cache", None)
-    if cached is not None:
-        return cached
-    if isinstance(f, Id):
-        out = f.obj
-    elif isinstance(f, Gen):
-        _check_gen(f.name, f.params)
-        out = gen_domain(f.name, f.params)
-    elif isinstance(f, Inv):
-        out = codomain(f.inner)
-    elif isinstance(f, Vert):
-        seam = codomain(f.before)
-        need = domain(f.after)
+def _types(f: MorExpr, kids: list) -> tuple[ObjectExpr, ObjectExpr]:
+    kind = type(f)
+    if kind is Id:
+        return f.obj, f.obj
+    if kind is Gen:
+        _, dom_shape, cod_shape = _check_gen(f.name, f.params)
+        return _fill(dom_shape, f.params), _fill(cod_shape, f.params)
+    if kind is Inv:
+        dom, cod = kids[0]
+        return cod, dom
+    if kind is Vert:
+        (need, cod), (dom, seam) = kids
         if seam != need:
             raise TypingError(
                 f"vertical seam mismatch: first factor ends at {obj_text(seam)}, "
                 f"second starts at {obj_text(need)}"
             )
-        out = domain(f.before)
-    elif isinstance(f, TensorMor):
-        out = Tensor(domain(f.left), domain(f.right))
-    elif isinstance(f, ActMor):
-        out = Act(domain(f.module), domain(f.algebra))
-    elif isinstance(f, PhiMor):
-        out = Phi(domain(f.inner))
-    elif isinstance(f, Horiz):
-        out = domain(expand_horiz(f))
-    else:
-        raise TypingError(f"unknown morphism node {f!r}")
-    object.__setattr__(f, "_dom_cache", out)
-    return out
-
-
-def codomain(f: MorExpr) -> ObjectExpr:
-    cached = getattr(f, "_cod_cache", None)
-    if cached is not None:
-        return cached
-    if isinstance(f, Id):
-        out = f.obj
-    elif isinstance(f, Gen):
-        _check_gen(f.name, f.params)
-        out = gen_codomain(f.name, f.params)
-    elif isinstance(f, Inv):
-        out = domain(f.inner)
-    elif isinstance(f, Vert):
-        domain(f)  # seam check
-        out = codomain(f.after)
-    elif isinstance(f, TensorMor):
-        out = Tensor(codomain(f.left), codomain(f.right))
-    elif isinstance(f, ActMor):
-        out = Act(codomain(f.module), codomain(f.algebra))
-    elif isinstance(f, PhiMor):
-        out = Phi(codomain(f.inner))
-    elif isinstance(f, Horiz):
-        out = codomain(expand_horiz(f))
-    else:
-        raise TypingError(f"unknown morphism node {f!r}")
-    object.__setattr__(f, "_cod_cache", out)
-    return out
+        return dom, cod
+    node = _OBJ_OF_MOR.get(kind)
+    if node is None:
+        unexpected(f)
+    return node(*(dom for dom, _ in kids)), node(*(cod for _, cod in kids))
 
 
 def validate(f: MorExpr) -> tuple[ObjectExpr, ObjectExpr]:
-    """Type-check f fully; returns (domain, codomain)."""
-    return domain(f), codomain(f)
+    """Type-check f fully; returns (domain, codomain), cached on every node."""
+    return f.__dict__.get("_types") or fold(f, _types, "_types")
+
+
+def domain(f: MorExpr) -> ObjectExpr:
+    return validate(f)[0]
+
+
+def codomain(f: MorExpr) -> ObjectExpr:
+    return validate(f)[1]
 
 
 def mentions_braiding(f: MorExpr) -> bool:
     """Whether any sigma or kappa instance occurs in the presentation."""
-    if isinstance(f, Gen):
-        return f.name in ("sigma", "kappa")
-    if isinstance(f, (Id,)):
-        return False
-    if isinstance(f, Inv):
-        return mentions_braiding(f.inner)
-    if isinstance(f, Vert):
-        return mentions_braiding(f.after) or mentions_braiding(f.before)
-    if isinstance(f, (TensorMor, ActMor)):
-        children = (f.left, f.right) if isinstance(f, TensorMor) else (f.module, f.algebra)
-        return any(mentions_braiding(c) for c in children)
-    if isinstance(f, PhiMor):
-        return mentions_braiding(f.inner)
-    if isinstance(f, Horiz):
-        return mentions_braiding(f.outer) or any(mentions_braiding(g) for g in f.inners)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Gen) and g.name in ("sigma", "kappa"):
+            return True
+        stack.extend(g.children())
     return False
 
 
-def mor_text(f: MorExpr) -> str:
+def _text(f: MorExpr, kids: list) -> str:
     if isinstance(f, Id):
         return f"id({obj_text(f.obj)})"
     if isinstance(f, Gen):
-        if not f.params:
-            return f"{f.name}()"
         return f"{f.name}({', '.join(obj_text(p) for p in f.params)})"
-    if isinstance(f, Inv):
-        return f"inv({mor_text(f.inner)})"
-    if isinstance(f, Vert):
-        return f"vert({mor_text(f.after)}, {mor_text(f.before)})"
-    if isinstance(f, TensorMor):
-        return f"tens({mor_text(f.left)}, {mor_text(f.right)})"
-    if isinstance(f, ActMor):
-        return f"act({mor_text(f.module)}, {mor_text(f.algebra)})"
-    if isinstance(f, PhiMor):
-        return f"phi({mor_text(f.inner)})"
-    if isinstance(f, Horiz):
-        inners = ", ".join(mor_text(g) for g in f.inners)
-        return f"horiz({mor_text(f.outer)}; {inners})"
-    raise TypingError(f"unknown morphism node {f!r}")
+    word = _KEYWORD_OF.get(type(f))
+    if word is None:
+        unexpected(f)
+    return f"{word}({', '.join(kids)})"
+
+
+def mor_text(f: MorExpr) -> str:
+    return fold(f, _text)

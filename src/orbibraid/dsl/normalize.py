@@ -13,18 +13,7 @@ reads off.
 from __future__ import annotations
 
 from ..errors import TypingError
-from .morphisms import (
-    ActMor,
-    Gen,
-    Horiz,
-    Id,
-    Inv,
-    MorExpr,
-    PhiMor,
-    TensorMor,
-    Vert,
-    expand_horiz,
-)
+from .morphisms import ActMor, Gen, Id, Inv, MorExpr, PhiMor, TensorMor, Vert, fold
 from .objects import Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor, strand_count
 
 
@@ -178,26 +167,13 @@ def _expand_kappa(m: ObjectExpr, x: ObjectExpr) -> MorExpr | None:
 
 def normalize_presentation(f: MorExpr) -> MorExpr:
     """Equivalent presentation in which every sigma/kappa is single-strand."""
-    if isinstance(f, Id):
-        return f
-    if isinstance(f, Gen):
-        if f.name == "sigma":
-            step = _expand_sigma(*f.params)
-        elif f.name == "kappa":
-            step = _expand_kappa(*f.params)
-        else:
-            return f
-        return f if step is None else normalize_presentation(step)
-    if isinstance(f, Inv):
-        return Inv(normalize_presentation(f.inner))
-    if isinstance(f, Vert):
-        return Vert(normalize_presentation(f.after), normalize_presentation(f.before))
-    if isinstance(f, TensorMor):
-        return TensorMor(normalize_presentation(f.left), normalize_presentation(f.right))
-    if isinstance(f, ActMor):
-        return ActMor(normalize_presentation(f.module), normalize_presentation(f.algebra))
-    if isinstance(f, PhiMor):
-        return PhiMor(normalize_presentation(f.inner))
-    if isinstance(f, Horiz):
-        return normalize_presentation(expand_horiz(f))
-    raise TypingError(f"unknown morphism node {f!r}")
+    return fold(f, _normalize_node)
+
+
+_EXPAND = {"sigma": _expand_sigma, "kappa": _expand_kappa}
+
+
+def _normalize_node(f: MorExpr, kids: list) -> MorExpr:
+    expand = _EXPAND.get(f.name) if isinstance(f, Gen) else None
+    step = expand(*f.params) if expand is not None else None
+    return f.rebuild(kids) if step is None else normalize_presentation(step)

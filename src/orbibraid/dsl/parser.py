@@ -9,28 +9,18 @@ Grammar (whitespace-insensitive, ``#`` starts a comment):
     obj  := 'X'<digits> | 'M' | 'one' | 'oneM'
           | 'tensor' '(' obj ',' obj ')' | 'Phi' '(' obj ')' | 'act' '(' obj ',' obj ')'
 
-Object parameters of a generator may be separated by ',' or ';'.
+Object parameters of a generator may be separated by ',' or ';'.  Each
+``horiz`` is expanded as it is read (see ``morphisms.desugar_horiz``).
+Nesting deeper than the interpreter's recursion limit is a ParseError.
 Diagram files bind ``lhs``, ``rhs`` and ``flavor`` with ``=``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..errors import ParseError
-from .morphisms import (
-    GEN_PARAM_KINDS,
-    ActMor,
-    Gen,
-    Horiz,
-    Id,
-    Inv,
-    MorExpr,
-    PhiMor,
-    TensorMor,
-    Vert,
-    validate,
-)
+from .morphisms import GENERATORS, KEYWORDS, Gen, Horiz, Id, MorExpr, desugar_horiz, validate
 from .objects import ALeaf, Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor
 
 _PUNCT = "(),;"
@@ -131,6 +121,9 @@ def _parse_obj(s: _Stream) -> ObjectExpr:
     raise ParseError(f"unknown object {name!r}", tok.line, tok.col)
 
 
+_ARITY = {word: (node, len(fields(node))) for word, node in KEYWORDS.items()}
+
+
 def _parse_mor(s: _Stream) -> MorExpr:
     tok = s.next("a morphism")
     name = tok.text
@@ -139,27 +132,15 @@ def _parse_mor(s: _Stream) -> MorExpr:
         obj = _parse_obj(s)
         s.expect(")")
         return Id(obj)
-    if name == "inv":
+    if name in _ARITY:
+        node, arity = _ARITY[name]
         s.expect("(")
-        inner = _parse_mor(s)
+        args = [_parse_mor(s)]
+        while len(args) < arity:
+            s.expect(",")
+            args.append(_parse_mor(s))
         s.expect(")")
-        return Inv(inner)
-    if name in ("vert", "tens", "act"):
-        s.expect("(")
-        first = _parse_mor(s)
-        s.expect(",")
-        second = _parse_mor(s)
-        s.expect(")")
-        if name == "vert":
-            return Vert(first, second)
-        if name == "tens":
-            return TensorMor(first, second)
-        return ActMor(first, second)
-    if name == "phi":
-        s.expect("(")
-        inner = _parse_mor(s)
-        s.expect(")")
-        return PhiMor(inner)
+        return node(*args)
     if name == "horiz":
         s.expect("(")
         outer = _parse_mor(s)
@@ -175,8 +156,8 @@ def _parse_mor(s: _Stream) -> MorExpr:
                     raise ParseError(f"expected ',' or ')', found {nxt.text!r}", nxt.line, nxt.col)
         elif nxt.text != ")":
             raise ParseError(f"expected ';' or ')', found {nxt.text!r}", nxt.line, nxt.col)
-        return Horiz(outer, tuple(inners))
-    if name in GEN_PARAM_KINDS:
+        return desugar_horiz(Horiz(outer, tuple(inners)))
+    if name in GENERATORS:
         params: list[ObjectExpr] = []
         nxt = s.peek()
         if nxt is not None and nxt.text == "(":
@@ -202,7 +183,11 @@ def _run(text: str, fn):
     tokens = _tokenize(text)
     end_line = tokens[-1].line if tokens else 1
     s = _Stream(tokens, end_line)
-    result = fn(s)
+    try:
+        result = fn(s)
+    except RecursionError:
+        reached = s.tokens[s.pos - 1]
+        raise ParseError("expression nested too deeply", reached.line, reached.col) from None
     trailing = s.peek()
     if trailing is not None:
         raise ParseError(f"unexpected trailing token {trailing.text!r}", trailing.line, trailing.col)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from ..dsl.morphisms import (
     ActMor,
     Gen,
-    Horiz,
     Id,
     Inv,
     MorExpr,
@@ -25,7 +24,8 @@ from ..dsl.morphisms import (
     TensorMor,
     Vert,
     domain,
-    expand_horiz,
+    fold,
+    unexpected,
 )
 from ..dsl.normalize import normalize_presentation
 from ..dsl.objects import (
@@ -125,28 +125,23 @@ class _Evaluator:
 
     # -- morphisms -----------------------------------------------------------
     def eval(self, f: MorExpr) -> QMatrix:
-        f = normalize_presentation(f)
-        return self._eval(f)
+        return fold(normalize_presentation(f), self._eval_node)
 
-    def _eval(self, f: MorExpr) -> QMatrix:
+    def _eval_node(self, f: MorExpr, kids: list) -> QMatrix:
         if isinstance(f, Id):
             return QMatrix.identity(self.dim(f.obj))
         if isinstance(f, Gen):
             return self._eval_gen(f)
         if isinstance(f, Inv):
-            return self._eval(f.inner).inverse()
+            return kids[0].inverse()
         if isinstance(f, Vert):
-            return self._eval(f.after) * self._eval(f.before)
-        if isinstance(f, TensorMor):
-            return self._eval(f.left).kron(self._eval(f.right))
-        if isinstance(f, ActMor):
-            return self._eval(f.module).kron(self._eval(f.algebra))
+            return kids[0] * kids[1]
+        if isinstance(f, (TensorMor, ActMor)):
+            return kids[0].kron(kids[1])
         if isinstance(f, PhiMor):
             # The involution twists actions, not underlying linear maps.
-            return self._eval(f.inner)
-        if isinstance(f, Horiz):
-            return self._eval(expand_horiz(f))
-        raise TypingError(f"unknown morphism node {f!r}")
+            return kids[0]
+        unexpected(f)
 
     def _eval_gen(self, f: Gen) -> QMatrix:
         name = f.name

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..errors import DimensionError, SingularMatrixError
+from ..errors import DimensionError, ParseError, SingularMatrixError
 from .qmatrix import QMatrix
 
 
@@ -66,6 +66,12 @@ class RepData:
 
     @staticmethod
     def from_json_dict(doc: dict) -> RepData:
+        if not isinstance(doc, dict):
+            raise ParseError("representation data must be a JSON object", 1, 1)
+        for key in ("d", "m", "R", "K"):
+            if key not in doc:
+                raise ParseError(f"representation data is missing {key}", 1, 1)
+
         def mat(key):
             return QMatrix.from_strings(doc[key]) if key in doc else None
 

@@ -112,3 +112,49 @@ def test_bundled_files_round_trip():
     for path in sorted(data_path("diagrams").glob("*.diag")):
         parse_diagram(path.read_text())
     RepData.load(data_path("sl2.rep.json"))
+
+
+def alternating_route(steps: int, nest_right: bool = True) -> str:
+    """sigma(X1, X2), sigma(X2, X1), ... in application order, as nested verts."""
+    gens = [("sigma(X1, X2)", "sigma(X2, X1)")[k % 2] for k in range(steps)]
+    if nest_right:
+        return "".join(f"vert({g}, " for g in reversed(gens[1:])) + gens[0] + ")" * (steps - 1)
+    return "vert(" * (steps - 1) + gens[-1] + "".join(f", {g})" for g in reversed(gens[:-1]))
+
+
+def test_deep_braided_route_commutes(capsys, tmp_path):
+    f = tmp_path / "deep.diag"
+    lhs, rhs = alternating_route(900), alternating_route(900, nest_right=False)
+    f.write_text(f"flavor = braided\nlhs = {lhs}\nrhs = {rhs}\n")
+    code, doc = run_json(capsys, "coherence", "check", str(f))
+    assert code == 0 and doc["payload"]["status"] == "COMMUTES"
+    assert doc["payload"]["lhs_nf"] == "Delta^900"
+
+
+def test_route_nested_past_the_parser_limit_exits_two(capsys, tmp_path):
+    f = tmp_path / "deeper.diag"
+    f.write_text(f"flavor = braided\nlhs = {alternating_route(1200)}\nrhs = id(tensor(X1, X2))\n")
+    code = main(["coherence", "check", str(f), "--json"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2 and doc["status"] == "error"
+    assert "nested too deeply" in doc["payload"]["error"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_rep_file_not_an_object_exits_two(capsys, tmp_path):
+    f = tmp_path / "list.rep"
+    f.write_text("[1, 2]")
+    code, doc = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["error"].startswith("ParseError")
+
+
+def test_rep_file_missing_matrix_exits_two(capsys, tmp_path):
+    doc = json.loads(data_path("sl2.rep.json").read_text())
+    del doc["K"]
+    f = tmp_path / "no_k.rep"
+    f.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2 and out["status"] == "error"
+    assert out["payload"]["error"] == "ParseError: representation data is missing K (line 1, column 1)"

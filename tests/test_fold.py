@@ -1,0 +1,58 @@
+import pytest
+
+from orbibraid.coherence import check, extract_braid
+from orbibraid.dsl import Gen, Horiz, Id, Vert, mor_text, parse_mor, validate
+from orbibraid.dsl.morphisms import expand_horiz, fold
+from orbibraid.dsl.objects import ALeaf, Tensor
+from orbibraid.errors import ParseError, TypingError
+from orbibraid.reflect import eval_mor
+
+# (horiz form, the same morphism expanded by hand, a parallel rhs it commutes with)
+HORIZ_CASES = [
+    (
+        "horiz(kappa(M, tensor(X1, X2)); id(M), sigma(X1, X2))",
+        "vert(kappa(M, tensor(X2, X1)), act(id(M), sigma(X1, X2)))",
+        "vert(act(id(M), phi(sigma(X1, X2))), kappa(M, tensor(X1, X2)))",
+    ),
+    (
+        "horiz(inv(sigma(X1, X2)); id(X1), inv(t(X2)))",
+        "vert(inv(sigma(X1, Phi(Phi(X2)))), tens(inv(t(X2)), id(X1)))",
+        "vert(tens(id(X1), inv(t(X2))), inv(sigma(X1, X2)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("sugared, expanded, rhs", HORIZ_CASES)
+def test_horiz_matches_its_hand_expansion(sl2_data, sugared, expanded, rhs):
+    f, g, h = parse_mor(sugared), parse_mor(expanded), parse_mor(rhs)
+    assert f == g and mor_text(f) == expanded
+    assert check(f, h, "braided") == check(g, h, "braided")
+    assert check(f, h, "braided").status == "COMMUTES"
+    assert extract_braid(f) == extract_braid(g)
+    assert eval_mor(sl2_data, f) == eval_mor(sl2_data, g)
+
+
+def test_expand_horiz_desugars_nested_inners():
+    x1, x2 = ALeaf(1), ALeaf(2)
+    inner = Horiz(Gen("sigma", (x1, x2)), (Id(x1), Id(x2)))
+    out = expand_horiz(Horiz(Id(Tensor(x1, x2)), (inner,)))
+    assert fold(out, lambda node, kids: isinstance(node, Horiz) or any(kids)) is False
+    assert validate(out) == (Tensor(x1, x2), Tensor(x2, x1))
+    with pytest.raises(TypingError):
+        validate(inner)
+
+
+def test_folds_do_not_recurse():
+    x = Tensor(ALeaf(1), ALeaf(2))
+    f = Id(x)
+    for _ in range(20_000):
+        f = Vert(Id(x), f)
+    assert validate(f) == (x, x)
+    assert extract_braid(f).letters == ()
+
+
+def test_parser_depth_limit_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_mor("inv(" * 1500 + "sigma(X1, X2)" + ")" * 1500)
+    assert exc.value.line == 1 and exc.value.col > 1
+    assert "nested too deeply" in str(exc.value)
