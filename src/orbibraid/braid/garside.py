@@ -9,11 +9,20 @@ absorbs every generator that could migrate from the factor to its right,
 which makes the form canonical, so two words represent the same group
 element exactly when their normal forms are identical tuples.
 
-Inverse generators are removed up front via sigma_i^-1 =
-Delta^-1 (Delta sigma_i^-1), whose second factor is the permutation braid
-with permutation s_i . omega; the Delta^-1 is pushed to the far left
-through the factors collected so far (conjugation by Delta flips
-generator indices i -> n-i).
+The form is built by right multiplication, one letter at a time.  A
+positive letter sigma_i contributes its permutation braid; an inverse
+letter is sigma_i^-1 = Delta^-1 (Delta sigma_i^-1), whose second factor has
+permutation s_i . omega.  After the letter's factor is appended, one sweep
+from the right weights pairs up to the first one that is already
+left-weighted, as every pair left of it was.  Only the appended factor can
+become the identity, and is dropped; a Delta that forms is carried to the
+front and goes into the power.
+
+Moving the Delta^-1 to the front conjugates the factors before it by Delta
+(generator indices i -> n-i), which preserves permutation braids and
+left-weightedness.  So only its parity is kept: while it is odd, stored
+factors stand for their conjugates and new ones are stored conjugated; the
+stored factors are conjugated once, at the end.
 """
 
 from __future__ import annotations
@@ -33,11 +42,6 @@ def identity_perm(n: int) -> Perm:
 def omega_perm(n: int) -> Perm:
     """Permutation of the half twist Delta: full order reversal."""
     return tuple(range(n - 1, -1, -1))
-
-
-def chain_perm(p: Perm, q: Perm) -> Perm:
-    """The permutation 'p then q' on positions."""
-    return tuple(q[x] for x in p)
 
 
 def inverse_perm(p: Perm) -> Perm:
@@ -94,37 +98,32 @@ def perm_to_letters(p: Perm) -> tuple[tuple[int, int], ...]:
 
 
 def _weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
-    """Move every left divisor of b that a can absorb, per left-weightedness."""
-    changed = False
-    while True:
-        movable = starting_set(b) - finishing_set(a)
-        if not movable:
-            return a, b, changed
-        j = min(movable)
-        a = _swap_values(a, j)
-        b = _swap_entries(b, j)
-        changed = True
+    """Move b ^ da, the meet of b and the complement of a, from b into a.
 
-
-def _left_weight(n: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
-    ident = identity_perm(n)
-    omega = omega_perm(n)
-    while True:
-        factors = [f for f in factors if f != ident]
-        changed = False
-        for idx in range(len(factors) - 1):
-            a, b, moved = _weight_pair(factors[idx], factors[idx + 1])
-            if moved:
-                factors[idx], factors[idx + 1] = a, b
-                changed = True
-        if not changed:
-            break
-    factors = [f for f in factors if f != ident]
-    power = 0
-    while factors and factors[0] == omega:
-        power += 1
-        factors.pop(0)
-    return power, tuple(factors)
+    sigma_{j+1} can move while it left-divides b (b has a descent at j) and
+    a sigma_{j+1} is still a permutation braid (a^-1 has an ascent at j).
+    Moving it swaps positions j and j+1 of b and of a^-1, which changes
+    whether positions j-1..j+1 can move and no other.  One scan that steps
+    back one position after each move therefore ends with nothing left to
+    move: the pair is left-weighted and a has absorbed exactly the meet.
+    """
+    a_inv = list(inverse_perm(a))
+    b_out = list(b)
+    moved = False
+    j = 0
+    last = len(b) - 2
+    while j <= last:
+        if b_out[j] > b_out[j + 1] and a_inv[j] < a_inv[j + 1]:
+            b_out[j], b_out[j + 1] = b_out[j + 1], b_out[j]
+            a_inv[j], a_inv[j + 1] = a_inv[j + 1], a_inv[j]
+            moved = True
+            if j:
+                j -= 1
+        else:
+            j += 1
+    if not moved:
+        return a, b, False
+    return inverse_perm(a_inv), tuple(b_out), True
 
 
 @dataclass(frozen=True)
@@ -142,10 +141,12 @@ class GarsideNF:
     def __post_init__(self):
         ident = identity_perm(self.n)
         omega = omega_perm(self.n)
-        for f in self.factors:
-            assert f != ident and f != omega, "factor must be a proper permutation braid"
-        for a, b in zip(self.factors, self.factors[1:]):
-            assert starting_set(b) <= finishing_set(a), "factors not left-weighted"
+        for k, f in enumerate(self.factors):
+            if f == ident or f == omega:
+                raise ValueError(f"factor {k} is not a proper permutation braid")
+        for k in range(1, len(self.factors)):
+            if not starting_set(self.factors[k]) <= finishing_set(self.factors[k - 1]):
+                raise ValueError(f"factor {k} is not left-weighted against factor {k - 1}")
 
     @property
     def is_trivial(self) -> bool:
@@ -172,19 +173,36 @@ class GarsideNF:
 def garside_nf(w: BraidWord) -> GarsideNF:
     """Left-greedy normal form; nf(u) == nf(v) iff u = v in B_n."""
     n = w.n
+    ident = identity_perm(n)
     omega = omega_perm(n)
     power = 0
+    odd = False  # parity of Delta^-1 moved to the front so far
     factors: list[Perm] = []
+    lead = 0  # factors[:lead] are Delta, and stay out of the sweep
     for i, e in w.letters:
         j = i - 1
         if e == 1:
-            factors.append(_swap_entries(identity_perm(n), j))
+            f = _swap_entries(ident, j)
         else:
             power -= 1
-            factors = [flip_perm(f) for f in factors]
-            factors.append(_swap_values(omega, j))
-    extra, weighted = _left_weight(n, factors)
-    return GarsideNF(n, power + extra, weighted)
+            odd = not odd
+            f = _swap_values(omega, j)
+        factors.append(flip_perm(f) if odd else f)
+        k = len(factors) - 1
+        while k > lead:
+            a, b, moved = _weight_pair(factors[k - 1], factors[k])
+            if not moved:
+                break
+            factors[k - 1], factors[k] = a, b
+            k -= 1
+        if factors[-1] == ident:
+            factors.pop()
+        while lead < len(factors) and factors[lead] == omega:
+            lead += 1
+    tail = factors[lead:]
+    if odd:
+        tail = [flip_perm(f) for f in tail]
+    return GarsideNF(n, power + lead, tuple(tail))
 
 
 def braid_eq(u: BraidWord, v: BraidWord) -> bool:

@@ -88,7 +88,7 @@ def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 def _pdiv_exact(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Exact division a / b in Q[q]; asserts the remainder vanishes."""
+    """Exact division a / b in Q[q]; raises ArithmeticError unless it is exact in Z[q]."""
     fa = [Fraction(x) for x in a]
     out = [Fraction(0)] * (len(a) - len(b) + 1)
     for k in range(len(out) - 1, -1, -1):
@@ -97,8 +97,8 @@ def _pdiv_exact(a: Coeffs, b: Coeffs) -> Coeffs:
         if coeff:
             for i, y in enumerate(b):
                 fa[k + i] -= coeff * y
-    assert all(f == 0 for f in fa), "inexact polynomial division"
-    assert all(f.denominator == 1 for f in out), "inexact polynomial division"
+    if any(fa) or any(f.denominator != 1 for f in out):
+        raise ArithmeticError("inexact polynomial division")
     return tuple(int(f) for f in out)
 
 

@@ -1,9 +1,12 @@
-"""Shared test utilities: seeded RNG, random well-typed morphisms, word sampling."""
+"""Shared test utilities: seeded RNG, random well-typed morphisms, word sampling and rewriting, normal-form invariants."""
 
 from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from orbibraid.braid import BraidWord, CylBraidWord
 from orbibraid.dsl import (
@@ -27,6 +30,13 @@ from orbibraid.dsl import (
 )
 
 
+def stdout_under_python_O(script: str) -> str:
+    """Run script with `python -O`, which strips assert statements, on this checkout's src/."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True, env=env)
+    return run.stdout
+
+
 def seeded_rng(salt: int = 0) -> random.Random:
     base = int(os.environ.get("ORBIBRAID_SEED", "20260810"))
     return random.Random(base + salt)
@@ -42,6 +52,61 @@ def random_cyl_word(rng: random.Random, n: int, length: int) -> CylBraidWord:
         i = rng.randint(0, n - 1) if n > 1 else 0
         letters.append((i, rng.choice((1, -1))))
     return CylBraidWord(n, tuple(letters))
+
+
+def relation_rewrite(rng: random.Random, w: BraidWord, steps: int) -> BraidWord:
+    """A word equal to w in B_n: each step changes it at one random place.
+
+    The step applies s_i s_j s_i -> s_j s_i s_j (|i - j| = 1, equal signs) if
+    such a triple starts there, else s_i s_j -> s_j s_i (|i - j| > 1) if such
+    a pair does, else it inserts a cancelling pair.
+    """
+    letters = list(w.letters)
+    for _ in range(steps):
+        p = rng.randrange(len(letters) + 1)
+        x = letters[p : p + 3]
+        if len(x) == 3 and x[0] == x[2] and x[0][1] == x[1][1] and abs(x[0][0] - x[1][0]) == 1:
+            letters[p : p + 3] = [x[1], x[0], x[1]]
+        elif len(x) >= 2 and abs(x[0][0] - x[1][0]) > 1:
+            letters[p : p + 2] = [x[1], x[0]]
+        else:
+            i, e = rng.randint(1, w.n - 1), rng.choice((1, -1))
+            letters[p:p] = [(i, e), (i, -e)]
+    return BraidWord(w.n, tuple(letters))
+
+
+def normal_form_violations(w: BraidWord, power: int, factors) -> list[str]:
+    """Which invariants of a left-greedy normal form of w the form Delta^power factors breaks.
+
+    Each factor is a proper permutation braid (0-based one-line notation),
+    consecutive factors are left-weighted, and the form has the exponent sum
+    and the permutation of w.  Computed from scratch, without the library's
+    permutation helpers.
+    """
+    n = w.n
+    ident, omega = tuple(range(n)), tuple(range(n - 1, -1, -1))
+    found = []
+    for k, f in enumerate(factors):
+        if sorted(f) != list(ident) or f in (ident, omega):
+            found.append(f"factor {k} is not a proper permutation braid")
+    for k in range(1, len(factors)):
+        a, b = factors[k - 1], factors[k]
+        ends = sorted(range(n), key=lambda x: a[x])  # a^-1 in one-line notation
+        if any(b[j] > b[j + 1] and ends[j] < ends[j + 1] for j in range(n - 1)):
+            found.append(f"factors {k - 1} and {k} are not left-weighted")
+    inversions = sum(1 for f in factors for x in range(n) for y in range(x + 1, n) if f[x] > f[y])
+    if power * n * (n - 1) // 2 + inversions != sum(e for _, e in w.letters):
+        found.append("wrong exponent sum")
+    at = list(range(n))  # the strand at each position
+    for i, _ in w.letters:
+        at[i - 1], at[i] = at[i], at[i - 1]
+    word_perm = tuple(at.index(strand) for strand in range(n))
+    perm = omega if power % 2 else ident
+    for f in factors:
+        perm = tuple(f[x] for x in perm)
+    if perm != word_perm:
+        found.append("wrong permutation")
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
+import hashlib
 import json
+import random
+
+import pytest
 
 from conftest import data_path
+from helpers import normal_form_violations, random_braid_word, random_cyl_word, relation_rewrite, seeded_rng
+from orbibraid.braid import BraidWord
 from orbibraid.cli import main
 from orbibraid.dsl import parse_diagram
 from orbibraid.reflect import RepData
@@ -158,3 +164,65 @@ def test_rep_file_missing_matrix_exits_two(capsys, tmp_path):
     code, out = run_json(capsys, "rep", "verify", str(f))
     assert code == 2 and out["status"] == "error"
     assert out["payload"]["error"] == "ParseError: representation data is missing K (line 1, column 1)"
+
+
+def test_nf_on_three_hundred_strands(capsys):
+    code, doc = run_json(capsys, "braid", "nf", "-n", "300", "S1 s2 S3 s1 S2")
+    assert code == 0
+    factors = [tuple(v - 1 for v in f) for f in doc["payload"]["factors"]]
+    w = BraidWord.from_text(300, "S1 s2 S3 s1 S2")
+    assert normal_form_violations(w, doc["payload"]["power"], factors) == []
+
+
+def test_eq_of_a_long_word_and_its_rewrite(capsys):
+    u = random_braid_word(seeded_rng(7), 8, 400)
+    v = relation_rewrite(seeded_rng(8), u, 200)
+    assert u != v
+    code, doc = run_json(capsys, "braid", "eq", "-n", "8", u.to_text(), v.to_text())
+    assert code == 0 and doc["payload"]["equal"] is True
+
+
+def _fixed_word(seed: int, n: int, length: int, cyl: bool = False):
+    """A word drawn from its own seed, independent of ORBIBRAID_SEED."""
+    rng = random.Random(seed)
+    return random_cyl_word(rng, n, length) if cyl else random_braid_word(rng, n, length)
+
+
+def _eq_pair(equal: bool) -> list[str]:
+    u = _fixed_word(8100, 8, 100)
+    v = relation_rewrite(random.Random(8101), u, 60)
+    if not equal:
+        v = v * BraidWord.from_text(8, "s1 s1")
+    return [u.to_text(), v.to_text()]
+
+
+# sha256 of the --json reports printed by the original normal-form algorithm.
+PINNED_REPORTS = {
+    "nf-n4": (
+        ["braid", "nf", "-n", "4", _fixed_word(4120, 4, 120).to_text()],
+        0,
+        "73c1e34dbdbd87f3341c70244f067e8971ec70a8324f757f57a6cb9a8bd19eee",
+    ),
+    "nf-cyl-n7": (
+        ["braid", "nf", "--cyl", "-n", "7", _fixed_word(7040, 7, 40, cyl=True).to_text()],
+        0,
+        "884958067eda984275388624011e92b078d2656447a5763d58c01a542813d1f3",
+    ),
+    "eq-n8-equal": (
+        ["braid", "eq", "-n", "8", *_eq_pair(True)],
+        0,
+        "6ef55c9b578dc86c3260ec6276806c5b0e3989b5f7be97e899ec4ad0e3f3d9d9",
+    ),
+    "eq-n8-unequal": (
+        ["braid", "eq", "-n", "8", *_eq_pair(False)],
+        1,
+        "3a5f35a81aa3ff3c6899942a73da8f55e9a2e8fc3a934205280ae5aa9b1aaad5",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", PINNED_REPORTS.values(), ids=PINNED_REPORTS)
+def test_braid_reports_are_byte_identical_to_the_original(capsys, argv, exit_code, digest):
+    code, out = run(capsys, *argv, "--json")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import random_braid_word, random_cyl_word, seeded_rng
+from helpers import normal_form_violations, random_braid_word, random_cyl_word, seeded_rng, stdout_under_python_O
 from orbibraid.braid import (
     BraidWord,
     CylBraidWord,
@@ -12,6 +12,7 @@ from orbibraid.braid import (
 )
 from orbibraid.braid.garside import (
     finishing_set,
+    flip_perm,
     omega_perm,
     perm_to_letters,
     starting_set,
@@ -133,3 +134,80 @@ def test_eq_agrees_with_nf_comparison_on_cylinder_words():
         v = random_cyl_word(rng, n, rng.randint(0, 8))
         via_nf = garside_nf(embed_cyl(u)) == garside_nf(embed_cyl(v))
         assert cyl_braid_eq(u, v) == via_nf
+
+
+def seed_nf(w: BraidWord) -> tuple[int, tuple]:
+    """The original algorithm, kept as an oracle for the incremental one.
+
+    Every inverse letter conjugates all factors collected so far by Delta;
+    then passes over the whole list weight each pair one generator at a
+    time until a pass changes nothing.
+    """
+    n = w.n
+    ident, omega = tuple(range(n)), omega_perm(n)
+
+    def swap_entries(p, j):
+        return p[:j] + (p[j + 1], p[j]) + p[j + 2 :]
+
+    def swap_values(p, j):
+        return tuple(j + 1 if v == j else j if v == j + 1 else v for v in p)
+
+    power, factors = 0, []
+    for i, e in w.letters:
+        if e == 1:
+            factors.append(swap_entries(ident, i - 1))
+        else:
+            power -= 1
+            factors = [flip_perm(f) for f in factors] + [swap_values(omega, i - 1)]
+    changed = True
+    while changed:
+        factors = [f for f in factors if f != ident]
+        changed = False
+        for k in range(len(factors) - 1):
+            a, b = factors[k], factors[k + 1]
+            while movable := starting_set(b) - finishing_set(a):
+                j = min(movable)
+                a, b, changed = swap_values(a, j), swap_entries(b, j), True
+            factors[k], factors[k + 1] = a, b
+    while factors and factors[0] == omega:
+        power, factors = power + 1, factors[1:]
+    return power, tuple(factors)
+
+
+def test_nf_matches_the_original_algorithm():
+    rng = seeded_rng(5)
+    for k in range(150):
+        n = rng.randint(2, 10)
+        positive = (0.5, 0.9, 0.1)[k % 3]  # balanced, 90% positive, 90% negative letters
+        letters = tuple(
+            (rng.randint(1, n - 1), 1 if rng.random() < positive else -1) for _ in range(rng.randint(0, 60))
+        )
+        w = BraidWord(n, letters)
+        nf = garside_nf(w)
+        assert (nf.power, nf.factors) == seed_nf(w), w.to_text()
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_nf_invariants_on_long_words(n):
+    rng = seeded_rng(6 + n)
+    w = random_braid_word(rng, n, 800)
+    nf = garside_nf(w)
+    assert normal_form_violations(w, nf.power, nf.factors) == []
+    assert garside_nf(nf.to_word()) == nf
+
+
+def test_invalid_forms_raise_under_python_O():
+    # The checks in GarsideNF must survive -O, which strips assert statements.
+    script = (
+        "from orbibraid.braid.garside import GarsideNF\n"
+        "for factors in [((0, 2, 1), (1, 0, 2)), ((1, 0, 2), (0, 1, 2)), ((2, 1, 0),)]:\n"
+        "    try:\n"
+        "        GarsideNF(3, 0, factors)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert stdout_under_python_O(script).splitlines() == [
+        "factor 1 is not left-weighted against factor 0",
+        "factor 1 is not a proper permutation braid",
+        "factor 0 is not a proper permutation braid",
+    ]

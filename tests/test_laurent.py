@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import seeded_rng
+from helpers import seeded_rng, stdout_under_python_O
 from orbibraid.reflect import ONE, ZERO, LaurentScalar, QMatrix, parse_scalar, specialize
 
 
@@ -95,3 +95,19 @@ def test_arithmetic_matches_specialization(seed, q0):
         assert (a - b).specialize(q0) == va - vb
     except ZeroDivisionError:
         pass
+
+
+def test_inexact_division_raises_under_python_O():
+    # The exactness check must survive -O, which strips assert statements:
+    # (2 + 2q) / (1 + q) = 2, but (1 + q) / 2 leaves Z[q] and (1 + q^2) / (1 + q)
+    # leaves a remainder.
+    script = (
+        "from orbibraid.reflect.laurent import _pdiv_exact\n"
+        "print(_pdiv_exact((2, 2), (1, 1)))\n"
+        "for a, b in [((1, 1), (2,)), ((1, 0, 1), (1, 1))]:\n"
+        "    try:\n"
+        "        _pdiv_exact(a, b)\n"
+        "    except ArithmeticError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert stdout_under_python_O(script).splitlines() == ["(2,)"] + ["inexact polynomial division"] * 2
