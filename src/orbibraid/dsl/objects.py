@@ -85,6 +85,12 @@ class Act(ObjectExpr):
             raise TypingError(f"action expects an A-typed right argument in {obj_text(self)}")
 
 
+# Head word of every object node but the labelled generators X<i>, shared by
+# the parser and obj_text.  The arity of a node is its number of fields.
+OBJECT_WORDS = {"one": AUnit, "oneM": MUnit, "M": MLeaf, "tensor": Tensor, "Phi": Phi, "act": Act}
+_WORD_OF = {node: word for word, node in OBJECT_WORDS.items()}
+
+
 @dataclass(frozen=True)
 class SignedSignature:
     """Module marker (None for A-typed objects) plus the strand sequence."""
@@ -114,14 +120,10 @@ def _strands(o: ObjectExpr) -> tuple[tuple[int, int], ...]:
 
 
 def signature(o: ObjectExpr) -> SignedSignature:
-    marker = None
     walk = o
     while isinstance(walk, Act):
         walk = walk.module
-    if isinstance(walk, MLeaf):
-        marker = "M"
-    elif isinstance(walk, MUnit):
-        marker = "oneM"
+    marker = _WORD_OF[type(walk)] if isinstance(walk, (MLeaf, MUnit)) else None
     return SignedSignature(marker, _strands(o))
 
 
@@ -132,16 +134,9 @@ def strand_count(o: ObjectExpr) -> int:
 def obj_text(o: ObjectExpr) -> str:
     if isinstance(o, ALeaf):
         return f"X{o.index}"
-    if isinstance(o, AUnit):
-        return "one"
-    if isinstance(o, MLeaf):
-        return "M"
-    if isinstance(o, MUnit):
-        return "oneM"
-    if isinstance(o, Tensor):
-        return f"tensor({obj_text(o.left)}, {obj_text(o.right)})"
-    if isinstance(o, Phi):
-        return f"Phi({obj_text(o.child)})"
-    if isinstance(o, Act):
-        return f"act({obj_text(o.module)}, {obj_text(o.algebra)})"
-    raise TypingError(f"unknown object node {o!r}")
+    word = _WORD_OF.get(type(o))
+    if word is None:
+        raise TypingError(f"unknown object node {o!r}")
+    if not o.__match_args__:
+        return word
+    return f"{word}({', '.join(obj_text(getattr(o, name)) for name in o.__match_args__)})"

@@ -226,3 +226,107 @@ def test_braid_reports_are_byte_identical_to_the_original(capsys, argv, exit_cod
     code, out = run(capsys, *argv, "--json")
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_label_with_a_non_decimal_digit_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "superscript.diag"
+    f.write_text("flavor = braided\nlhs = sigma(X1, X²)\nrhs = sigma(X1, X2)\n")
+    code, doc = run_json(capsys, "coherence", "check", str(f))
+    assert code == 2
+    assert doc["payload"]["error"] == "ParseError: unknown object 'X²' (line 2, column 17)"
+
+
+WRITTEN_DIAGRAMS = {
+    "route300.diag": f"flavor = braided\nlhs = {alternating_route(300)}\nrhs = {alternating_route(300, nest_right=False)}\n",
+    "horiz.diag": (
+        "flavor = braided\n"
+        "lhs = horiz(kappa(M, tensor(X1, X2)); id(M), sigma(X1, X2))\n"
+        "rhs = vert(kappa(M, tensor(X2, X1)), act(id(M), sigma(X1, X2)))\n"
+    ),
+}
+
+# Exit code and sha256 of the text and the --json report of `coherence check`
+# on each bundled diagram and the two above, printed by the character-loop parser.
+PINNED_COHERENCE_REPORTS = {
+    "hexagon1.diag": (
+        0,
+        "be2d4f65eeb7fa961a194ed7b23ca471bded07e19ac0ad82d2d3d103ab04969a",
+        "5963201b39ad7e89f676f09cba905eb29fb414c16de6b21ddb9d40a81b74d7a4",
+    ),
+    "hexagon2.diag": (
+        0,
+        "32740171513c94a2dd89b40750d26a4b80383fcf18632a2034088d4b9ea5c403",
+        "d03ad4139ad114fb2d1276b3eb4701b80d61351fd4743fa3350259e1521b0a37",
+    ),
+    "kappa_squared.diag": (
+        1,
+        "405e0701c9de131f08ecfc8b10e6b06ce37a485834b32da97bd6305efe0ee6f8",
+        "b49c40e3f168460a22720b515998fa0d2753aa2dc1d3441d50b23a9806a9ea6a",
+    ),
+    "pentagon.diag": (
+        0,
+        "4ad20f722b5f8facfe2fe4b79eb9a7060829dbc65aee1b2abe98fd2f17e0ae35",
+        "1b61d64f3942493b91901659d932346ae07fee654f89f5ef8107fffbbcb033bc",
+    ),
+    "reflection_twisted.diag": (
+        0,
+        "1233e4affc6b1415b28ff0e120d16b6fc640da695d7ed0b0c16a69268bccf37a",
+        "c53812938045d56c3d0c1d19517630ed7b2793a09edcbd0fc3d9a14376b19266",
+    ),
+    "sigma_squared.diag": (
+        1,
+        "87e4cf540380705abdc98aca253e8ed160cef8d29251ad3ca0bb278b2c97c591",
+        "720e34d7c70b9116102158b4d06f6fbda04879d9cf0a0a8720779c3128f10ff9",
+    ),
+    "triangle.diag": (
+        0,
+        "b37a4e90a42bfb756f40754d765f279073429b2b92aea6d5c3621c5532b6a8dc",
+        "af169433207aeba6e958ab5c7da66f3347509212099a2f0fe97dc57aff0efd8d",
+    ),
+    "winding_module_pair.diag": (
+        0,
+        "ce2c97ba589f6ca3a5a0ab0350740304a35ebb6f43b48f3bb44080c7f2d796d4",
+        "8f31b452c3fa8c2fe47d817b664a4542112ff216a5fa1e90ca134db5350a7fbe",
+    ),
+    "winding_tensor_pair.diag": (
+        0,
+        "618bd84170f8a8c8d2b96a9fb76bd2bd2958dc516e6ee6343218648af6af2255",
+        "b0b631576312928715a3dd78679aabf7c9d58a18ce7e00d2ee539a306597bd6c",
+    ),
+    "yang_baxter.diag": (
+        0,
+        "ca9e8a2d51fd8d388bf0c65e202473aa694e9ccb7c65427d5fc55ceaf0ba805b",
+        "5fce563789dcb4205e7ad48604a4c6b551c5340698bebd6d4c401ac5e53e7d2c",
+    ),
+    "route300.diag": (
+        0,
+        "de0cdbeedcfc79ab9fba362e8ebc2f3f5047cd176edc7e470798ebdf2563bb34",
+        "5e6aba81d18d6a6cb346705b6eb6e999a8e3c4a76fe75e9c007386142aa049a3",
+    ),
+    "horiz.diag": (
+        0,
+        "e0d7d960f1d89bbdce074112d0fa8da6b88fce8168d3b7d61ce0dc0c2a53c003",
+        "f0610418839e1940ae441bac3ed92ccef62ecd1e6e5cd1a849578a42776d88e4",
+    ),
+}
+
+
+def coherence_report(capsys, monkeypatch, tmp_path, diagram_dir, name: str, as_json: bool) -> tuple[int, str]:
+    """`coherence check name` run from the diagram's directory, so the echoed command has no path."""
+    if name in WRITTEN_DIAGRAMS:
+        (tmp_path / name).write_text(WRITTEN_DIAGRAMS[name])
+        monkeypatch.chdir(tmp_path)
+    else:
+        monkeypatch.chdir(diagram_dir)
+    return run(capsys, "coherence", "check", name, *(["--json"] if as_json else []))
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", PINNED_COHERENCE_REPORTS)
+def test_coherence_reports_are_byte_identical_to_the_original(
+    capsys, monkeypatch, tmp_path, diagram_dir, name, as_json
+):
+    exit_code, *digests = PINNED_COHERENCE_REPORTS[name]
+    code, out = coherence_report(capsys, monkeypatch, tmp_path, diagram_dir, name, as_json)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[as_json], out
