@@ -61,10 +61,15 @@ class _Stream:
         self.pos = 0
 
     def where(self, k: int) -> tuple[int, int]:
-        """Line and column of token k; past the last token, column 1 of its line."""
+        """Line and column of token k.  Past the last token, column 1 of that
+        token's line; with no token at all, column 1 of the first line that is
+        not empty, which for an empty diagram binding is the binding's own line
+        (its blanked key leaves spaces there)."""
         if k < len(self.tokens):
             return _position(self.text, next(islice(_TOKEN.finditer(self.text), k, None)).start())
-        return (self.where(len(self.tokens) - 1)[0] if self.tokens else 1), 1
+        if self.tokens:
+            return self.where(len(self.tokens) - 1)[0], 1
+        return _position(self.text, len(self.text) - len(self.text.lstrip("\r\n")))[0], 1
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

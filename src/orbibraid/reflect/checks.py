@@ -87,25 +87,28 @@ class CylRep:
 
 
 def build_cyl_rep(data: RepData, n: int) -> CylRep:
-    """Assemble the generator matrices and verify every defining relation."""
+    """Assemble the generator matrices and verify every defining relation.
+
+    Each generator is one small matrix padded by identities: sigma_i is
+    I_(m d^(i-1)) (x) Rhat (x) I_(d^(n-i-1)) and kappa is
+    (1 (x) T^-1) K (x) I_(d^(n-1)).  Since (A (x) B)^-1 = A^-1 (x) B^-1,
+    the inverses are the same paddings of Rhat^-1 and ((1 (x) T^-1) K)^-1,
+    so only those two small matrices are inverted, once each, after the
+    relations hold.
+    """
     if n < 1:
         raise DimensionError("strand count must be positive")
     d, m = data.d, data.m
     rhat = QMatrix.flip(d, d) * data.R
-    eye_d = QMatrix.identity(d)
-    eye_m = QMatrix.identity(m)
-    sigma = []
-    for i in range(1, n):
-        mat = eye_m
-        for leg in range(1, n + 1):
-            if leg == i:
-                mat = mat.kron(rhat)
-            elif leg != i + 1:
-                mat = mat.kron(eye_d)
-        sigma.append(mat)
-    kappa = eye_m.kron(data.T.inverse()) * data.K
-    for _ in range(n - 1):
-        kappa = kappa.kron(eye_d)
+    core = QMatrix.identity(m).kron(data.T.inverse()) * data.K
+
+    def place(mat: QMatrix, i: int) -> QMatrix:
+        """mat on the legs M (x) V_1 for i = 0, on V_i (x) V_(i+1) otherwise."""
+        left = m * d ** (i - 1) if i else 1
+        return QMatrix.identity(left).kron(mat).kron(QMatrix.identity(d ** (n - i - 1)))
+
+    sigma = [place(rhat, i) for i in range(1, n)]
+    kappa = place(core, 0)
 
     for i in range(1, n - 1):
         if sigma[i - 1] * sigma[i] * sigma[i - 1] != sigma[i] * sigma[i - 1] * sigma[i]:
@@ -122,21 +125,18 @@ def build_cyl_rep(data: RepData, n: int) -> CylRep:
         if sigma[i - 1] * kappa != kappa * sigma[i - 1]:
             raise RelationError(f"sigma_{i} kappa = kappa sigma_{i}")
 
-    return CylRep(
-        data,
-        n,
-        tuple(sigma),
-        kappa,
-        tuple(s.inverse() for s in sigma),
-        kappa.inverse(),
-    )
+    rhat_inv = rhat.inverse()
+    sigma_inv = tuple(place(rhat_inv, i) for i in range(1, n))
+    return CylRep(data, n, tuple(sigma), kappa, sigma_inv, place(core.inverse(), 0))
 
 
 def eval_braid(rep: CylRep, w: CylBraidWord | BraidWord) -> QMatrix:
     """Multiplicative evaluation of a word; the empty word maps to the identity."""
     if w.n != rep.n:
         raise DimensionError(f"word on {w.n} strands fed to a {rep.n}-strand representation")
-    out = QMatrix.identity(rep.dim)
-    for letter in w.letters:
+    if not w.letters:
+        return QMatrix.identity(rep.dim)
+    out = rep.letter_matrix(w.letters[0])
+    for letter in w.letters[1:]:
         out = out * rep.letter_matrix(letter)
     return out

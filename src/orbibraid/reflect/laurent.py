@@ -6,6 +6,13 @@ has the denominator's q-power absorbed into the numerator's lowest
 exponent, no common polynomial or integer-content factor, and a positive
 lowest denominator coefficient; zero is 0/1.  Equality of canonical forms
 is equality in the field Q(q).
+
+Reduction stays in the integers.  The polynomial gcd is the primitive
+remainder sequence over Z (Knuth, TAOCP vol. 2, 4.6.1): each step takes a
+pseudo-remainder and divides out its content, so no rational coefficient
+appears.  When the numerator or the denominator is a single coefficient,
+c*q^k, the gcd is a unit (the denominator has no factor q) and is not
+computed; the integer content is still divided out.
 """
 
 from __future__ import annotations
@@ -48,58 +55,58 @@ def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(out)
 
 
-def _content(a: Coeffs) -> int:
-    return math.gcd(*(abs(x) for x in a)) if a else 0
+def _primitive(a) -> Coeffs:
+    c = math.gcd(*a)
+    return tuple(x // c for x in a) if c > 1 else tuple(a)
 
 
-def _primitive(a: Coeffs) -> Coeffs:
-    c = _content(a)
-    return tuple(x // c for x in a) if c > 1 else a
+def _prem(a: Coeffs, b: Coeffs) -> list[int]:
+    """A pseudo-remainder: a nonzero integer multiple of the remainder of a by b in Q[q]."""
+    r = list(a)
+    lead, nb = b[-1], len(b)
+    while len(r) >= nb:
+        c = r[-1]
+        if c % lead:
+            r = [x * lead for x in r]
+        else:
+            c //= lead
+        shift = len(r) - nb
+        for i, y in enumerate(b):
+            r[shift + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Primitive gcd in Z[q] via the Euclidean algorithm over Q."""
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-    while fb:
-        while fb and fb[-1] == 0:
-            fb.pop()
-        if not fb:
-            break
-        # fa mod fb
-        while len(fa) >= len(fb) and any(fa):
-            while fa and fa[-1] == 0:
-                fa.pop()
-            if len(fa) < len(fb):
-                break
-            factor = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            for i, y in enumerate(fb):
-                fa[shift + i] -= factor * y
-            fa.pop()
-        fa, fb = fb, fa
-    while fa and fa[-1] == 0:
-        fa.pop()
-    if not fa:
-        return ()
-    denlcm = math.lcm(*(f.denominator for f in fa))
-    ints = tuple(int(f * denlcm) for f in fa)
-    return _primitive(ints)
+    """Primitive gcd in Z[q], with positive leading coefficient, by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b if b[-1] > 0 else tuple(-x for x in b)
+        a, b = b, _primitive(r)
+    return (1,)
 
 
 def _pdiv_exact(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Exact division a / b in Q[q]; raises ArithmeticError unless it is exact in Z[q]."""
-    fa = [Fraction(x) for x in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    """Exact division a / b in Z[q]; raises ArithmeticError unless it is exact."""
+    r = list(a)
+    lead, nb = b[-1], len(b)
+    out = [0] * (len(a) - nb + 1)
     for k in range(len(out) - 1, -1, -1):
-        coeff = fa[k + len(b) - 1] / Fraction(b[-1])
-        out[k] = coeff
-        if coeff:
+        c, rem = divmod(r[k + nb - 1], lead)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        out[k] = c
+        if c:
             for i, y in enumerate(b):
-                fa[k + i] -= coeff * y
-    if any(fa) or any(f.denominator != 1 for f in out):
+                r[k + i] -= c * y
+    if any(r):
         raise ArithmeticError("inexact polynomial division")
-    return tuple(int(f) for f in out)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -119,11 +126,12 @@ class LaurentScalar:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return LaurentScalar(0, (), 0, (1,))
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
-        c = math.gcd(_content(num), _content(den))
+        if len(num) > 1 and len(den) > 1:  # else one side is c*q^k, coprime to den in Q[q]
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num = _pdiv_exact(num, g)
+                den = _pdiv_exact(den, g)
+        c = math.gcd(*num, *den)
         if c > 1:
             num = tuple(x // c for x in num)
             den = tuple(x // c for x in den)

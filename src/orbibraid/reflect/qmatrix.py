@@ -1,4 +1,11 @@
-"""Dense matrices over the rational-function field Q(q), exact throughout."""
+"""Matrices over the rational-function field Q(q), exact throughout.
+
+Storage is dense: ``entries`` is a tuple of row tuples.  Products and
+eliminations skip zero entries, so the many zeros of flips and of
+Kronecker products with identities cost no scalar arithmetic: a product
+walks the nonzero entries of each row and multiplies each one into the
+nonzero entries of the matching row of the right factor.
+"""
 
 from __future__ import annotations
 
@@ -51,17 +58,15 @@ class QMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = list(zip(*other.entries))
+        support = [[(j, b) for j, b in enumerate(row) if not b.is_zero] for row in other.entries]
         out = []
         for r in self.entries:
-            row = []
-            for c in cols:
-                acc = ZERO
-                for a, b in zip(r, c):
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
+            row = [ZERO] * other.cols
+            for a, terms in zip(r, support):
+                if a.is_zero:
+                    continue
+                for j, b in terms:
+                    row[j] = row[j] + a * b
             out.append(tuple(row))
         return QMatrix(self.rows, other.cols, tuple(out))
 
@@ -123,14 +128,15 @@ class QMatrix:
                     continue
                 factor = a[r][col] * inv
                 for c in range(col, n):
-                    a[r][c] = a[r][c] - factor * a[col][c]
+                    if not a[col][c].is_zero:
+                        a[r][c] = a[r][c] - factor * a[col][c]
         return det
 
     def inverse(self) -> QMatrix:
         if self.rows != self.cols:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        a = [list(r) + list(QMatrix.identity(n).entries[i]) for i, r in enumerate(self.entries)]
+        a = [list(r) + list(e) for r, e in zip(self.entries, QMatrix.identity(n).entries)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if not a[r][col].is_zero), None)
             if pivot is None:
@@ -143,7 +149,7 @@ class QMatrix:
                 if r == col or a[r][col].is_zero:
                     continue
                 factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+                a[r] = [x if y.is_zero else x - factor * y for x, y in zip(a[r], a[col])]
         return QMatrix(n, n, tuple(tuple(row[n:]) for row in a))
 
     def specialize(self, q0: Fraction) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -111,3 +112,69 @@ def test_inexact_division_raises_under_python_O():
         "        print(exc)\n"
     )
     assert stdout_under_python_O(script).splitlines() == ["(2,)"] + ["inexact polynomial division"] * 2
+
+
+def gcd_oracle_pairs(rng, count: int = 300):
+    """Nonzero integer polynomial pairs (low-to-high coefficients, nonzero leading one).
+
+    Every pair gets a planted common factor of degree 0 to 3; on top of that,
+    one case in four each multiplies both sides by a shared integer content,
+    makes the leading coefficients negative, or shrinks one side to a
+    constant or a monomial c*q^k (where make skips the gcd).
+    """
+
+    def poly(degree):
+        coeffs = [rng.randint(-5, 5) for _ in range(degree)] + [rng.choice((-3, -2, -1, 1, 2, 3))]
+        return tuple(coeffs)
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return tuple(out)
+
+    for k in range(count):
+        common = poly(rng.randint(0, 3))
+        a, b = times(common, poly(rng.randint(0, 3))), times(common, poly(rng.randint(0, 3)))
+        case = k % 4
+        if case == 1:
+            c = rng.choice((2, 3, 6, 12))
+            a, b = tuple(c * rng.choice((1, 2, 5)) * x for x in a), tuple(c * x for x in b)
+        elif case == 2:
+            a, b = (tuple(-x for x in p) if p[-1] > 0 else p for p in (a, b))
+        elif case == 3:
+            mono = (0,) * rng.randint(0, 2) + (rng.choice((-4, -1, 1, 3)),)
+            a, b = (mono, b) if rng.random() < 0.5 else (a, mono)
+        yield a, b
+
+
+def test_gcd_and_reduction_match_sympy():
+    sp = pytest.importorskip("sympy")
+    from orbibraid.reflect.laurent import _pgcd
+
+    q = sp.symbols("q")
+
+    def as_poly(coeffs):
+        return sp.Poly(list(reversed(coeffs)), q, domain="ZZ")
+
+    def coeffs_of(p):
+        return tuple(int(c) for c in reversed(p.all_coeffs()))
+
+    def lowest(coeffs):
+        low = next(i for i, c in enumerate(coeffs) if c)
+        return low, coeffs[low:]
+
+    rng = seeded_rng(16)
+    for a, b in gcd_oracle_pairs(rng):
+        g = sp.gcd(as_poly(a), as_poly(b)).primitive()[1]
+        assert _pgcd(a, b) == coeffs_of(-g if g.LC() < 0 else g), (a, b)
+
+        num_low, den_low = rng.randint(-3, 3), rng.randint(-3, 3)
+        got = LaurentScalar.make(num_low, a, den_low, b)
+        shift = num_low - den_low  # a q^shift / b, with the q-power moved onto one side
+        top, bottom = as_poly((0,) * max(shift, 0) + a), as_poly((0,) * max(-shift, 0) + b)
+        (n_low, n), (d_low, d) = (lowest(coeffs_of(p)) for p in top.cancel(bottom, include=True))
+        unit = math.gcd(*n, *d) * (-1 if d[0] < 0 else 1)
+        want = LaurentScalar(n_low - d_low, tuple(x // unit for x in n), 0, tuple(x // unit for x in d))
+        assert got == want, (num_low, a, den_low, b)

@@ -5,10 +5,12 @@ tokenizer that the regular-expression scan replaced; only a label with a
 non-decimal digit and the positions of errors in diagram files differ.
 """
 
+import json
 import threading
 
 import pytest
 
+from orbibraid.cli import main
 from orbibraid.dsl import parse_diagram, parse_mor, parse_obj
 from orbibraid.errors import ParseError
 
@@ -116,3 +118,17 @@ def parse_error_on_a_new_thread(text: str) -> ParseError:
 def test_nesting_is_refused_at_the_same_token():
     exc = parse_error_on_a_new_thread("inv(" * 1500 + "sigma(X1, X2)" + ")" * 1500)
     assert (str(exc), exc.line, exc.col) == ("expression nested too deeply (line 1, column 3965)", 1, 3965)
+
+
+EMPTY_BINDING = "flavor = braided\nrhs = id(X1)\n\nlhs =\n"
+
+
+def test_empty_binding_is_reported_on_its_own_line(capsys, tmp_path):
+    message = "expected a morphism, found end of input (line 4, column 1)"
+    with pytest.raises(ParseError) as exc:
+        parse_diagram(EMPTY_BINDING)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (message, 4, 1)
+    f = tmp_path / "empty-binding.diag"
+    f.write_text(EMPTY_BINDING)
+    assert main(["coherence", "check", str(f), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["payload"]["error"] == f"ParseError: {message}"

@@ -168,3 +168,17 @@ def test_eval_braid_on_plain_words(sl2_data):
     assert eval_braid(rep3, u * u.inverse()) == eval_braid(rep3, v)
     with pytest.raises(DimensionError):
         eval_braid(rep3, BraidWord(2))
+
+
+TWISTED_FLIP_K = [["0", "-q^-2 + 2*q^-1 + 3 - q"], ["-q^-2 + 2*q^-1 + 3 - q", "0"]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("twisted", [False, True], ids=["sl2", "twisted-flip"])
+def test_cylinder_inverses_match_direct_inversion(sl2_data, twisted, n):
+    data = make_data(TWISTED_FLIP_K, T_rows=[["1", "0"], ["0", "-1"]]) if twisted else sl2_data
+    rep = build_cyl_rep(data, n)
+    assert len(rep.sigma) == len(rep.sigma_inv) == n - 1
+    for mat, inv in [*zip(rep.sigma, rep.sigma_inv), (rep.kappa, rep.kappa_inv)]:
+        assert inv == mat.inverse()
+        assert (mat * inv).is_identity and (inv * mat).is_identity
