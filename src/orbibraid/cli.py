@@ -10,6 +10,7 @@ yield byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -184,6 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse copies list defaults (the ``append`` of -f) before extending them,
+# so a parsed namespace carries nothing over to the next call.
+_parser = functools.cache(build_parser)
+
+
 _DISPATCH = {
     "braid": _cmd_braid,
     "operad": _cmd_operad,
@@ -193,9 +199,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Run one command and print its report; the parser is built once per process, on the first call."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     echo = "orbibraid " + " ".join(argv)
     start = time.perf_counter()
     try:

@@ -175,6 +175,9 @@ class LaurentScalar:
     def __mul__(self, other: LaurentScalar) -> LaurentScalar:
         if self.is_zero or other.is_zero:
             return ZERO
+        if self.den == other.den == (1,):
+            # Polynomials with nonzero end coefficients: the product is canonical as it stands.
+            return LaurentScalar(self.num_low + other.num_low, _pmul(self.num, other.num), 0, (1,))
         return LaurentScalar.make(
             self.num_low + other.num_low, _pmul(self.num, other.num), 0, _pmul(self.den, other.den)
         )

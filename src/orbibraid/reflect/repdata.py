@@ -4,8 +4,8 @@ A RepData bundle fixes a d-dimensional object V and an m-dimensional
 module object M, the braiding matrix R on V (x) V, the K-matrix on
 M (x) V, and the matrix T realising the involution on V.  The twisted
 matrices default to conjugation by T on the twisted legs (and to R itself
-for the doubly twisted one); all matrices are checked invertible by exact
-determinant.
+for the doubly twisted one); R, K, T and any twisted matrix given
+explicitly are checked invertible by exact determinant.
 
 File format: a JSON document with integer fields ``d`` and ``m`` and the
 matrices as nested arrays of strings in the scalar grammar, e.g.
@@ -52,12 +52,14 @@ class RepData:
             raise DimensionError(f"K must be {m * d}x{m * d}")
         if T.rows != d or T.cols != d:
             raise DimensionError(f"T must be {d}x{d}")
+        # Derived twists are R or a conjugate of it, so det R covers them.
+        explicit = [(name, mat) for name, mat in (("Rphi", Rphi), ("Rphiphi", Rphiphi)) if mat is not None]
         if Rphi is None:
             t1 = T.kron(QMatrix.identity(d))
-            Rphi = t1 * R * t1.inverse()
+            Rphi = R if T.is_identity else t1 * R * t1.inverse()
         if Rphiphi is None:
             Rphiphi = R
-        for name, mat in (("R", R), ("K", K), ("T", T), ("Rphi", Rphi), ("Rphiphi", Rphiphi)):
+        for name, mat in (("R", R), ("K", K), ("T", T), *explicit):
             if mat.det().is_zero:
                 raise SingularMatrixError(f"{name} must be invertible")
         if balancing is not None and (balancing.rows != d or balancing.cols != d):

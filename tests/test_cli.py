@@ -1,13 +1,17 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import data_path
 from helpers import normal_form_violations, random_braid_word, random_cyl_word, relation_rewrite, seeded_rng
+from orbibraid import cli
 from orbibraid.braid import BraidWord
-from orbibraid.cli import main
+from orbibraid.cli import build_parser, main
 from orbibraid.dsl import parse_diagram
 from orbibraid.reflect import RepData
 
@@ -330,3 +334,59 @@ def test_coherence_reports_are_byte_identical_to_the_original(
     code, out = coherence_report(capsys, monkeypatch, tmp_path, diagram_dir, name, as_json)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digests[as_json], out
+
+
+COMPOSE_OUTER = ["operad", "compose", "-g", "op D [D,D] eps=01 perm=2 1"]
+
+README_COMMANDS = [
+    ["braid", "eq", "-n", "3", "s1 s2 s1", "s2 s1 s2"],
+    ["braid", "nf", "-n", "2", "s1 S1"],
+    ["braid", "eq", "--cyl", "-n", "2", "k s1 k s1", "s1 k s1 k"],
+    ["operad", "classify", "-k", "3", "--output", "Dstar", "--inputs", "D,D,D"],
+    [*COMPOSE_OUTER, "-f", "op D [D] eps=1 perm=1", "-f", "op D [D] eps=0 perm=1"],
+    ["coherence", "check", str(data_path("diagrams") / "winding_tensor_pair.diag")],
+    ["rep", "verify", str(data_path("sl2.rep.json"))],
+    ["rep", "eval", str(data_path("sl2.rep.json")), "-n", "2", "--cyl", "k s1 k s1"],
+]
+
+
+def report_or_usage_error(capsys, argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of main(argv), including argparse's SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_leaves_no_state_behind(capsys, monkeypatch):
+    readme = [argv + ["--json"] * (k % 2) for k, argv in enumerate(README_COMMANDS)]
+    sequence = [*readme, README_COMMANDS[4], COMPOSE_OUTER, ["braid", "eq", "-n", "3", "s1"], *readme]
+    assert cli._parser() is cli._parser()
+    reused = [report_or_usage_error(capsys, argv) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser for every call
+    fresh = [report_or_usage_error(capsys, argv) for argv in sequence]
+    assert reused == fresh
+    assert reused[8][0] == 0 and "eps=11 perm=2 1" in reused[8][1]
+    assert reused[9][0] == 2 and "composed with 0 arguments" in reused[9][1]
+    assert reused[10][0] == 2 and reused[10][2].startswith("usage: orbibraid braid eq")
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(data_path("").parents[1]), "COLUMNS": "80"}
+    return subprocess.run([sys.executable, "-m", "orbibraid.cli", *argv], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    argv = ["braid", "eq", "-n", "3", "s1 s2 s1", "s2 s1 s2", "--json"]
+    proc = run_module(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_module_entry_point_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text is wrapped to the terminal width
+    proc = run_module("--help")
+    assert proc.returncode == 0
+    assert proc.stdout == build_parser().format_help()

@@ -178,3 +178,39 @@ def test_gcd_and_reduction_match_sympy():
         unit = math.gcd(*n, *d) * (-1 if d[0] < 0 else 1)
         want = LaurentScalar(n_low - d_low, tuple(x // unit for x in n), 0, tuple(x // unit for x in d))
         assert got == want, (num_low, a, den_low, b)
+
+
+def test_polynomial_products_and_sums_match_sympy():
+    """Products and sums of scalars with denominator 1, including zero, monomials and integer content."""
+    sp = pytest.importorskip("sympy")
+    q = sp.symbols("q")
+
+    def lowest_and_coeffs(p):
+        coeffs = tuple(int(c) for c in reversed(sp.Poly(p, q, domain="ZZ").all_coeffs()))
+        low = next(i for i, c in enumerate(coeffs) if c)
+        return low, coeffs[low:]
+
+    def scalar_of(expr) -> LaurentScalar:
+        top, bottom = sp.fraction(sp.cancel(expr))
+        if top == 0:
+            return ZERO
+        (n_low, n), (d_low, d) = lowest_and_coeffs(top), lowest_and_coeffs(bottom)
+        unit = math.gcd(*n, *d) * (-1 if d[0] < 0 else 1)
+        return LaurentScalar(n_low - d_low, tuple(x // unit for x in n), 0, tuple(x // unit for x in d))
+
+    def polynomial(rng) -> LaurentScalar:
+        content = rng.choice((1, 1, 2, 6))
+        coeffs = [content * rng.randint(-4, 4) for _ in range(rng.choice((0, 1, 1, 2, 3, 5)))]
+        return LaurentScalar.make(rng.randint(-4, 4), coeffs)
+
+    def expr_of(s: LaurentScalar):
+        return sum(c * q ** (s.num_low + i) for i, c in enumerate(s.num))
+
+    rng = seeded_rng(17)
+    for _ in range(100):
+        a, b = polynomial(rng), polynomial(rng)
+        assert a.den == b.den == (1,)
+        ea, eb = expr_of(a), expr_of(b)
+        assert a * b == scalar_of(ea * eb), (a, b)
+        assert a + b == scalar_of(ea + eb), (a, b)
+        assert a - b == scalar_of(ea - eb), (a, b)

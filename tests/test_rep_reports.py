@@ -133,3 +133,32 @@ def eval_mor_strings(data, diagram_dir, name: str) -> str:
 def test_eval_mor_matrices_are_byte_identical_to_the_original(sl2_data, diagram_dir, name):
     out = eval_mor_strings(sl2_data, diagram_dir, name)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_EVAL_MOR[name], out
+
+
+SINGULAR = [["1", "1"], ["1", "1"]]
+SINGULAR4 = [["1"] * 4 for _ in range(4)]
+IDENTITY4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+
+# The error each singular input is reported with, in the order the checks
+# run: a singular T fails while Rphi is derived from it, before any
+# determinant is taken, unless the file gives Rphi explicitly.
+SINGULAR_DATA_REPORTS = {
+    "R": ({"R": SINGULAR4}, "SingularMatrixError: R must be invertible"),
+    "K": ({"K": SINGULAR}, "SingularMatrixError: K must be invertible"),
+    "T": ({"T": SINGULAR}, "SingularMatrixError: matrix is singular"),
+    "T-and-R": ({"T": SINGULAR, "R": SINGULAR4}, "SingularMatrixError: matrix is singular"),
+    "T-with-explicit-Rphi": ({"T": SINGULAR, "Rphi": IDENTITY4}, "SingularMatrixError: T must be invertible"),
+    "Rphi": ({"Rphi": SINGULAR4}, "SingularMatrixError: Rphi must be invertible"),
+    "Rphiphi": ({"Rphiphi": SINGULAR4}, "SingularMatrixError: Rphiphi must be invertible"),
+    "R-and-Rphi": ({"R": SINGULAR4, "Rphi": SINGULAR4}, "SingularMatrixError: R must be invertible"),
+}
+
+
+@pytest.mark.parametrize("key", SINGULAR_DATA_REPORTS)
+def test_singular_data_is_reported_at_load(capsys, tmp_path, key):
+    overrides, error = SINGULAR_DATA_REPORTS[key]
+    f = tmp_path / "singular.json"
+    f.write_text(json.dumps({"d": 2, "m": 1, "R": SL2_R, "K": [["1", "0"], ["0", "1"]], **overrides}))
+    code, out = run(capsys, "rep", "verify", str(f), "--json")
+    assert code == 2
+    assert json.loads(out)["payload"] == {"error": error}
