@@ -137,15 +137,7 @@ def pole_winding(w: CylBraidWord, strand: int) -> int:
     """
     if not (1 <= strand <= w.n):
         raise MalformedWordError(f"strand {strand} out of range for {w.n} strands")
-    at = list(range(w.n + 1))
-    winding = 0
-    for i, e in w.letters:
-        if i == KAPPA:
-            if at[1] == strand:
-                winding += e
-        else:
-            at[i], at[i + 1] = at[i + 1], at[i]
-    return winding
+    return all_pole_windings(w)[strand - 1]
 
 
 def all_pole_windings(w: CylBraidWord) -> tuple[int, ...]:

@@ -43,6 +43,8 @@ def parse_color(text: str) -> Color:
 
 Perm = tuple[int, ...]
 
+MAX_DISK_INPUTS = 7  # 2^7 7! = 645,120 classes, the largest listing classify builds
+
 
 def _inverse(p: Perm) -> Perm:
     out = [0] * len(p)
@@ -97,10 +99,11 @@ class SignedOp:
         return tuple(i for i, c in enumerate(self.inputs) if c is Color.D)
 
     def to_text(self) -> str:
-        ins = ",".join(str(c) for c in self.inputs)
-        bits = "".join(str(e) for e in self.eps)
-        perm = " ".join(str(v + 1) for v in self.perm)
-        return f"op {self.output} [{ins}] eps={bits} perm={perm}"
+        # ``_value_`` skips the Enum descriptors behind str() and .value.
+        ins = ",".join([c._value_ for c in self.inputs])
+        bits = "".join(map(str, self.eps))
+        perm = " ".join([str(v + 1) for v in self.perm])
+        return f"op {self.output._value_} [{ins}] eps={bits} perm={perm}"
 
 
 def parse_signed_op(text: str) -> SignedOp:
@@ -137,7 +140,8 @@ def classify(k: int, output: Color, input_colors) -> list[SignedOp]:
     """All 2^d d! classes with the given colors; empty when the space is empty.
 
     The input colors are normalised to the canonical order (module input
-    first); eps and perm are unaffected by that reordering.
+    first); eps and perm are unaffected by that reordering.  More than
+    MAX_DISK_INPUTS disk inputs are refused before any class is built.
     """
     input_colors = tuple(input_colors)
     if k != len(input_colors):
@@ -149,6 +153,8 @@ def classify(k: int, output: Color, input_colors) -> list[SignedOp]:
         return []
     canonical = tuple(sorted(input_colors, key=lambda c: c is Color.D))
     d = k - stars
+    if d > MAX_DISK_INPUTS:
+        raise ArityError(f"{d} disk inputs exceed the cap of {MAX_DISK_INPUTS} (2^d d! classes)")
     out = []
     for eps in itertools.product((0, 1), repeat=d):
         for perm in itertools.permutations(range(d)):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -390,3 +391,54 @@ def test_module_entry_point_help(monkeypatch):
     proc = run_module("--help")
     assert proc.returncode == 0
     assert proc.stdout == build_parser().format_help()
+
+
+# Exit code and sha256 of the text and the --json report of three listings.
+PINNED_CLASSIFY_REPORTS = {
+    "k3-D": (
+        ["operad", "classify", "-k", "3", "--output", "D", "--inputs", "D,D,D"],
+        "56acca0f993e7787528872e9c88cf6887b26959c640bcdcac121c0e2824df79e",
+        "7c5c3a635933d3740bfee09a3dc9fed1de20ab5fe775330051334a129903f75e",
+    ),
+    "k4-Dstar-pole": (
+        ["operad", "classify", "-k", "4", "--output", "Dstar", "--inputs", "Dstar,D,D,D"],
+        "843f132166ba35a7ffff639c4f51b14ba4739e6f305dce8f0c2380e1925eb21d",
+        "2c3d215cd81caa7e11af5848caef66ad39f7f1fb63d3342513140ac52240af15",
+    ),
+    "k5-Dstar": (
+        ["operad", "classify", "-k", "5", "--output", "Dstar", "--inputs", "D,D,D,D,D"],
+        "01d385bf549612966d72a09d72dcb390148e2ce0d221eb81b88e886a6d9d6a81",
+        "b2e5a964f01c737472cc695982b92288a910d2fb45a3ab5a4b141f70fcce86e5",
+    ),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("key", PINNED_CLASSIFY_REPORTS)
+def test_classify_reports_are_byte_identical_to_the_original(capsys, key, as_json):
+    argv, *digests = PINNED_CLASSIFY_REPORTS[key]
+    code, out = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[as_json]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["operad", "classify", "-k", "8", "--output", "D", "--inputs", "D,D,D,D,D,D,D,D"],
+            "ArityError: 8 disk inputs exceed the cap of 7 (2^d d! classes)",
+        ),
+        (
+            ["rep", "eval", str(data_path("sl2.rep.json")), "-n", "9", "s1"],
+            "DimensionError: dimension 1*2^9 exceeds the cap of 256",
+        ),
+    ],
+    ids=["classify-k8", "rep-eval-n9"],
+)
+def test_oversized_requests_exit_two_at_once(argv, error):
+    start = time.perf_counter()
+    proc = run_module(*argv, "--json")
+    assert time.perf_counter() - start < 10  # uncapped, either would run for minutes
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout)["payload"] == {"error": error}

@@ -182,3 +182,75 @@ def test_cylinder_inverses_match_direct_inversion(sl2_data, twisted, n):
     for mat, inv in [*zip(rep.sigma, rep.sigma_inv), (rep.kappa, rep.kappa_inv)]:
         assert inv == mat.inverse()
         assert (mat * inv).is_identity and (inv * mat).is_identity
+
+
+# ---------------------------------------------------------------------------
+# Full-size relation oracle: every defining relation at dimension m d^n.
+
+
+def full_size_violation(data: RepData, n: int) -> str | None:
+    """The first relation the padded m d^n-dimensional generators violate, or None.
+
+    Checks every braid relation, far commutation, the kappa relation and
+    every sigma_i kappa commutation at full size, in that order: the checks
+    build_cyl_rep made before it checked each relation once on its own legs.
+    """
+    d, m = data.d, data.m
+    rhat = QMatrix.flip(d, d) * data.R
+    core = QMatrix.identity(m).kron(data.T.inverse()) * data.K
+
+    def place(mat: QMatrix, i: int) -> QMatrix:
+        left = m * d ** (i - 1) if i else 1
+        return QMatrix.identity(left).kron(mat).kron(QMatrix.identity(d ** (n - i - 1)))
+
+    sigma = [place(rhat, i) for i in range(1, n)]
+    kappa = place(core, 0)
+    for i in range(1, n - 1):
+        if sigma[i - 1] * sigma[i] * sigma[i - 1] != sigma[i] * sigma[i - 1] * sigma[i]:
+            return f"sigma_{i} sigma_{i + 1} sigma_{i} = sigma_{i + 1} sigma_{i} sigma_{i + 1}"
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            if sigma[i - 1] * sigma[j - 1] != sigma[j - 1] * sigma[i - 1]:
+                return f"sigma_{i} sigma_{j} = sigma_{j} sigma_{i}"
+    if n >= 2:
+        s1 = sigma[0]
+        if s1 * kappa * s1 * kappa != kappa * s1 * kappa * s1:
+            return "sigma_1 kappa sigma_1 kappa = kappa sigma_1 kappa sigma_1"
+    for i in range(2, n):
+        if sigma[i - 1] * kappa != kappa * sigma[i - 1]:
+            return f"sigma_{i} kappa = kappa sigma_{i}"
+    return None
+
+
+NON_YANG_BAXTER_R = [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+
+
+def relation_cases(sl2_data) -> dict[str, RepData]:
+    """sl2, the four reflection-equation families of the report pins, and a non-Yang-Baxter R with two K."""
+    from test_rep_reports import REP_FILES  # imported late: that module imports this one
+
+    cases = {"sl2": sl2_data}
+    for name, doc in REP_FILES.items():
+        cases[name] = RepData.from_json_dict({"d": 2, "m": 1, "R": SL2_R, **doc})
+    for name, K in (("non-yb-identity-K", [["1", "0"], ["0", "1"]]), ("non-yb-unipotent-K", [["1", "2"], ["0", "1"]])):
+        cases[name] = RepData.from_json_dict({"d": 2, "m": 1, "R": NON_YANG_BAXTER_R, "K": K})
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_local_relation_checks_agree_with_full_size_oracle(sl2_data, n):
+    outcomes = {}
+    for name, data in relation_cases(sl2_data).items():
+        try:
+            build_cyl_rep(data, n)
+            raised = None
+        except RelationError as exc:
+            raised = exc.relation
+        assert raised == full_size_violation(data, n), name
+        outcomes[name] = raised
+    # Every check is exercised: a passing case, the kappa relation and the braid relation.
+    assert outcomes["sl2"] is None and outcomes["twisted_flip.json"] is None
+    if n >= 2:
+        assert "kappa" in outcomes["unipotent.json"] and "kappa" in outcomes["twisted_identity.json"]
+    if n >= 3:
+        assert outcomes["non-yb-identity-K"] == "sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2"

@@ -14,7 +14,7 @@ from conftest import data_path
 from orbibraid.dsl import parse_diagram
 from orbibraid.reflect import eval_mor
 from test_cli import run
-from test_reflect import SL2_R
+from test_reflect import NON_YANG_BAXTER_R, SL2_R
 
 SIGN_T = [["1", "0"], ["0", "-1"]]
 P_TWIST = "-q^-2 + 2*q^-1 + 3 - q"
@@ -162,3 +162,25 @@ def test_singular_data_is_reported_at_load(capsys, tmp_path, key):
     code, out = run(capsys, "rep", "verify", str(f), "--json")
     assert code == 2
     assert json.loads(out)["payload"] == {"error": error}
+
+
+# Exit code and sha256 of the text and the --json report of `rep verify` on
+# an invertible R that fails the Yang-Baxter equation, with K = I.
+NON_YANG_BAXTER_VERIFY = (
+    1,
+    "12653a8431a1c0bfb9ee029d6a61dc5c7751485abc61f518fc436ba5a36a1814",
+    "97dd0ec25590e11c486f2f33e45cb101dd8139cef78126241018623a774878f8",
+)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_non_yang_baxter_verify_report_names_the_braid_relation(capsys, monkeypatch, tmp_path, as_json):
+    doc = {"d": 2, "m": 1, "R": NON_YANG_BAXTER_R, "K": [["1", "0"], ["0", "1"]]}
+    (tmp_path / "non_yang_baxter.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "rep", "verify", "non_yang_baxter.json", *(["--json"] if as_json else []))
+    exit_code, *digests = NON_YANG_BAXTER_VERIFY
+    assert code == exit_code
+    violated = json.loads(out)["payload"]["violated"] if as_json else out
+    assert "sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2" in violated
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[as_json], out

@@ -1,0 +1,19 @@
+"""Source-level rules for src/: invariants are raised errors, never `assert`."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_no_assert_statements_in_src():
+    # `python -O` strips assert statements, so a check written as one vanishes.
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
