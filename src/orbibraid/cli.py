@@ -21,7 +21,7 @@ from .coherence import COMMUTES, check
 from .dsl import parse_diagram
 from .errors import OrbibraidError, RelationError
 from .operad import compose, classify, parse_color, parse_signed_op
-from .reflect import RepData, build_cyl_rep, eval_braid, reflection_check, yang_baxter_check
+from .reflect import RepData, build_cyl_rep, cyl_relations, eval_braid, reflection_check, yang_baxter_check
 
 
 @dataclass
@@ -116,12 +116,10 @@ def _cmd_coherence(args) -> tuple[str, dict]:
 def _cmd_rep(args) -> tuple[str, dict]:
     data = RepData.load(args.file)
     if args.rep_cmd == "verify":
-        payload = {
-            "yang_baxter": yang_baxter_check(data.R),
-            "reflection": reflection_check(data),
-        }
+        yang_baxter = yang_baxter_check(data.R)
+        payload = {"yang_baxter": yang_baxter, "reflection": reflection_check(data)}
         try:
-            build_cyl_rep(data, 3)
+            cyl_relations(data, 3, yang_baxter)
             payload["cylinder_rep_n3"] = True
         except RelationError as exc:
             payload["cylinder_rep_n3"] = False

@@ -15,15 +15,23 @@ built by hand, so no other pass sees the node (``mor_text`` of a parsed
 
 Every pass over a tree is a post-order ``fold`` on an explicit stack, so
 the depth of a tree is not limited by the interpreter's recursion limit.
+
+Typing is one fold that builds every domain and codomain through one
+``share`` table (see ``objects``): objects are shared within one call, so
+the two sides of a vertical seam are the same node whenever they are
+equal, and no object is built or sort-checked twice.  ``parse_mor`` types
+through the table it parsed with; ``validate`` on its own starts a table
+of its own.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 from ..errors import TypingError
-from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, is_module, obj_text
+from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, fold, is_module, obj_text, same, share
 
 
 class MorExpr:
@@ -108,37 +116,6 @@ KEYWORDS = {"inv": Inv, "vert": Vert, "tens": TensorMor, "act": ActMor, "phi": P
 _KEYWORD_OF = {node: word for word, node in KEYWORDS.items()}
 
 
-def fold(f: MorExpr, rule, slot: str | None = None):
-    """Post-order fold ``rule(node, values of its children)``, on an explicit stack.
-
-    With ``slot``, each node keeps its value under that attribute, and
-    later folds with the same slot reuse it without descending.
-    """
-    values: list = []
-    stack: list = [f]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:  # (node, children), the children's values are on top
-            node, kids = node
-            cut = len(values) - len(kids)
-            value = rule(node, values[cut:])
-            del values[cut:]
-        elif slot is not None and slot in node.__dict__:
-            values.append(node.__dict__[slot])
-            continue
-        else:
-            kids = node.children()
-            if kids:
-                stack.append((node, kids))
-                stack.extend(reversed(kids))
-                continue
-            value = rule(node, kids)
-        if slot is not None:
-            object.__setattr__(node, slot, value)
-        values.append(value)
-    return values[0]
-
-
 def unexpected(f: MorExpr):
     raise TypingError(f"no rule for a {type(f).__name__} node (horiz is expanded by expand_horiz)")
 
@@ -165,16 +142,17 @@ _OBJ_OF_MOR = {TensorMor: Tensor, ActMor: Act, PhiMor: Phi}
 _MOR_OF_OBJ = {obj: mor for mor, obj in _OBJ_OF_MOR.items()}
 
 
-def _fill(shape, slots: tuple, on_morphisms: bool = False):
-    """A shape at objects, or at morphisms (the functor image, for whiskering)."""
+def _fill(shape, slots: tuple, table: dict, on_morphisms: bool = False):
+    """A shape at objects, built through table, or at morphisms (the functor
+    image, for whiskering)."""
     if type(shape) is int:
         return slots[shape]
     if shape is ONE:
-        return Id(ONE) if on_morphisms else ONE
+        one = share(table, AUnit)
+        return Id(one) if on_morphisms else one
     node, *args = shape
-    if on_morphisms:
-        node = _MOR_OF_OBJ[node]
-    return node(*(_fill(a, slots, on_morphisms) for a in args))
+    args = [_fill(a, slots, table, on_morphisms) for a in args]
+    return _MOR_OF_OBJ[node](*args) if on_morphisms else share(table, node, *args)
 
 
 def _check_gen(name: str, params: tuple[ObjectExpr, ...]) -> tuple[str, object, object]:
@@ -200,17 +178,21 @@ def _desugar(f: MorExpr, kids: list) -> MorExpr:
     return desugar_horiz(f) if isinstance(f, Horiz) else f
 
 
-def desugar_horiz(h: Horiz) -> MorExpr:
-    """The morphism a Horiz node stands for; its parts must be free of Horiz."""
+def desugar_horiz(h: Horiz, table: dict | None = None) -> MorExpr:
+    """The morphism a Horiz node stands for; its parts must be free of Horiz.
+
+    The inners are typed through table (a table of its own if None).
+    """
+    if table is None:
+        table = {}
     outer, inners = h.outer, h.inners
     if isinstance(outer, Id):
         if len(inners) != 1:
             raise TypingError("identity whiskering takes exactly one inner morphism")
         inner = inners[0]
-        if domain(inner) != outer.obj:
-            raise TypingError(
-                f"inner morphism starts at {obj_text(domain(inner))}, slot is {obj_text(outer.obj)}"
-            )
+        dom = validate(inner, table)[0]
+        if not same(dom, outer.obj):
+            raise TypingError(f"inner morphism starts at {obj_text(dom)}, slot is {obj_text(outer.obj)}")
         return inner
     inverted = isinstance(outer, Inv) and isinstance(outer.inner, Gen)
     gen = outer.inner if inverted else outer
@@ -220,31 +202,30 @@ def desugar_horiz(h: Horiz) -> MorExpr:
     if len(inners) != len(gen.params):
         raise TypingError(f"{gen.name} has {len(gen.params)} slots, got {len(inners)} inner morphisms")
     for p, inner in zip(gen.params, inners):
-        if domain(inner) != p:
-            raise TypingError(
-                f"inner morphism starts at {obj_text(domain(inner))}, slot is {obj_text(p)}"
-            )
+        dom = validate(inner, table)[0]
+        if not same(dom, p):
+            raise TypingError(f"inner morphism starts at {obj_text(dom)}, slot is {obj_text(p)}")
     if not inners:
         return outer
     new_gen = Gen(gen.name, tuple(codomain(inner) for inner in inners))
     if inverted:
-        return Vert(Inv(new_gen), _fill(cod_shape, inners, on_morphisms=True))
-    return Vert(new_gen, _fill(dom_shape, inners, on_morphisms=True))
+        return Vert(Inv(new_gen), _fill(cod_shape, inners, table, on_morphisms=True))
+    return Vert(new_gen, _fill(dom_shape, inners, table, on_morphisms=True))
 
 
-def _types(f: MorExpr, kids: list) -> tuple[ObjectExpr, ObjectExpr]:
+def _types(table: dict, f: MorExpr, kids: list) -> tuple[ObjectExpr, ObjectExpr]:
     kind = type(f)
     if kind is Id:
         return f.obj, f.obj
     if kind is Gen:
         _, dom_shape, cod_shape = _check_gen(f.name, f.params)
-        return _fill(dom_shape, f.params), _fill(cod_shape, f.params)
+        return _fill(dom_shape, f.params, table), _fill(cod_shape, f.params, table)
     if kind is Inv:
         dom, cod = kids[0]
         return cod, dom
     if kind is Vert:
         (need, cod), (dom, seam) = kids
-        if seam != need:
+        if seam is not need and not same(seam, need):
             raise TypingError(
                 f"vertical seam mismatch: first factor ends at {obj_text(seam)}, "
                 f"second starts at {obj_text(need)}"
@@ -253,12 +234,22 @@ def _types(f: MorExpr, kids: list) -> tuple[ObjectExpr, ObjectExpr]:
     node = _OBJ_OF_MOR.get(kind)
     if node is None:
         unexpected(f)
-    return node(*(dom for dom, _ in kids)), node(*(cod for _, cod in kids))
+    if len(kids) == 1:
+        ((dom, cod),) = kids
+        return share(table, node, dom), share(table, node, cod)
+    (dom, cod), (dom2, cod2) = kids
+    return share(table, node, dom, dom2), share(table, node, cod, cod2)
 
 
-def validate(f: MorExpr) -> tuple[ObjectExpr, ObjectExpr]:
-    """Type-check f fully; returns (domain, codomain), cached on every node."""
-    return f.__dict__.get("_types") or fold(f, _types, "_types")
+def validate(f: MorExpr, table: dict | None = None) -> tuple[ObjectExpr, ObjectExpr]:
+    """Type-check f fully; returns (domain, codomain), cached on every node.
+
+    Objects are built through table, a table of this call's own if None.
+    """
+    types = f.__dict__.get("_types")
+    if types is not None:
+        return types
+    return fold(f, partial(_types, {} if table is None else table), "_types")
 
 
 def domain(f: MorExpr) -> ObjectExpr:

@@ -9,6 +9,14 @@ The signed signature flattens an object to its strand sequence.  Phi is
 anti-monoidal, so it reverses the strand order of its argument and flips
 each strand's sign; units contribute no strands.  Two objects can be
 joined by a structural isomorphism exactly when their signatures agree.
+
+Objects are shared within one call: the parser and each typing pass
+build their objects through one ``share`` table, keyed by node type and
+the identity of each child, so equal objects read or typed in that call
+are one node and each distinct node runs its sort checks once.  The table
+lives only as long as the call.  Every walk over an object (signature,
+text, equality) runs on an explicit stack, so depth costs no interpreter
+frames.
 """
 
 from __future__ import annotations
@@ -20,6 +28,9 @@ from ..errors import TypingError
 
 class ObjectExpr:
     """Base class for object trees."""
+
+    def children(self) -> tuple[ObjectExpr, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -47,17 +58,16 @@ class MUnit(ObjectExpr):
 
 
 def is_module(o: ObjectExpr) -> bool:
-    if isinstance(o, (MLeaf, MUnit)):
-        return True
-    if isinstance(o, Act):
-        return True
-    return False
+    return type(o) in _MODULE_NODES
 
 
 @dataclass(frozen=True)
 class Tensor(ObjectExpr):
     left: ObjectExpr
     right: ObjectExpr
+
+    def children(self):
+        return (self.left, self.right)
 
     def __post_init__(self):
         if is_module(self.left) or is_module(self.right):
@@ -68,6 +78,9 @@ class Tensor(ObjectExpr):
 class Phi(ObjectExpr):
     child: ObjectExpr
 
+    def children(self):
+        return (self.child,)
+
     def __post_init__(self):
         if is_module(self.child):
             raise TypingError(f"the involution applies to A-typed objects only in {obj_text(self)}")
@@ -77,6 +90,9 @@ class Phi(ObjectExpr):
 class Act(ObjectExpr):
     module: ObjectExpr
     algebra: ObjectExpr
+
+    def children(self):
+        return (self.module, self.algebra)
 
     def __post_init__(self):
         if not is_module(self.module):
@@ -89,6 +105,75 @@ class Act(ObjectExpr):
 # the parser and obj_text.  The arity of a node is its number of fields.
 OBJECT_WORDS = {"one": AUnit, "oneM": MUnit, "M": MLeaf, "tensor": Tensor, "Phi": Phi, "act": Act}
 _WORD_OF = {node: word for word, node in OBJECT_WORDS.items()}
+_MODULE_NODES = frozenset((MLeaf, MUnit, Act))
+
+
+def fold(f, rule, slot: str | None = None):
+    """Post-order fold ``rule(node, values of its children)``, on an explicit stack.
+
+    Works on any tree whose nodes list their subtrees in ``children()``:
+    objects and morphisms.  With ``slot``, each node keeps its value under
+    that attribute, and later folds with the same slot reuse it without
+    descending.
+    """
+    values: list = []
+    stack: list = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node, children), the children's values are on top
+            node, kids = node
+            cut = len(values) - len(kids)
+            value = rule(node, values[cut:])
+            del values[cut:]
+        elif slot is not None and slot in node.__dict__:
+            values.append(node.__dict__[slot])
+            continue
+        else:
+            kids = node.children()
+            if kids:
+                stack.append((node, kids))
+                stack.extend(reversed(kids))
+                continue
+            value = rule(node, kids)
+        if slot is not None:
+            node.__dict__[slot] = value  # frozen dataclasses refuse setattr, not their __dict__
+        values.append(value)
+    return values[0]
+
+
+def share(table: dict, node: type, *args: ObjectExpr) -> ObjectExpr:
+    """``node(*args)``, or the node that table already holds for it.
+
+    The key is the node type and the identity of each child, so children
+    must have come out of the same table for equal objects to be one node;
+    the table keeps every node it made, and with it every key, alive.
+    """
+    key = (node, *map(id, args))
+    found = table.get(key)
+    if found is None:
+        found = table[key] = node(*args)
+    return found
+
+
+def share_leaf(table: dict, index: int) -> ALeaf:
+    """``ALeaf(index)`` through table, keyed by its label."""
+    found = table.get(index)
+    if found is None:
+        found = table[index] = ALeaf(index)
+    return found
+
+
+def same(a: ObjectExpr, b: ObjectExpr) -> bool:
+    """``a == b`` on an explicit stack; identical subtrees are not descended."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or (type(a) is ALeaf and a.index != b.index):
+            return False
+        stack.extend(zip(a.children(), b.children()))
+    return True
 
 
 @dataclass(frozen=True)
@@ -99,24 +184,20 @@ class SignedSignature:
     strands: tuple[tuple[int, int], ...]
 
 
+def _strand_rule(o: ObjectExpr, kids: list) -> tuple[tuple[int, int], ...]:
+    kind = type(o)
+    if kind is ALeaf:
+        return ((o.index, 0),)
+    if kind is Phi:
+        return tuple((label, 1 - e) for label, e in reversed(kids[0]))
+    if kind in _WORD_OF:
+        return sum(kids, ())
+    raise TypingError(f"unknown object node {o!r}")
+
+
 def _strands(o: ObjectExpr) -> tuple[tuple[int, int], ...]:
-    cached = getattr(o, "_strand_cache", None)
-    if cached is not None:
-        return cached
-    if isinstance(o, ALeaf):
-        out = ((o.index, 0),)
-    elif isinstance(o, (AUnit, MLeaf, MUnit)):
-        out = ()
-    elif isinstance(o, Tensor):
-        out = _strands(o.left) + _strands(o.right)
-    elif isinstance(o, Phi):
-        out = tuple((label, 1 - e) for label, e in reversed(_strands(o.child)))
-    elif isinstance(o, Act):
-        out = _strands(o.module) + _strands(o.algebra)
-    else:
-        raise TypingError(f"unknown object node {o!r}")
-    object.__setattr__(o, "_strand_cache", out)
-    return out
+    cached = o.__dict__.get("_strand_cache")
+    return cached if cached is not None else fold(o, _strand_rule, "_strand_cache")
 
 
 def signature(o: ObjectExpr) -> SignedSignature:
@@ -131,12 +212,16 @@ def strand_count(o: ObjectExpr) -> int:
     return len(_strands(o))
 
 
-def obj_text(o: ObjectExpr) -> str:
-    if isinstance(o, ALeaf):
+def _text_rule(o: ObjectExpr, kids: list) -> str:
+    if type(o) is ALeaf:
         return f"X{o.index}"
     word = _WORD_OF.get(type(o))
     if word is None:
         raise TypingError(f"unknown object node {o!r}")
-    if not o.__match_args__:
+    if not kids:
         return word
-    return f"{word}({', '.join(obj_text(getattr(o, name)) for name in o.__match_args__)})"
+    return f"{word}({', '.join(kids)})"
+
+
+def obj_text(o: ObjectExpr) -> str:
+    return fold(o, _text_rule)

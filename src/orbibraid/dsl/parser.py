@@ -1,4 +1,4 @@
-"""Recursive-descent parser for object and morphism expressions.
+"""One-loop parser for object and morphism expressions.
 
 Grammar (whitespace-insensitive, ``#`` starts a comment):
 
@@ -11,16 +11,20 @@ Grammar (whitespace-insensitive, ``#`` starts a comment):
 
 Object parameters of a generator may be separated by ',' or ';'.  Each
 ``horiz`` is expanded as it is read (see ``morphisms.desugar_horiz``).
-Nesting deeper than the interpreter's recursion limit is a ParseError.
-Diagram files bind ``lhs``, ``rhs`` and ``flavor`` with ``=``.
+An expression nested inside ``MAX_DEPTH`` others is a ParseError, whoever
+calls.  Diagram files bind ``lhs``, ``rhs`` and ``flavor`` with ``=``.
 
 Tokens are plain strings, found by one regular expression.  A token's
 line and column are worked out only when a ParseError names it, by
-scanning the text again up to that token.  One function, ``_parse``,
-reads both sorts from their head-word tables (``objects.OBJECT_WORDS``,
-``morphisms.KEYWORDS``) and costs one interpreter frame per nesting
-level.  The ``lhs`` and ``rhs`` of a diagram file are parsed in place, so
-their errors give lines and columns in the file.
+scanning the text again up to that token.  ``_parse`` reads both sorts in
+one loop over the tokens, from their head-word tables
+(``objects.OBJECT_WORDS``, ``morphisms.KEYWORDS``), and keeps the
+expressions still open on a stack of its own.  Objects are built through
+one ``share`` table per call.  ``parse_mor`` types the tree through the
+same table in a pass of its own once the whole text has parsed, so a
+syntax error is reported before a typing error (only a ``horiz`` has its
+inners typed as it is read).  The ``lhs`` and ``rhs`` of a diagram file
+are parsed in place, so their errors give lines and columns in the file.
 """
 
 from __future__ import annotations
@@ -31,11 +35,16 @@ from itertools import islice
 
 from ..errors import ParseError
 from .morphisms import GENERATORS, KEYWORDS, Gen, Horiz, Id, MorExpr, desugar_horiz, validate
-from .objects import OBJECT_WORDS, ALeaf, ObjectExpr
+from .objects import OBJECT_WORDS, ObjectExpr, share, share_leaf
 
 _TOKEN = re.compile(r"[(),;]|\w+")  # \w is exactly str.isalnum() or '_'
 _COMMENT = re.compile(r"#.*")
 _STRAY = re.compile(r"[^\w(),; \t\r\n]")
+
+# Nesting levels an expression may have around it: 991 keeps the refusal
+# of 1,500 nested ``inv`` at the token where the recursive parser this one
+# replaced ran out of stack when called from a fresh thread.
+MAX_DEPTH = 991
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
@@ -46,132 +55,154 @@ class _Error(Exception):
     """A syntax error at a token index; ``_run`` raises it as a ParseError at that token."""
 
 
-class _Stream:
-    """The tokens of a text and a read position.  ``next`` goes through ``peek``
-    and ``expect`` through ``next``: the nesting at which the recursion limit
-    is reached, and so the token reported, depends on these call depths."""
-
-    def __init__(self, text: str):
-        # A comment runs to the end of its line, so dropping it moves no other character.
-        self.text = text = _COMMENT.sub("", text)
-        stray = _STRAY.search(text)
-        if stray:
-            raise ParseError(f"unexpected character {stray[0]!r}", *_position(text, stray.start()))
-        self.tokens = _TOKEN.findall(text)
-        self.pos = 0
-
-    def where(self, k: int) -> tuple[int, int]:
-        """Line and column of token k.  Past the last token, column 1 of that
-        token's line; with no token at all, column 1 of the first line that is
-        not empty, which for an empty diagram binding is the binding's own line
-        (its blanked key leaves spaces there)."""
-        if k < len(self.tokens):
-            return _position(self.text, next(islice(_TOKEN.finditer(self.text), k, None)).start())
-        if self.tokens:
-            return self.where(len(self.tokens) - 1)[0], 1
-        return _position(self.text, len(self.text) - len(self.text.lstrip("\r\n")))[0], 1
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise _Error(f"expected {what}, found end of input", self.pos)
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        tok = self.next(repr(text))
-        if tok != text:
-            raise _Error(f"expected {text!r}, found {tok!r}", self.pos - 1)
+def _where(text: str, tokens: list[str], k: int) -> tuple[int, int]:
+    """Line and column of token k.  Past the last token, column 1 of that
+    token's line; with no token at all, column 1 of the first line that is
+    not empty, which for an empty diagram binding is the binding's own line
+    (its blanked key leaves spaces there)."""
+    if k < len(tokens):
+        return _position(text, next(islice(_TOKEN.finditer(text), k, None)).start())
+    if tokens:
+        return _where(text, tokens, len(tokens) - 1)[0], 1
+    return _position(text, len(text) - len(text.lstrip("\r\n")))[0], 1
 
 
 # Head word -> (node, arity, whether its arguments are morphisms), for objects
-# and for morphisms.
+# and for morphisms; horiz has a list of arguments (arity None).
 _HEADS = (
     {word: (node, len(node.__match_args__), False) for word, node in OBJECT_WORDS.items()},
-    {"id": (Id, 1, False)} | {word: (node, len(node.__match_args__), True) for word, node in KEYWORDS.items()},
+    {"id": (Id, 1, False), "horiz": (Horiz, None, True)}
+    | {word: (node, len(node.__match_args__), True) for word, node in KEYWORDS.items()},
 )
+_OBJECT_NODES = frozenset(OBJECT_WORDS.values())
+_WHAT = ("an object", "a morphism")
 
 
-def _parse(s: _Stream, is_mor: bool):
-    """One object or morphism.  Argument lists are read here, not in a helper,
-    so that each nesting level costs one frame of the recursion limit."""
-    word = s.next("a morphism" if is_mor else "an object")
-    head = _HEADS[is_mor].get(word)
-    if head is not None:
-        node, arity, of_mor = head
-        if not arity:
-            return node()
-        s.expect("(")
-        args = [_parse(s, of_mor)]
-        while len(args) < arity:
-            s.expect(",")
-            args.append(_parse(s, of_mor))
-        s.expect(")")
-        return node(*args)
-    if not is_mor:
-        if word[0] == "X" and word[1:].isdecimal():
-            return ALeaf(int(word[1:]))
-        raise _Error(f"unknown object {word!r}", s.pos - 1)
-    if word == "horiz":
-        s.expect("(")
-        outer = _parse(s, True)
-        inners = []
-        what, sep_ok = "';' or ')'", ";"
-        while (sep := s.next(what)) != ")":
-            if sep != sep_ok:
-                raise _Error(f"expected {what}, found {sep!r}", s.pos - 1)
-            inners.append(_parse(s, True))
-            what, sep_ok = "',' or ')'", ","
-        return desugar_horiz(Horiz(outer, tuple(inners)))
-    if word in GENERATORS:
-        params = []
-        if s.peek() == "(":
-            s.expect("(")
-            sep = s.next(")") if s.peek() == ")" else ","
-            while sep != ")":
-                if sep not in (",", ";"):
-                    raise _Error(f"expected ',' or ';', found {sep!r}", s.pos - 1)
-                params.append(_parse(s, False))
-                sep = s.next("',' , ';' or ')'")
-        return Gen(word, tuple(params))
-    raise _Error(f"unknown generator {word!r}", s.pos - 1)
+def _found(tok: str | None) -> str:
+    return "end of input" if tok is None else repr(tok)
 
 
-def _parse_obj(s: _Stream) -> ObjectExpr:
-    return _parse(s, False)
+def _parse(tokens: list, is_mor: bool, table: dict):
+    """One object or morphism, the whole token list, which ends in None.
+
+    Each open expression is a frame ``(node, arity, of_mor, args)`` on the
+    stack: a fixed-arity node type, Horiz (arity None, args the outer
+    morphism and the inners) or a generator name (arity None, args its
+    parameters); of_mor is the sort of its arguments.  The loop reads one
+    head word: a leaf is a value at once, a head with arguments opens a
+    frame.  A value goes to the frames it completes, innermost first,
+    until one wants another argument.
+    """
+    pos = 0
+    stack: list[tuple] = []
+    while True:
+        if len(stack) >= MAX_DEPTH:
+            raise _Error("expression nested too deeply", pos)
+        word = tokens[pos]
+        if word is None:
+            raise _Error(f"expected {_WHAT[is_mor]}, found end of input", pos)
+        pos += 1
+        head = _HEADS[is_mor].get(word)
+        if head is not None:
+            node, arity, of_mor = head
+            if arity == 0:
+                value = share(table, node)
+            else:
+                if tokens[pos] != "(":
+                    raise _Error(f"expected '(', found {_found(tokens[pos])}", pos)
+                pos += 1
+                stack.append((node, arity, of_mor, []))
+                is_mor = of_mor
+                continue
+        elif not is_mor:
+            value = table.get(word)  # a label read before, under its own spelling
+            if value is None:
+                if word[0] != "X" or not word[1:].isdecimal():
+                    raise _Error(f"unknown object {word!r}", pos - 1)
+                value = table[word] = share_leaf(table, int(word[1:]))
+        elif word in GENERATORS:
+            if tokens[pos] != "(":
+                value = Gen(word, ())
+            elif tokens[pos + 1] == ")":
+                pos += 2
+                value = Gen(word, ())
+            else:
+                pos += 1
+                stack.append((word, None, False, []))
+                is_mor = False
+                continue
+        else:
+            raise _Error(f"unknown generator {word!r}", pos - 1)
+
+        while stack:
+            node, arity, of_mor, args = stack[-1]
+            args.append(value)
+            sep = tokens[pos]
+            if arity is not None:
+                if len(args) < arity:
+                    if sep != ",":
+                        raise _Error(f"expected ',', found {_found(sep)}", pos)
+                    pos += 1
+                    is_mor = of_mor
+                    break
+                if sep != ")":
+                    raise _Error(f"expected ')', found {_found(sep)}", pos)
+                pos += 1
+                stack.pop()
+                value = share(table, node, *args) if node in _OBJECT_NODES else node(*args)
+                continue
+            # A horiz or a generator's parameter list: a separator or ')'.
+            if node is Horiz:
+                what = wrong = "';' or ')'" if len(args) == 1 else "',' or ')'"
+                ok = sep == (";" if len(args) == 1 else ",")
+            else:
+                what, wrong = "',' , ';' or ')'", "',' or ';'"
+                ok = sep == "," or sep == ";"
+            if sep is None:
+                raise _Error(f"expected {what}, found end of input", pos)
+            pos += 1
+            if sep == ")":
+                stack.pop()
+                if node is Horiz:
+                    value = desugar_horiz(Horiz(args[0], tuple(args[1:])), table)
+                else:
+                    value = Gen(node, tuple(args))
+                continue
+            if not ok:
+                raise _Error(f"expected {wrong}, found {sep!r}", pos - 1)
+            is_mor = of_mor
+            break
+        else:
+            if tokens[pos] is not None:
+                raise _Error(f"unexpected trailing token {tokens[pos]!r}", pos)
+            return value
 
 
-def _parse_mor(s: _Stream) -> MorExpr:
-    return _parse(s, True)
-
-
-def _run(text: str, parse, *args):
-    """parse(stream, *args) over the whole text.  The public entry points pass
-    ``_parse`` itself: one frame less is one nesting level more."""
-    s = _Stream(text)
+def _run(text: str, is_mor: bool, table: dict | None = None):
+    """``_parse`` over the whole text, objects shared through table (a table
+    of its own if None), with a syntax error raised as a ParseError."""
+    # A comment runs to the end of its line, so dropping it moves no other character.
+    text = _COMMENT.sub("", text)
+    stray = _STRAY.search(text)
+    if stray:
+        raise ParseError(f"unexpected character {stray[0]!r}", *_position(text, stray.start()))
+    tokens = _TOKEN.findall(text)
     try:
-        result = parse(s, *args)
-        if s.pos < len(s.tokens):
-            raise _Error(f"unexpected trailing token {s.tokens[s.pos]!r}", s.pos)
-    except RecursionError:
-        raise ParseError("expression nested too deeply", *s.where(s.pos - 1)) from None
+        return _parse([*tokens, None], is_mor, {} if table is None else table)
     except _Error as exc:
         message, k = exc.args
-        raise ParseError(message, *s.where(k)) from None
-    return result
+        raise ParseError(message, *_where(text, tokens, k)) from None
 
 
 def parse_obj(text: str) -> ObjectExpr:
-    return _run(text, _parse, False)
+    return _run(text, False)
 
 
 def parse_mor(text: str) -> MorExpr:
-    """Parse a morphism and type-check it."""
-    mor = _run(text, _parse, True)
-    validate(mor)
+    """Parse a morphism, then type-check it through the objects' own table."""
+    table: dict = {}
+    mor = _run(text, True, table)
+    validate(mor, table)
     return mor
 
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from .checks import CylRep, build_cyl_rep, eval_braid, reflection_check, yang_baxter_check
+from .checks import CylRep, build_cyl_rep, cyl_relations, eval_braid, reflection_check, yang_baxter_check
 from .evalmor import eval_mor
 from .laurent import ONE, ZERO, LaurentScalar, parse_scalar
 from .qmatrix import QMatrix
@@ -21,6 +21,7 @@ __all__ = [
     "QMatrix",
     "RepData",
     "build_cyl_rep",
+    "cyl_relations",
     "eval_braid",
     "eval_mor",
     "parse_scalar",

@@ -89,17 +89,17 @@ class CylRep:
         return self.sigma[i - 1] if e == 1 else self.sigma_inv[i - 1]
 
 
-def build_cyl_rep(data: RepData, n: int) -> CylRep:
-    """Verify the defining relations, then assemble the generator matrices.
+def cyl_relations(data: RepData, n: int, yang_baxter: bool | None = None) -> tuple[QMatrix, QMatrix]:
+    """Refuse m d^n past MAX_REP_DIM, then check the defining relations of B^cyl_n.
 
-    sigma_i is I_(m d^(i-1)) (x) Rhat (x) I_(d^(n-i-1)) and kappa is
-    (1 (x) T^-1) K (x) I_(d^(n-1)).  As A (x) I = B (x) I exactly when A = B,
-    each relation is checked once, on its own legs, in the order and under
-    the names of the full-size checks: every braid relation is the braid
-    form of the Yang-Baxter equation of R on V^(x)3, the kappa relation one
-    identity on M (x) V^(x)2.  The far commutations and sigma_i kappa =
-    kappa sigma_i (i >= 2) hold as operators on disjoint legs commute.  As
-    (A (x) B)^-1 = A^-1 (x) B^-1, only Rhat and (1 (x) T^-1) K are inverted.
+    As A (x) I = B (x) I exactly when A = B, each relation is checked once,
+    on its own legs, in the order and under the names of the full-size
+    checks: every braid relation is the braid form of the Yang-Baxter
+    equation of R on V^(x)3 (``yang_baxter``, if given, is its known
+    outcome), the kappa relation one identity on M (x) V^(x)2.  The far
+    commutations and sigma_i kappa = kappa sigma_i (i >= 2) hold as
+    operators on disjoint legs commute.  A failing relation raises a
+    RelationError naming it.  Returns Rhat and (1 (x) T^-1) K.
     """
     if n < 1:
         raise DimensionError("strand count must be positive")
@@ -109,13 +109,26 @@ def build_cyl_rep(data: RepData, n: int) -> CylRep:
         raise DimensionError(f"dimension {m}*{d}^{n} exceeds the cap of {MAX_REP_DIM}")
     rhat = QMatrix.flip(d, d) * data.R
     core = QMatrix.identity(m).kron(data.T.inverse()) * data.K
-    if n >= 3 and not yang_baxter_check(data.R):
+    if n >= 3 and not (yang_baxter_check(data.R) if yang_baxter is None else yang_baxter):
         raise RelationError("sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2")
     if n >= 2:
         s1 = QMatrix.identity(m).kron(rhat)
         k = core.kron(QMatrix.identity(d))
         if s1 * k * s1 * k != k * s1 * k * s1:
             raise RelationError("sigma_1 kappa sigma_1 kappa = kappa sigma_1 kappa sigma_1")
+    return rhat, core
+
+
+def build_cyl_rep(data: RepData, n: int) -> CylRep:
+    """Verify the defining relations (``cyl_relations``), then assemble the
+    generator matrices.
+
+    sigma_i is I_(m d^(i-1)) (x) Rhat (x) I_(d^(n-i-1)) and kappa is
+    (1 (x) T^-1) K (x) I_(d^(n-1)).  As (A (x) B)^-1 = A^-1 (x) B^-1, only
+    Rhat and (1 (x) T^-1) K are inverted.
+    """
+    rhat, core = cyl_relations(data, n)
+    d, m = data.d, data.m
 
     def place(mat: QMatrix, i: int) -> QMatrix:
         """mat on the legs M (x) V_1 for i = 0, on V_i (x) V_(i+1) otherwise."""

@@ -14,7 +14,7 @@ from orbibraid import cli
 from orbibraid.braid import BraidWord
 from orbibraid.cli import build_parser, main
 from orbibraid.dsl import parse_diagram
-from orbibraid.reflect import RepData
+from orbibraid.reflect import RepData, checks, yang_baxter_check
 
 
 def run(capsys, *argv):
@@ -102,6 +102,37 @@ def test_rep_verify_singular_k_exits_two(capsys, tmp_path):
     assert code == 2 and out["status"] == "error"
 
 
+def test_rep_verify_checks_yang_baxter_once_and_builds_no_representation(capsys, monkeypatch):
+    calls = []
+
+    def counted(R):
+        calls.append(R)
+        return yang_baxter_check(R)
+
+    def refuse(*args):
+        raise AssertionError("rep verify built a representation")
+
+    monkeypatch.setattr(cli, "yang_baxter_check", counted)
+    monkeypatch.setattr(cli, "build_cyl_rep", refuse)
+    monkeypatch.setattr(checks, "yang_baxter_check", counted)
+    code, doc = run_json(capsys, "rep", "verify", str(data_path("sl2.rep.json")))
+    assert code == 0
+    assert doc["payload"] == {"yang_baxter": True, "reflection": True, "cylinder_rep_n3": True}
+    assert len(calls) == 1
+
+
+def identity_text(k: int) -> list[list[str]]:
+    return [["1" if i == j else "0" for j in range(k)] for i in range(k)]
+
+
+def test_rep_verify_past_the_dimension_cap_exits_two(capsys, tmp_path):
+    f = tmp_path / "d7.rep.json"
+    f.write_text(json.dumps({"d": 7, "m": 1, "R": identity_text(49), "K": identity_text(7)}))
+    code, doc = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2
+    assert doc["payload"] == {"error": "DimensionError: dimension 1*7^3 exceeds the cap of 256"}
+
+
 def test_rep_eval_reflection_identity(capsys):
     path = str(data_path("sl2.rep.json"))
     code1, d1 = run_json(capsys, "rep", "eval", path, "-n", "2", "--cyl", "k s1 k s1")
@@ -150,6 +181,33 @@ def test_route_nested_past_the_parser_limit_exits_two(capsys, tmp_path):
     doc = json.loads(captured.out)
     assert code == 2 and doc["status"] == "error"
     assert "nested too deeply" in doc["payload"]["error"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+DEEP_OBJECT = "Phi(" * 985 + "X1" + ")" * 985
+
+DEEP_DIAGRAMS = {
+    "identity": f"flavor = braided\nlhs = id({DEEP_OBJECT})\nrhs = id({DEEP_OBJECT})\n",
+    "braiding-and-back": (
+        f"flavor = braided\nlhs = vert(inv(sigma({DEEP_OBJECT}, X2)), sigma({DEEP_OBJECT}, X2))\n"
+        f"rhs = id(tensor({DEEP_OBJECT}, X2))\n"
+    ),
+    "module-in-a-tensor": f"flavor = monoidal\nlhs = id(tensor(M, {DEEP_OBJECT}))\nrhs = id(M)\n",
+    "seam-mismatch": (
+        f"flavor = symmetric\nlhs = vert(id({DEEP_OBJECT}), id({DEEP_OBJECT.replace('X1', 'X2')}))\n"
+        f"rhs = id(X1)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", DEEP_DIAGRAMS.values(), ids=DEEP_DIAGRAMS)
+def test_deep_object_parameter_exits_zero_or_two(capsys, tmp_path, text):
+    f = tmp_path / "deep-object.diag"
+    f.write_text(text)
+    code = main(["coherence", "check", str(f), "--json"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert json.loads(captured.out)["status"] == ("ok" if code == 0 else "error")
     assert "Traceback" not in captured.out + captured.err
 
 

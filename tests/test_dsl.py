@@ -24,16 +24,17 @@ from orbibraid.dsl import (
     parse_obj,
     signature,
     strand_count,
+    validate,
 )
 from orbibraid.dsl.morphisms import ActMor, PhiMor, expand_horiz
-from orbibraid.dsl.parser import _parse_mor, _run
+from orbibraid.dsl.parser import _run
 from orbibraid.errors import ParseError, TypingError
 
 
 def test_parse_single_generators():
     f = parse_mor("sigma(X1, X2)")
     assert f == Gen("sigma", (ALeaf(1), ALeaf(2)))
-    v = _run("vert(kappa(M, X1), a(M, X1, X2))", _parse_mor)
+    v = _run("vert(kappa(M, X1), a(M, X1, X2))", True)
     assert isinstance(v, Vert)
     f = parse_mor("phi2(X1; X2)")
     assert obj_text(domain(f)) == "tensor(Phi(X1), Phi(X2))"
@@ -74,7 +75,7 @@ def test_object_type_errors():
 
 def test_vert_seam_requires_syntactic_equality():
     with pytest.raises(TypingError):
-        domain(_run("vert(kappa(M, X1), a(M, X1, X2))", _parse_mor))
+        domain(_run("vert(kappa(M, X1), a(M, X1, X2))", True))
     ok = parse_mor("vert(kappa(M, tensor(X1, X2)), a(M, X1, X2))")
     assert obj_text(codomain(ok)) == "act(M, Phi(tensor(X1, X2)))"
 
@@ -95,7 +96,7 @@ def test_parse_pretty_parse_identity():
     for _ in range(40):
         f = random_mor(rng, m_typed=bool(rng.random() < 0.5))
         text = mor_text(f)
-        assert _run(text, _parse_mor) == f
+        assert _run(text, True) == f
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,3 +181,69 @@ def test_diagram_parsing_and_errors(diagram_dir):
         parse_diagram("lhs = id(X1)\nrhs = id(X1)\n")
     with pytest.raises(ParseError):
         parse_diagram("flavor = sylleptic\nlhs = id(X1)\nrhs = id(X1)\n")
+
+
+def object_nodes(f) -> list:
+    """Every object node a parsed tree holds: parameters, identities and the
+    cached domain and codomain of each node, with all their subobjects."""
+    stack, out = [], []
+    for g in fold_nodes(f):
+        stack.extend(g.params if isinstance(g, Gen) else (g.obj,) if isinstance(g, Id) else ())
+        stack.extend(g.__dict__.get("_types", ()))
+    while stack:
+        o = stack.pop()
+        out.append(o)
+        stack.extend(o.children())
+    return out
+
+
+def fold_nodes(f) -> list:
+    stack, out = [f], []
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        stack.extend(g.children())
+    return out
+
+
+def test_equal_objects_in_one_parse_are_one_node():
+    f = parse_mor("vert(sigma(X2, tensor(X1, X3)), sigma(tensor(X1, X3), X2))")
+    assert f.before.params[0] is f.after.params[1]
+    assert f.before.params[1] is f.after.params[0]
+    # the seam: the codomain typing builds is the node the parser read
+    assert codomain(f.before) is domain(f.after)
+    assert domain(f) is codomain(f)
+    nodes = object_nodes(f)
+    assert len({id(o) for o in nodes}) == len(set(map(obj_text, nodes)))
+
+
+def test_two_parses_share_no_object_node():
+    rng = seeded_rng(11)
+    for _ in range(20):
+        text = mor_text(random_mor(rng, m_typed=bool(rng.random() < 0.5)))
+        f, g = parse_mor(text), parse_mor(text)
+        assert f == g
+        assert not {id(o) for o in object_nodes(f)} & {id(o) for o in object_nodes(g)}
+
+
+def unshared(f):
+    """f rebuilt by hand, every object node a fresh one: nothing is shared."""
+
+    def obj(o):
+        return ALeaf(o.index) if isinstance(o, ALeaf) else type(o)(*map(obj, o.children()))
+
+    if isinstance(f, Gen):
+        return Gen(f.name, tuple(map(obj, f.params)))
+    if isinstance(f, Id):
+        return Id(obj(f.obj))
+    return type(f)(*map(unshared, f.children()))
+
+
+def test_validate_on_an_unshared_tree_gives_the_parsed_types():
+    rng = seeded_rng(12)
+    for _ in range(30):
+        f = parse_mor(mor_text(random_mor(rng, m_typed=bool(rng.random() < 0.5))))
+        hand = unshared(f)
+        nodes = object_nodes(hand)
+        assert len({id(o) for o in nodes}) == len(nodes)
+        assert validate(hand) == validate(f)

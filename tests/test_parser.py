@@ -12,7 +12,7 @@ import pytest
 
 from orbibraid.cli import main
 from orbibraid.dsl import parse_diagram, parse_mor, parse_obj
-from orbibraid.errors import ParseError
+from orbibraid.errors import ParseError, TypingError
 
 ROUTE_AFTER_A_COMMENT = (
     "flavor = braided\n"
@@ -115,9 +115,34 @@ def parse_error_on_a_new_thread(text: str) -> ParseError:
     return caught[0]
 
 
+DEEP_INV = "inv(" * 1500 + "sigma(X1, X2)" + ")" * 1500
+REFUSAL = ("expression nested too deeply (line 1, column 3965)", 1, 3965)
+
+
 def test_nesting_is_refused_at_the_same_token():
-    exc = parse_error_on_a_new_thread("inv(" * 1500 + "sigma(X1, X2)" + ")" * 1500)
-    assert (str(exc), exc.line, exc.col) == ("expression nested too deeply (line 1, column 3965)", 1, 3965)
+    exc = parse_error_on_a_new_thread(DEEP_INV)
+    assert (str(exc), exc.line, exc.col) == REFUSAL
+
+
+def from_frames_deep(frames: int, call):
+    """call() from about frames more interpreter frames down the stack."""
+    return call() if frames == 0 else from_frames_deep(frames - 1, call)
+
+
+def test_nesting_is_refused_at_the_same_token_whoever_calls():
+    with pytest.raises(ParseError) as exc:
+        from_frames_deep(400, lambda: parse_mor(DEEP_INV))
+    assert (str(exc.value), exc.value.line, exc.value.col) == REFUSAL
+
+
+def test_a_syntax_error_is_reported_before_a_typing_error():
+    # the seam sigma(X1, X2) . sigma(X1, X2) is ill-typed, and only the parse sees the ')'
+    text = "vert(sigma(X1, X2), sigma(X1, X2)) )"
+    with pytest.raises(ParseError) as exc:
+        parse_mor(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == ("unexpected trailing token ')' (line 1, column 36)", 1, 36)
+    with pytest.raises(TypingError, match="vertical seam mismatch"):
+        parse_mor(text[:-2])
 
 
 EMPTY_BINDING = "flavor = braided\nrhs = id(X1)\n\nlhs =\n"

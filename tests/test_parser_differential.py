@@ -1,0 +1,273 @@
+"""The one-loop parser against the recursive-descent parser it replaced.
+
+``seed_parse_mor`` and ``seed_parse_obj`` below are that parser, kept as
+test-only code.  Both parsers read seeded random morphisms, and the same
+texts with one token deleted, inserted or swapped or cut short, to equal
+trees, or fail with the same error: type, message, line and column.  At
+the nesting limit the recursive parser is run on a fresh thread, where
+its refusal point is the one the one-loop parser's ``MAX_DEPTH``
+reproduces.
+"""
+
+from __future__ import annotations
+
+import re
+import threading
+from itertools import islice
+
+import pytest
+
+from helpers import random_a_object, random_mor, seeded_rng
+from orbibraid.dsl import mor_text, obj_text, parse_mor, parse_obj
+from orbibraid.dsl.morphisms import GENERATORS, KEYWORDS, Gen, Horiz, Id, desugar_horiz, validate
+from orbibraid.dsl.objects import OBJECT_WORDS, ALeaf
+from orbibraid.errors import OrbibraidError, ParseError
+
+# ---------------------------------------------------------------------------
+# The recursive-descent parser, as it was before the one-loop parser.
+
+_TOKEN = re.compile(r"[(),;]|\w+")
+_COMMENT = re.compile(r"#.*")
+_STRAY = re.compile(r"[^\w(),; \t\r\n]")
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
+
+
+class _Error(Exception):
+    pass
+
+
+class _Stream:
+    def __init__(self, text: str):
+        self.text = text = _COMMENT.sub("", text)
+        stray = _STRAY.search(text)
+        if stray:
+            raise ParseError(f"unexpected character {stray[0]!r}", *_position(text, stray.start()))
+        self.tokens = _TOKEN.findall(text)
+        self.pos = 0
+
+    def where(self, k: int) -> tuple[int, int]:
+        if k < len(self.tokens):
+            return _position(self.text, next(islice(_TOKEN.finditer(self.text), k, None)).start())
+        if self.tokens:
+            return self.where(len(self.tokens) - 1)[0], 1
+        return _position(self.text, len(self.text) - len(self.text.lstrip("\r\n")))[0], 1
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, what: str) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise _Error(f"expected {what}, found end of input", self.pos)
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> None:
+        tok = self.next(repr(text))
+        if tok != text:
+            raise _Error(f"expected {text!r}, found {tok!r}", self.pos - 1)
+
+
+_HEADS = (
+    {word: (node, len(node.__match_args__), False) for word, node in OBJECT_WORDS.items()},
+    {"id": (Id, 1, False)} | {word: (node, len(node.__match_args__), True) for word, node in KEYWORDS.items()},
+)
+
+
+def _parse(s: _Stream, is_mor: bool):
+    word = s.next("a morphism" if is_mor else "an object")
+    head = _HEADS[is_mor].get(word)
+    if head is not None:
+        node, arity, of_mor = head
+        if not arity:
+            return node()
+        s.expect("(")
+        args = [_parse(s, of_mor)]
+        while len(args) < arity:
+            s.expect(",")
+            args.append(_parse(s, of_mor))
+        s.expect(")")
+        return node(*args)
+    if not is_mor:
+        if word[0] == "X" and word[1:].isdecimal():
+            return ALeaf(int(word[1:]))
+        raise _Error(f"unknown object {word!r}", s.pos - 1)
+    if word == "horiz":
+        s.expect("(")
+        outer = _parse(s, True)
+        inners = []
+        what, sep_ok = "';' or ')'", ";"
+        while (sep := s.next(what)) != ")":
+            if sep != sep_ok:
+                raise _Error(f"expected {what}, found {sep!r}", s.pos - 1)
+            inners.append(_parse(s, True))
+            what, sep_ok = "',' or ')'", ","
+        return desugar_horiz(Horiz(outer, tuple(inners)))
+    if word in GENERATORS:
+        params = []
+        if s.peek() == "(":
+            s.expect("(")
+            sep = s.next(")") if s.peek() == ")" else ","
+            while sep != ")":
+                if sep not in (",", ";"):
+                    raise _Error(f"expected ',' or ';', found {sep!r}", s.pos - 1)
+                params.append(_parse(s, False))
+                sep = s.next("',' , ';' or ')'")
+        return Gen(word, tuple(params))
+    raise _Error(f"unknown generator {word!r}", s.pos - 1)
+
+
+def _run(text: str, parse, *args):
+    s = _Stream(text)
+    try:
+        result = parse(s, *args)
+        if s.pos < len(s.tokens):
+            raise _Error(f"unexpected trailing token {s.tokens[s.pos]!r}", s.pos)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", *s.where(s.pos - 1)) from None
+    except _Error as exc:
+        message, k = exc.args
+        raise ParseError(message, *s.where(k)) from None
+    return result
+
+
+def seed_parse_obj(text: str):
+    return _run(text, _parse, False)
+
+
+def seed_parse_mor(text: str):
+    mor = _run(text, _parse, True)
+    validate(mor)
+    return mor
+
+
+# ---------------------------------------------------------------------------
+
+
+def error_outcome(exc: OrbibraidError) -> tuple:
+    return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def outcome(parse, text: str):
+    """The text of the tree parse reads from text, or its error as (type, message,
+    line, column).  Texts are compared, not trees: == on a tree recurses."""
+    try:
+        tree = parse(text)
+    except OrbibraidError as exc:
+        return error_outcome(exc)
+    return (mor_text if parse in (parse_mor, seed_parse_mor) else obj_text)(tree)
+
+
+def outcome_on_a_new_thread(parse, text: str):
+    """outcome(parse, text), for a morphism parser, on a thread of its own, so
+    that the recursive parser's stack starts at the same depth as in
+    test_parser's pin.  parse is called straight from the thread's target:
+    one more frame would move its refusal."""
+    caught = []
+
+    def target():
+        try:
+            caught.append(mor_text(parse(text)))
+        except OrbibraidError as exc:
+            caught.append(error_outcome(exc))
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return caught[0]
+
+
+# Tokens an insertion draws from: every separator, head words of both sorts,
+# labels, a bad label and unknown words.
+VOCABULARY = ["(", ")", ",", ";", "X1", "X3", "X0", "M", "one", "oneM", "Y", "beta", "horiz"]
+VOCABULARY += sorted(OBJECT_WORDS) + sorted(KEYWORDS) + sorted(GENERATORS) + ["id"]
+
+
+def mutants(rng, text: str, count: int) -> list[str]:
+    """count copies of text, each with one token deleted, inserted or swapped,
+    or cut short after some token, rejoined with spaces, newlines or nothing
+    between tokens."""
+    tokens = _TOKEN.findall(text)
+    out = []
+    for _ in range(count):
+        t = list(tokens)
+        kind = rng.randrange(4)
+        if kind == 3:
+            del t[rng.randrange(len(t) + 1) :]
+        elif kind == 0 and t:
+            del t[rng.randrange(len(t))]
+        elif kind == 1:
+            t.insert(rng.randrange(len(t) + 1), rng.choice(VOCABULARY))
+        elif len(t) >= 2:
+            i, j = rng.sample(range(len(t)), 2)
+            t[i], t[j] = t[j], t[i]
+        out.append("".join(tok + rng.choice((" ", " ", "\n", "")) for tok in t))
+    return out
+
+
+def random_texts(rng) -> list[str]:
+    texts = [mor_text(random_mor(rng, m_typed=rng.random() < 0.5)) for _ in range(50)]
+    # horiz, written by hand: its inners are typed as it is read
+    texts += [
+        "horiz(kappa(M, tensor(X1, X2)); id(M), sigma(X1, X2))",
+        "horiz(inv(sigma(X1, X2)); id(X1), inv(t(X2)))",
+        "horiz(sigma(tensor(X1, X2), X3); sigma(X1, X2), id(X3))",
+        "horiz(id(tensor(X1, X2)); sigma(X1, X2))",
+        "vert(inv(phi0), phi0())",
+    ]
+    return texts
+
+
+def test_random_morphisms_parse_to_equal_trees():
+    rng = seeded_rng(31)
+    for text in random_texts(rng):
+        assert parse_mor(text) == seed_parse_mor(text), text
+
+
+def test_mutated_morphisms_fail_alike():
+    rng = seeded_rng(32)
+    seen = set()
+    for text in random_texts(rng):
+        for mutant in mutants(rng, text, 12):
+            want = outcome(seed_parse_mor, mutant)
+            assert outcome(parse_mor, mutant) == want, mutant
+            if type(want) is tuple and want[0] == "ParseError":
+                seen.add(re.sub(r"'[^']*'$", "<token>", want[1].split(" (line")[0]))
+    # the mutants reach most of the parser's raise sites, not just one
+    assert len(seen) >= 10, seen
+
+
+def test_random_objects_and_their_mutants_agree():
+    rng = seeded_rng(33)
+    for _ in range(40):
+        text = obj_text(random_a_object(rng, list(range(1, rng.randint(1, 5) + 1))))
+        assert parse_obj(text) == seed_parse_obj(text)
+        for mutant in mutants(rng, text, 6):
+            assert outcome(parse_obj, mutant) == outcome(seed_parse_obj, mutant), mutant
+
+
+def inv_around(depth: int, core: str) -> str:
+    return "inv(" * depth + core + ")" * depth
+
+
+# Texts at the nesting limit on which the recursive parser, on a fresh thread,
+# refuses exactly where MAX_DEPTH does (or accepts what it accepts).
+AT_THE_LIMIT = {
+    "inv-1500": inv_around(1500, "sigma(X1, X2)"),
+    "inv-990-sigma": inv_around(990, "sigma(X1, X2)"),
+    "inv-989-sigma": inv_around(989, "sigma(X1, X2)"),
+    "inv-990-phi0": inv_around(990, "phi0"),
+    "inv-991-phi0": inv_around(991, "phi0"),
+    "inv-990-id": inv_around(990, "id(X1)"),
+    "vert-990": "vert(id(X1), " * 990 + "id(X1)" + ")" * 990,
+    "horiz-990": "horiz(" * 990 + "id(X1)" + "; id(X1))" * 990,
+}
+
+
+@pytest.mark.parametrize("text", AT_THE_LIMIT.values(), ids=AT_THE_LIMIT)
+def test_nesting_limit_matches_the_recursive_parser_on_a_fresh_thread(text):
+    assert outcome(parse_mor, text) == outcome_on_a_new_thread(seed_parse_mor, text)

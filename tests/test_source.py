@@ -1,4 +1,5 @@
-"""Source-level rules for src/: invariants are raised errors, never `assert`."""
+"""Source-level rules for src/: invariants are raised errors, never `assert`;
+depth is bounded by explicit caps, never by the recursion limit."""
 
 import ast
 from pathlib import Path
@@ -16,4 +17,20 @@ def test_no_assert_statements_in_src():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_no_recursion_limit_handling_in_src():
+    # Input depth is bounded by explicit caps (the parser's MAX_DEPTH), not by
+    # catching RecursionError or moving the interpreter's recursion limit.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            caught = node.type if isinstance(node, ast.ExceptHandler) else None
+            names = [caught] if not isinstance(caught, ast.Tuple) else caught.elts
+            if any(isinstance(n, ast.Name) and n.id == "RecursionError" for n in names):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno} except RecursionError")
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name == "setrecursionlimit":
+                found.append(f"{path.relative_to(SRC)}:{node.lineno} setrecursionlimit")
     assert found == []
