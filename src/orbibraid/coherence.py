@@ -6,7 +6,7 @@ strand); between A-typed objects, an ordinary braid word.  Braidings of
 compound objects contribute cabled words: a sigma on blocks of sizes
 (c1, c2) contributes the positive block crossing, a kappa whose argument
 carries c strands contributes the doubled pole crossing, built
-recursively from the one-strand winding and block crossings.  All other
+from the one-strand winding and block crossings.  All other
 generators are silent.  Vertical composition concatenates (first factor
 first), inverses reverse and negate, the involution reverses strand
 positions.
@@ -72,14 +72,17 @@ def _block_swap(offset: int, cx: int, cy: int) -> list[Letter]:
 
 
 def _cable_kappa(ell: int, c: int) -> list[Letter]:
-    """Doubled pole crossing of a c-strand block behind ell module-side strands."""
-    if c == 0:
-        return []
-    if ell > 0:
-        return _block_swap(ell - 1, 1, c) + _cable_kappa(ell - 1, c) + _block_swap(ell - 1, c, 1)
-    if c == 1:
-        return [(KAPPA, 1)]
-    return _cable_kappa(0, c - 1) + _block_swap(0, c - 1, 1) + [(KAPPA, 1)]
+    """Doubled pole crossing of a c-strand block behind ell module-side strands:
+    the block crosses the ell strands, its strands wind the pole in turn
+    (each behind those wound before it), and the block crosses back."""
+    letters: list[Letter] = []
+    for i in reversed(range(ell)):
+        letters += _block_swap(i, 1, c)
+    for j in range(c):
+        letters += _block_swap(0, j, 1) + [(KAPPA, 1)]
+    for i in range(ell):
+        letters += _block_swap(i, c, 1)
+    return letters
 
 
 def _letters(f: MorExpr, kids: list) -> list[Letter]:

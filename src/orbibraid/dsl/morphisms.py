@@ -6,12 +6,12 @@ associators).  Each generator's domain and codomain are written once, as
 shapes over tensor, action, Phi and the unit (``GENERATORS``); the same
 shapes type an instance and build the functor image used in whiskering.
 
-Horizontal composition ``Horiz(outer, inners)`` whiskers morphisms into the
-parameter slots of a generator instance.  It is sugar for a Vert of the
-re-instantiated generator with the functor image of the inners: the parser
-expands each ``horiz`` as it reads it, and ``expand_horiz`` expands a tree
-built by hand, so no other pass sees the node (``mor_text`` of a parsed
-``horiz`` renders its expansion).
+Horizontal composition ``horiz(outer; inners)`` whiskers morphisms into the
+parameter slots of a generator instance.  It is surface syntax only, with no
+node of its own: ``desugar_horiz`` builds the Vert of the re-instantiated
+generator with the functor image of the inners, and the parser calls it as
+it reads each ``horiz`` (``mor_text`` of a parsed ``horiz`` renders its
+expansion).
 
 Every pass over a tree is a post-order ``fold`` on an explicit stack, so
 the depth of a tree is not limited by the interpreter's recursion limit.
@@ -99,25 +99,13 @@ class PhiMor(MorExpr):
         return (self.inner,)
 
 
-@dataclass(frozen=True)
-class Horiz(MorExpr):
-    outer: MorExpr
-    inners: tuple[MorExpr, ...]
-
-    def children(self):
-        return (self.outer, *self.inners)
-
-    def rebuild(self, kids) -> MorExpr:
-        return Horiz(kids[0], tuple(kids[1:]))
-
-
 # Surface keyword of each composite node, shared by the parser and mor_text.
 KEYWORDS = {"inv": Inv, "vert": Vert, "tens": TensorMor, "act": ActMor, "phi": PhiMor}
 _KEYWORD_OF = {node: word for word, node in KEYWORDS.items()}
 
 
 def unexpected(f: MorExpr):
-    raise TypingError(f"no rule for a {type(f).__name__} node (horiz is expanded by expand_horiz)")
+    raise TypingError(f"no rule for a {type(f).__name__} node")
 
 
 ONE = AUnit()
@@ -168,43 +156,32 @@ def _check_gen(name: str, params: tuple[ObjectExpr, ...]) -> tuple[str, object, 
     return entry
 
 
-def expand_horiz(f: MorExpr) -> MorExpr:
-    """f with every Horiz node desugared, innermost first; f itself if it has none."""
-    return fold(f, _desugar)
-
-
-def _desugar(f: MorExpr, kids: list) -> MorExpr:
-    f = f.rebuild(kids)
-    return desugar_horiz(f) if isinstance(f, Horiz) else f
-
-
-def desugar_horiz(h: Horiz, table: dict | None = None) -> MorExpr:
-    """The morphism a Horiz node stands for; its parts must be free of Horiz.
+def desugar_horiz(outer: MorExpr, inners, table: dict | None = None) -> MorExpr:
+    """The morphism ``horiz(outer; inners)`` stands for.
 
     The inners are typed through table (a table of its own if None).
     """
     if table is None:
         table = {}
-    outer, inners = h.outer, h.inners
-    if isinstance(outer, Id):
-        if len(inners) != 1:
-            raise TypingError("identity whiskering takes exactly one inner morphism")
-        inner = inners[0]
-        dom = validate(inner, table)[0]
-        if not same(dom, outer.obj):
-            raise TypingError(f"inner morphism starts at {obj_text(dom)}, slot is {obj_text(outer.obj)}")
-        return inner
     inverted = isinstance(outer, Inv) and isinstance(outer.inner, Gen)
     gen = outer.inner if inverted else outer
-    if not isinstance(gen, Gen):
+    if isinstance(gen, Id):
+        slots = (gen.obj,)
+        if len(inners) != 1:
+            raise TypingError("identity whiskering takes exactly one inner morphism")
+    elif isinstance(gen, Gen):
+        _, dom_shape, cod_shape = _check_gen(gen.name, gen.params)
+        slots = gen.params
+        if len(inners) != len(slots):
+            raise TypingError(f"{gen.name} has {len(slots)} slots, got {len(inners)} inner morphisms")
+    else:
         raise TypingError("the outer morphism of a horizontal composition must be a generator instance")
-    _, dom_shape, cod_shape = _check_gen(gen.name, gen.params)
-    if len(inners) != len(gen.params):
-        raise TypingError(f"{gen.name} has {len(gen.params)} slots, got {len(inners)} inner morphisms")
-    for p, inner in zip(gen.params, inners):
+    for p, inner in zip(slots, inners):
         dom = validate(inner, table)[0]
         if not same(dom, p):
             raise TypingError(f"inner morphism starts at {obj_text(dom)}, slot is {obj_text(p)}")
+    if isinstance(gen, Id):
+        return inners[0]
     if not inners:
         return outer
     new_gen = Gen(gen.name, tuple(codomain(inner) for inner in inners))

@@ -2,12 +2,13 @@
 
 Multi-strand instances of sigma are split through the hexagon routes;
 for kappa the module side is peeled one strand at a time and the
-argument is split across its tensor factors; arguments
-wrapped in the involution are unwrapped by conjugating with the braid-free
-retypings Phi_2, Phi_0 and t (naturality moves).  Every rewrite preserves
-the domain and the codomain on the nose and leaves the underlying braid
-unchanged, so normalisation fixes the presentation the coherence checker
-reads off.
+argument is split across its tensor factors.  An argument wrapped in the
+involution is unwrapped by one rule, ``_unwrap``, for either leg of sigma
+and for kappa: conjugation by the braid-free retyping Phi_2, t or Phi_0
+that moves the outer Phi one level in (a naturality move).  Every rewrite
+preserves the domain and the codomain on the nose and leaves the
+underlying braid unchanged, so normalisation fixes the presentation the
+coherence checker reads off.
 """
 
 from __future__ import annotations
@@ -29,12 +30,30 @@ def _sigma(x: ObjectExpr, y: ObjectExpr) -> MorExpr:
     return Gen("sigma", (x, y))
 
 
+def _unwrap(x: ObjectExpr) -> tuple[MorExpr, MorExpr, ObjectExpr] | None:
+    """(to, back, x2) for x = Phi(w): to retypes x as x2, its Phi one level
+    further in, and back is the inverse of to; None for any other x."""
+    if not isinstance(x, Phi):
+        return None
+    w = x.child
+    if isinstance(w, Tensor):
+        u, v = w.left, w.right
+        phi2 = Gen("phi2", (v, u))
+        return Inv(phi2), phi2, Tensor(Phi(v), Phi(u))
+    if isinstance(w, Phi):
+        t = Gen("t", (w.child,))
+        return t, Inv(t), w.child
+    if isinstance(w, AUnit):
+        phi0 = Gen("phi0", ())
+        return phi0, Inv(phi0), w
+    return None
+
+
 def _expand_sigma(x: ObjectExpr, y: ObjectExpr) -> MorExpr | None:
     """One rewriting step for sigma_{x,y}; None when already single-strand."""
-    unit = AUnit()
-    if x == unit:
+    if isinstance(x, AUnit):
         return _chain(Gen("lambda", (y,)), Inv(Gen("rho", (y,))))
-    if y == unit:
+    if isinstance(y, AUnit):
         return _chain(Gen("rho", (x,)), Inv(Gen("lambda", (x,))))
     if strand_count(x) != 1:
         if isinstance(x, Tensor):
@@ -46,29 +65,11 @@ def _expand_sigma(x: ObjectExpr, y: ObjectExpr) -> MorExpr | None:
                 TensorMor(_sigma(u, y), Id(v)),
                 Gen("alpha", (y, u, v)),
             )
-        if isinstance(x, Phi):
-            w = x.child
-            if isinstance(w, Tensor):
-                u, v = w.left, w.right
-                return _chain(
-                    TensorMor(Inv(Gen("phi2", (v, u))), Id(y)),
-                    _sigma(Tensor(Phi(v), Phi(u)), y),
-                    TensorMor(Id(y), Gen("phi2", (v, u))),
-                )
-            if isinstance(w, Phi):
-                u = w.child
-                return _chain(
-                    TensorMor(Gen("t", (u,)), Id(y)),
-                    _sigma(u, y),
-                    TensorMor(Id(y), Inv(Gen("t", (u,)))),
-                )
-            if isinstance(w, AUnit):
-                return _chain(
-                    TensorMor(Gen("phi0", ()), Id(y)),
-                    _sigma(unit, y),
-                    TensorMor(Id(y), Inv(Gen("phi0", ()))),
-                )
-        raise TypingError(f"cannot split braiding argument {x!r}")
+        unwrapped = _unwrap(x)
+        if unwrapped is None:
+            raise TypingError(f"cannot split braiding argument {x!r}")
+        to, back, x2 = unwrapped
+        return _chain(TensorMor(to, Id(y)), _sigma(x2, y), TensorMor(Id(y), back))
     if strand_count(y) != 1:
         if isinstance(y, Tensor):
             u, v = y.left, y.right
@@ -79,29 +80,11 @@ def _expand_sigma(x: ObjectExpr, y: ObjectExpr) -> MorExpr | None:
                 TensorMor(Id(u), _sigma(x, v)),
                 Inv(Gen("alpha", (u, v, x))),
             )
-        if isinstance(y, Phi):
-            w = y.child
-            if isinstance(w, Tensor):
-                u, v = w.left, w.right
-                return _chain(
-                    TensorMor(Id(x), Inv(Gen("phi2", (v, u)))),
-                    _sigma(x, Tensor(Phi(v), Phi(u))),
-                    TensorMor(Gen("phi2", (v, u)), Id(x)),
-                )
-            if isinstance(w, Phi):
-                u = w.child
-                return _chain(
-                    TensorMor(Id(x), Gen("t", (u,))),
-                    _sigma(x, u),
-                    TensorMor(Inv(Gen("t", (u,))), Id(x)),
-                )
-            if isinstance(w, AUnit):
-                return _chain(
-                    TensorMor(Id(x), Gen("phi0", ())),
-                    _sigma(x, unit),
-                    TensorMor(Inv(Gen("phi0", ())), Id(x)),
-                )
-        raise TypingError(f"cannot split braiding argument {y!r}")
+        unwrapped = _unwrap(y)
+        if unwrapped is None:
+            raise TypingError(f"cannot split braiding argument {y!r}")
+        to, back, y2 = unwrapped
+        return _chain(TensorMor(Id(x), to), _sigma(x, y2), TensorMor(back, Id(x)))
     return None
 
 
@@ -140,29 +123,11 @@ def _expand_kappa(m: ObjectExpr, x: ObjectExpr) -> MorExpr | None:
             Gen("a", (m, Phi(v), Phi(u))),
             ActMor(Id(m), Gen("phi2", (v, u))),
         )
-    if isinstance(x, Phi):
-        w = x.child
-        if isinstance(w, Tensor):
-            u, v = w.left, w.right
-            return _chain(
-                ActMor(Id(m), Inv(Gen("phi2", (v, u)))),
-                Gen("kappa", (m, Tensor(Phi(v), Phi(u)))),
-                ActMor(Id(m), PhiMor(Gen("phi2", (v, u)))),
-            )
-        if isinstance(w, Phi):
-            u = w.child
-            return _chain(
-                ActMor(Id(m), Gen("t", (u,))),
-                Gen("kappa", (m, u)),
-                ActMor(Id(m), PhiMor(Inv(Gen("t", (u,))))),
-            )
-        if isinstance(w, AUnit):
-            return _chain(
-                ActMor(Id(m), Gen("phi0", ())),
-                Gen("kappa", (m, AUnit())),
-                ActMor(Id(m), PhiMor(Inv(Gen("phi0", ())))),
-            )
-    raise TypingError(f"cannot split cylinder braiding argument {x!r}")
+    unwrapped = _unwrap(x)
+    if unwrapped is None:
+        raise TypingError(f"cannot split cylinder braiding argument {x!r}")
+    to, back, x2 = unwrapped
+    return _chain(ActMor(Id(m), to), Gen("kappa", (m, x2)), ActMor(Id(m), PhiMor(back)))
 
 
 def normalize_presentation(f: MorExpr) -> MorExpr:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from ..errors import ParseError
-from .morphisms import GENERATORS, KEYWORDS, Gen, Horiz, Id, MorExpr, desugar_horiz, validate
+from .morphisms import GENERATORS, KEYWORDS, Gen, Id, MorExpr, desugar_horiz, validate
 from .objects import OBJECT_WORDS, ObjectExpr, share, share_leaf
 
 _TOKEN = re.compile(r"[(),;]|\w+")  # \w is exactly str.isalnum() or '_'
@@ -71,7 +71,7 @@ def _where(text: str, tokens: list[str], k: int) -> tuple[int, int]:
 # and for morphisms; horiz has a list of arguments (arity None).
 _HEADS = (
     {word: (node, len(node.__match_args__), False) for word, node in OBJECT_WORDS.items()},
-    {"id": (Id, 1, False), "horiz": (Horiz, None, True)}
+    {"id": (Id, 1, False), "horiz": ("horiz", None, True)}
     | {word: (node, len(node.__match_args__), True) for word, node in KEYWORDS.items()},
 )
 _OBJECT_NODES = frozenset(OBJECT_WORDS.values())
@@ -86,12 +86,13 @@ def _parse(tokens: list, is_mor: bool, table: dict):
     """One object or morphism, the whole token list, which ends in None.
 
     Each open expression is a frame ``(node, arity, of_mor, args)`` on the
-    stack: a fixed-arity node type, Horiz (arity None, args the outer
-    morphism and the inners) or a generator name (arity None, args its
-    parameters); of_mor is the sort of its arguments.  The loop reads one
-    head word: a leaf is a value at once, a head with arguments opens a
-    frame.  A value goes to the frames it completes, innermost first,
-    until one wants another argument.
+    stack: a fixed-arity node type, the word ``"horiz"`` (arity None, args
+    the outer morphism and the inners, handed to ``desugar_horiz`` when the
+    frame closes, so no horiz node is ever built) or a generator name
+    (arity None, args its parameters); of_mor is the sort of its arguments.
+    The loop reads one head word: a leaf is a value at once, a head with
+    arguments opens a frame.  A value goes to the frames it completes,
+    innermost first, until one wants another argument.
     """
     pos = 0
     stack: list[tuple] = []
@@ -152,7 +153,7 @@ def _parse(tokens: list, is_mor: bool, table: dict):
                 value = share(table, node, *args) if node in _OBJECT_NODES else node(*args)
                 continue
             # A horiz or a generator's parameter list: a separator or ')'.
-            if node is Horiz:
+            if node == "horiz":
                 what = wrong = "';' or ')'" if len(args) == 1 else "',' or ')'"
                 ok = sep == (";" if len(args) == 1 else ",")
             else:
@@ -163,8 +164,8 @@ def _parse(tokens: list, is_mor: bool, table: dict):
             pos += 1
             if sep == ")":
                 stack.pop()
-                if node is Horiz:
-                    value = desugar_horiz(Horiz(args[0], tuple(args[1:])), table)
+                if node == "horiz":
+                    value = desugar_horiz(args[0], args[1:], table)
                 else:
                     value = Gen(node, tuple(args))
                 continue

@@ -30,7 +30,6 @@ from ..dsl.morphisms import (
 from ..dsl.normalize import normalize_presentation
 from ..dsl.objects import (
     ALeaf,
-    Act,
     AUnit,
     MLeaf,
     MUnit,
@@ -45,17 +44,6 @@ from .qmatrix import QMatrix
 from .repdata import RepData
 
 
-def _check_assignment(assignment) -> None:
-    if assignment is None:
-        return
-    for leaf, target in assignment.items():
-        if leaf == "M":
-            if target != "M":
-                raise TypingError("the module leaf must be assigned the module object M")
-        elif target != "V":
-            raise TypingError(f"single-object semantics: leaf {leaf} must be assigned V")
-
-
 class _Evaluator:
     def __init__(self, data: RepData):
         self.data = data
@@ -63,41 +51,18 @@ class _Evaluator:
 
     # -- objects -----------------------------------------------------------
     def dim(self, o: ObjectExpr) -> int:
-        if isinstance(o, ALeaf):
-            return self.data.d
-        if isinstance(o, AUnit):
-            return 1
-        if isinstance(o, MLeaf):
-            return self.data.m
-        if isinstance(o, MUnit):
+        sig = signature(o)
+        if sig.module == "oneM":
             raise UnsupportedGeneratorError("the module pointing has no matrix semantics")
-        if isinstance(o, Tensor):
-            return self.dim(o.left) * self.dim(o.right)
-        if isinstance(o, Act):
-            return self.dim(o.module) * self.dim(o.algebra)
-        if isinstance(o, Phi):
-            return self.dim(o.child)
-        raise TypingError(f"unknown object node {o!r}")
+        return (self.data.m if sig.module else 1) * self.data.d ** len(sig.strands)
 
-    def _single_state(self, o: ObjectExpr) -> int:
+    # -- elementary matrices -------------------------------------------------
+    def _twist(self, o: ObjectExpr) -> QMatrix:
+        """T^e on the one strand of o, in state e."""
         strands = signature(o).strands
         if len(strands) != 1:
             raise TypingError(f"expected a single-strand object, got {obj_text(o)}")
-        return strands[0][1]
-
-    # -- elementary matrices -------------------------------------------------
-    def braiding_matrix(self, e: int, f: int) -> QMatrix:
-        d = self.data.d
-        te = self.data.T if e % 2 else QMatrix.identity(d)
-        tf = self.data.T if f % 2 else QMatrix.identity(d)
-        twist = te.kron(tf)
-        return QMatrix.flip(d, d) * twist * self.data.R * twist.inverse()
-
-    def kappa_matrix(self, e: int) -> QMatrix:
-        d, m = self.data.d, self.data.m
-        te = self.data.T if e % 2 else QMatrix.identity(d)
-        twist = QMatrix.identity(m).kron(te)
-        return twist * self.data.K * twist.inverse()
+        return self.data.T if strands[0][1] % 2 else QMatrix.identity(self.data.d)
 
     def theta(self, o: ObjectExpr) -> QMatrix:
         """Balancing component at an A-typed object, by the ribbon rule."""
@@ -149,14 +114,16 @@ class _Evaluator:
             return QMatrix.identity(self.dim(domain(f)))
         if name == "sigma":
             x, y = f.params
-            return self.braiding_matrix(self._single_state(x), self._single_state(y))
+            twist = self._twist(x).kron(self._twist(y))
+            return QMatrix.flip(self.data.d, self.data.d) * twist * self.data.R * twist.inverse()
         if name == "kappa":
             m, x = f.params
             if isinstance(m, MUnit):
                 raise UnsupportedGeneratorError("the module pointing has no K-matrix")
             if not isinstance(m, MLeaf):
                 raise TypingError("normalisation should have peeled the module argument")
-            return self.kappa_matrix(self._single_state(x))
+            twist = QMatrix.identity(self.data.m).kron(self._twist(x))
+            return twist * self.data.K * twist.inverse()
         if name == "phi2":
             x, y = f.params
             return self.eval(Gen("sigma", (Phi(x), Phi(y))))
@@ -165,7 +132,6 @@ class _Evaluator:
         raise TypingError(f"unknown generator {name!r}")
 
 
-def eval_mor(data: RepData, f: MorExpr, assignment=None) -> QMatrix:
+def eval_mor(data: RepData, f: MorExpr) -> QMatrix:
     """Matrix of a structural isomorphism on the bundled (V, M) data."""
-    _check_assignment(assignment)
     return _Evaluator(data).eval(f)

@@ -74,14 +74,27 @@ class RepData:
             if key not in doc:
                 raise ParseError(f"representation data is missing {key}", 1, 1)
 
+        def size(key):
+            try:
+                return int(doc[key])
+            except TypeError:
+                raise ParseError(f"representation data: {key} must be an integer", 1, 1) from None
+
         def mat(key):
-            return QMatrix.from_strings(doc[key]) if key in doc else None
+            if key not in doc:
+                return None
+            rows = doc[key]
+            if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(isinstance(s, str) for s in row) for row in rows
+            ):
+                raise ParseError(f"representation data: {key} must be an array of arrays of strings", 1, 1)
+            return QMatrix.from_strings(rows)
 
         return RepData.build(
-            int(doc["d"]),
-            int(doc["m"]),
-            QMatrix.from_strings(doc["R"]),
-            QMatrix.from_strings(doc["K"]),
+            size("d"),
+            size("m"),
+            mat("R"),
+            mat("K"),
             T=mat("T"),
             Rphi=mat("Rphi"),
             Rphiphi=mat("Rphiphi"),

@@ -219,6 +219,27 @@ def test_rep_file_not_an_object_exits_two(capsys, tmp_path):
     assert doc["payload"]["error"].startswith("ParseError")
 
 
+MALFORMED_REP = {
+    "d-not-a-number": ("d", [1], "d must be an integer"),
+    "entry-not-a-string": ("R", [[1]], "R must be an array of arrays of strings"),
+    "matrix-not-an-array": ("R", 5, "R must be an array of arrays of strings"),
+}
+
+
+@pytest.mark.parametrize("key, value, message", MALFORMED_REP.values(), ids=MALFORMED_REP)
+def test_rep_file_malformed_field_exits_two(capsys, tmp_path, key, value, message):
+    doc = json.loads(data_path("sl2.rep.json").read_text())
+    doc[key] = value
+    f = tmp_path / "malformed.rep"
+    f.write_text(json.dumps(doc))
+    code = main(["rep", "verify", str(f), "--json"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 2 and out["status"] == "error"
+    assert out["payload"]["error"] == f"ParseError: representation data: {message} (line 1, column 1)"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_rep_file_missing_matrix_exits_two(capsys, tmp_path):
     doc = json.loads(data_path("sl2.rep.json").read_text())
     del doc["K"]

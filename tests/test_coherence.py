@@ -1,16 +1,29 @@
 import pytest
 
 from helpers import random_mor, seeded_rng
-from orbibraid.braid import BraidWord, CylBraidWord, all_pole_windings, cyl_braid_eq, word_positions
+from orbibraid.braid import KAPPA, BraidWord, CylBraidWord, all_pole_windings, cyl_braid_eq, word_positions
 from orbibraid.coherence import (
     COMMUTES,
     NOT_COMMUTES,
     NOT_PARALLEL,
+    _block_swap,
+    _cable_kappa,
     braid_of_signed_path,
     check,
     extract_braid,
 )
-from orbibraid.dsl import codomain, domain, normalize_presentation, parse_diagram, parse_mor, signature
+from orbibraid.dsl import (
+    ALeaf,
+    Act,
+    Gen,
+    MLeaf,
+    codomain,
+    domain,
+    normalize_presentation,
+    parse_diagram,
+    parse_mor,
+    signature,
+)
 from orbibraid.errors import ArityError, FlavorError, TypingError
 from orbibraid.operad import Color, SignedOp
 
@@ -31,6 +44,33 @@ def test_extract_doubled_kappa_matches_split_expansion(diagram_dir):
     diag = parse_diagram((diagram_dir / "winding_tensor_pair.diag").read_text())
     assert cyl_braid_eq(doubled, extract_braid(diag.rhs))
     assert cyl_braid_eq(doubled, CylBraidWord.from_text(2, "k s1 k"))
+
+
+def _cable_kappa_recursive(ell, c):
+    """The doubled pole crossing by its recursive definition."""
+    if c == 0:
+        return []
+    if ell > 0:
+        return _block_swap(ell - 1, 1, c) + _cable_kappa_recursive(ell - 1, c) + _block_swap(ell - 1, c, 1)
+    if c == 1:
+        return [(KAPPA, 1)]
+    return _cable_kappa_recursive(0, c - 1) + _block_swap(0, c - 1, 1) + [(KAPPA, 1)]
+
+
+def test_cable_kappa_matches_its_recursive_definition():
+    for ell in range(7):
+        for c in range(7):
+            assert _cable_kappa(ell, c) == _cable_kappa_recursive(ell, c), (ell, c)
+
+
+def test_kappa_behind_a_deep_module_is_not_limited_by_recursion():
+    m = MLeaf()
+    for i in range(2, 1502):
+        m = Act(m, ALeaf(i))
+    w = extract_braid(Gen("kappa", (m, ALeaf(1))))
+    assert isinstance(w, CylBraidWord) and w.n == 1501
+    letters = [(s, 1) for s in range(1500, 0, -1)] + [(KAPPA, 1)] + [(s, 1) for s in range(1, 1501)]
+    assert list(w.letters) == letters and len(letters) == 3001
 
 
 def test_extract_vert_concatenates_and_inverse_negates():

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +29,7 @@ from orbibraid.dsl import (
     strand_count,
     validate,
 )
-from orbibraid.dsl.morphisms import ActMor, PhiMor, expand_horiz
+from orbibraid.dsl.morphisms import ActMor, PhiMor
 from orbibraid.dsl.parser import _run
 from orbibraid.errors import ParseError, TypingError
 
@@ -158,11 +161,35 @@ def test_normalize_kappa_at_unit_is_braid_free():
     assert extract_braid(ng).letters == ()
 
 
+# Every generator over each argument that normalisation unwraps from Phi.
+PHI_WRAPPED = [
+    f"{gen}({args})"
+    for inner in ("Phi(tensor(X1, X2))", "Phi(Phi(tensor(X1, X2)))", "Phi(one)")
+    for gen, args in (("sigma", f"{inner}, X3"), ("sigma", f"X3, {inner}"), ("kappa", f"M, {inner}"))
+]
+
+
+def _normal_digest(fs) -> str:
+    text = "\n".join(mor_text(normalize_presentation(f)) for f in fs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_normalized_trees_are_pinned():
+    """Normalised trees, node for node, as recorded before the unwrapping
+    rewrites were folded into one rule."""
+    rng = random.Random(90210)  # fixed, whatever ORBIBRAID_SEED is
+    assert _normal_digest([random_mor(rng) for _ in range(200)]) == (
+        "e7ded4994566d41054c8f1c31deb7ec600574bdacd219d491e59eed1606c8bb9"
+    )
+    assert _normal_digest([parse_mor(s) for s in PHI_WRAPPED]) == (
+        "062fc1c32ed3112ae94b1fece0ea213ac622abc49fc451213f97ed503e40bc5b"
+    )
+
+
 def test_horiz_expansion_and_typing():
     h = parse_mor("horiz(kappa(M, X1); id(M), id(X1))")
     assert domain(h) == Act(MLeaf(), ALeaf(1))
-    ex = expand_horiz(h)
-    assert isinstance(ex, Vert)
+    assert isinstance(h, Vert)
     with pytest.raises(TypingError):
         parse_mor("horiz(kappa(M, X1); id(M), id(X2))")
     with pytest.raises(TypingError):

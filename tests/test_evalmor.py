@@ -1,7 +1,7 @@
 import pytest
 
 from orbibraid.dsl import parse_diagram, parse_mor
-from orbibraid.errors import TypingError, UnsupportedGeneratorError
+from orbibraid.errors import UnsupportedGeneratorError
 from orbibraid.reflect import QMatrix, RepData, eval_mor
 from test_reflect import make_data, sl2_R
 
@@ -56,12 +56,6 @@ def test_phi2_matches_braiding_at_twisted_objects(sl2_data):
 def test_inverse_and_vert(sl2_data):
     f = parse_mor("vert(inv(kappa(M, X1)), kappa(M, X1))")
     assert eval_mor(sl2_data, f).is_identity
-
-
-def test_assignment_validation(sl2_data):
-    eval_mor(sl2_data, parse_mor("id(X1)"), assignment={"X1": "V", "M": "M"})
-    with pytest.raises(TypingError):
-        eval_mor(sl2_data, parse_mor("id(X1)"), assignment={"X1": "W"})
 
 
 def test_unsupported_cases():

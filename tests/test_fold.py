@@ -1,10 +1,10 @@
 import pytest
 
 from orbibraid.coherence import check, extract_braid
-from orbibraid.dsl import Gen, Horiz, Id, Vert, mor_text, parse_mor, validate
-from orbibraid.dsl.morphisms import expand_horiz, fold
+from orbibraid.dsl import Gen, Id, TensorMor, Vert, mor_text, parse_mor, validate
+from orbibraid.dsl.morphisms import desugar_horiz
 from orbibraid.dsl.objects import ALeaf, Tensor
-from orbibraid.errors import ParseError, TypingError
+from orbibraid.errors import ParseError
 from orbibraid.reflect import eval_mor
 
 # (horiz form, the same morphism expanded by hand, a parallel rhs it commutes with)
@@ -34,12 +34,10 @@ def test_horiz_matches_its_hand_expansion(sl2_data, sugared, expanded, rhs):
 
 def test_expand_horiz_desugars_nested_inners():
     x1, x2 = ALeaf(1), ALeaf(2)
-    inner = Horiz(Gen("sigma", (x1, x2)), (Id(x1), Id(x2)))
-    out = expand_horiz(Horiz(Id(Tensor(x1, x2)), (inner,)))
-    assert fold(out, lambda node, kids: isinstance(node, Horiz) or any(kids)) is False
+    inner = desugar_horiz(Gen("sigma", (x1, x2)), (Id(x1), Id(x2)))
+    out = desugar_horiz(Id(Tensor(x1, x2)), (inner,))
+    assert out == Vert(Gen("sigma", (x1, x2)), TensorMor(Id(x1), Id(x2)))
     assert validate(out) == (Tensor(x1, x2), Tensor(x2, x1))
-    with pytest.raises(TypingError):
-        validate(inner)
 
 
 def test_folds_do_not_recurse():

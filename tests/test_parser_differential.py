@@ -19,7 +19,7 @@ import pytest
 
 from helpers import random_a_object, random_mor, seeded_rng
 from orbibraid.dsl import mor_text, obj_text, parse_mor, parse_obj
-from orbibraid.dsl.morphisms import GENERATORS, KEYWORDS, Gen, Horiz, Id, desugar_horiz, validate
+from orbibraid.dsl.morphisms import GENERATORS, KEYWORDS, Gen, Id, desugar_horiz, validate
 from orbibraid.dsl.objects import OBJECT_WORDS, ALeaf
 from orbibraid.errors import OrbibraidError, ParseError
 
@@ -105,7 +105,7 @@ def _parse(s: _Stream, is_mor: bool):
                 raise _Error(f"expected {what}, found {sep!r}", s.pos - 1)
             inners.append(_parse(s, True))
             what, sep_ok = "',' or ')'", ","
-        return desugar_horiz(Horiz(outer, tuple(inners)))
+        return desugar_horiz(outer, inners)
     if word in GENERATORS:
         params = []
         if s.peek() == "(":

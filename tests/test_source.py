@@ -1,5 +1,6 @@
 """Source-level rules for src/: invariants are raised errors, never `assert`;
-depth is bounded by explicit caps, never by the recursion limit."""
+depth is bounded by explicit caps, never by the recursion limit; a module
+outside a package's __init__ uses every name it imports."""
 
 import ast
 from pathlib import Path
@@ -33,4 +34,23 @@ def test_no_recursion_limit_handling_in_src():
             name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
             if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name == "setrecursionlimit":
                 found.append(f"{path.relative_to(SRC)}:{node.lineno} setrecursionlimit")
+    assert found == []
+
+
+def test_no_unused_imports_in_src():
+    # A package's __init__ imports to re-export; every other module imports to use.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
     assert found == []
