@@ -1,5 +1,5 @@
 from .garside import GarsideNF, braid_eq, cyl_braid_eq, garside_nf
-from .lk import LKMatrix, lk_matrix
+from .lk import lk_matrix
 from .words import (
     KAPPA,
     BraidWord,
@@ -15,7 +15,6 @@ __all__ = [
     "BraidWord",
     "CylBraidWord",
     "GarsideNF",
-    "LKMatrix",
     "all_pole_windings",
     "braid_eq",
     "cyl_braid_eq",

@@ -2,8 +2,9 @@
 
 This faithful representation is the independent oracle for the Garside
 word problem: two words are equal in B_n exactly when their images agree.
-The module is self-contained: a minimal integer Laurent-polynomial ring in
-two variables plus dense matrix products.
+An entry is a dict {(q exponent, t exponent): nonzero coefficient}; a
+generator is a sparse column table, and a word's image is built one
+letter at a time by combining the columns of the running image.
 
 Basis vectors x_{r,s} are indexed by pairs 1 <= r < s <= n and a
 generator acts by
@@ -24,163 +25,101 @@ inverse is the Laurent-coefficient polynomial
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .words import BraidWord
 
 Term = tuple[tuple[int, int], int]
+Poly = tuple[Term, ...]
+Entry = dict[tuple[int, int], int]
+Column = list[Entry]
+Table = tuple[tuple[tuple[int, Poly], ...], ...]
 
-
-@dataclass(frozen=True)
-class LP2:
-    """Integer Laurent polynomial in q and t; terms sorted by exponent pair."""
-
-    terms: tuple[Term, ...] = ()
-
-    @staticmethod
-    def from_dict(d: dict[tuple[int, int], int]) -> LP2:
-        return LP2(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
-
-    @staticmethod
-    def mono(coeff: int, qexp: int = 0, texp: int = 0) -> LP2:
-        return LP2.from_dict({(qexp, texp): coeff})
-
-    def __add__(self, other: LP2) -> LP2:
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c
-        return LP2.from_dict(d)
-
-    def __sub__(self, other: LP2) -> LP2:
-        return self + (-other)
-
-    def __neg__(self) -> LP2:
-        return LP2(tuple((e, -c) for e, c in self.terms))
-
-    def __mul__(self, other: LP2) -> LP2:
-        d: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.terms:
-            for (a2, b2), c2 in other.terms:
-                e = (a1 + a2, b1 + b2)
-                d[e] = d.get(e, 0) + c1 * c2
-        return LP2.from_dict(d)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-ZERO = LP2()
-ONE = LP2.mono(1)
-
-Row = tuple[LP2, ...]
-
-
-@dataclass(frozen=True)
-class LKMatrix:
-    """Dense square matrix over Z[q^{+-1}, t^{+-1}], dimension n(n-1)/2."""
-
-    n: int
-    entries: tuple[Row, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __mul__(self, other: LKMatrix) -> LKMatrix:
-        m = self.dim
-        cols = list(zip(*other.entries))
-        rows = []
-        for r in self.entries:
-            row = []
-            for c in cols:
-                acc = ZERO
-                for a, b in zip(r, c):
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return LKMatrix(self.n, tuple(rows))
-
-    def scale(self, s: LP2) -> LKMatrix:
-        return LKMatrix(self.n, tuple(tuple(s * x for x in row) for row in self.entries))
-
-    def __add__(self, other: LKMatrix) -> LKMatrix:
-        return LKMatrix(
-            self.n,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    @property
-    def is_identity(self) -> bool:
-        return self == lk_identity(self.n)
+ONE: Poly = (((0, 0), 1),)
+# The coefficients of M^2, M and 1 in the inverse above, expanded.
+_INVERSE = (
+    (((-3, -1), -1),),
+    (((-3, -1), 1), ((-2, -1), -1), ((-1, 0), 1)),
+    (((-2, -1), 1), ((-1, 0), -1), ((0, 0), 1)),
+)
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
     return [(r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
 
 
-@functools.lru_cache(maxsize=None)
-def lk_identity(n: int) -> LKMatrix:
-    m = n * (n - 1) // 2
-    return LKMatrix(n, tuple(tuple(ONE if i == j else ZERO for j in range(m)) for i in range(m)))
+def _sigma_column(i: int, r: int, s: int) -> dict[tuple[int, int], Entry]:
+    """sigma_i x_{r,s} as {basis pair: coefficient}, by the table above."""
+    if i < r - 1 or i > s:
+        return {(r, s): {(0, 0): 1}}
+    if i == r - 1:
+        return {(r - 1, s): {(0, 0): 1}, (r, s): {(0, 0): 1, (1, 0): -1}}
+    if i == r:
+        if s > i + 1:
+            return {(i, i + 1): {(2, 1): 1, (1, 1): -1}, (i + 1, s): {(1, 0): 1}}
+        return {(i, i + 1): {(2, 1): 1}}
+    if i < s - 1:
+        k = i - r
+        return {(r, s): {(0, 0): 1}, (i, i + 1): {(k + 2, 1): 1, (k + 1, 1): -2, (k, 1): 1}}
+    if i == s - 1:
+        return {(r, s - 1): {(0, 0): 1}, (i, i + 1): {(s - r + 1, 1): 1, (s - r, 1): -1}}
+    return {(r, s): {(0, 0): 1, (1, 0): -1}, (r, s + 1): {(1, 0): 1}}
 
 
-def _sigma_columns(n: int, i: int) -> dict[tuple[int, int], dict[tuple[int, int], LP2]]:
-    """Column (r,s) -> {(r',s') -> coefficient} of the action of sigma_i."""
-    q = LP2.mono(1, 1, 0)
-    one = ONE
-    cols: dict[tuple[int, int], dict[tuple[int, int], LP2]] = {}
-    for r, s in _pairs(n):
-        col: dict[tuple[int, int], LP2] = {}
-        if i < r - 1 or i > s:
-            col[(r, s)] = one
-        elif i == r - 1:
-            col[(r - 1, s)] = one
-            col[(r, s)] = one - q
-        elif i == r and s > i + 1:
-            col[(i, i + 1)] = LP2.mono(1, 1, 1) * (q - one)
-            col[(i + 1, s)] = q
-        elif i == r and s == i + 1:
-            col[(i, i + 1)] = LP2.mono(1, 2, 1)
-        elif r < i < s - 1:
-            col[(r, s)] = one
-            col[(i, i + 1)] = LP2.mono(1, i - r, 1) * (q - one) * (q - one)
-        elif r < i and i == s - 1:
-            col[(r, s - 1)] = one
-            col[(i, i + 1)] = LP2.mono(1, s - r, 1) * (q - one)
-        elif i == s:
-            col[(r, s)] = one - q
-            col[(r, s + 1)] = q
-        cols[(r, s)] = col
-    return cols
+def _identity(m: int) -> list[Column]:
+    return [[{(0, 0): 1} if r == c else {} for r in range(m)] for c in range(m)]
 
 
-@functools.lru_cache(maxsize=None)
-def lk_generator(n: int, i: int, exponent: int) -> LKMatrix:
-    """Matrix of sigma_i^{+-1} in the basis x_{r,s}."""
-    pairs = _pairs(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    m = len(pairs)
-    if exponent == 1:
-        cols = _sigma_columns(n, i)
-        rows = [[ZERO] * m for _ in range(m)]
-        for p, col in cols.items():
-            for p2, coeff in col.items():
-                rows[index[p2]][index[p]] = coeff
-        return LKMatrix(n, tuple(tuple(row) for row in rows))
-    # sigma^-1 from the cubic minimal polynomial; t q^3 is a unit.
-    mat = lk_generator(n, i, 1)
-    a = LP2.mono(1, 1, 0) - ONE - LP2.mono(1, 2, 1)  # q - 1 - t q^2
-    b = LP2.mono(-1, 1, 0) - LP2.mono(1, 3, 1) + LP2.mono(1, 2, 1)  # -(q + t q^3 - t q^2)
-    acc = (mat * mat) + mat.scale(a) + lk_identity(n).scale(b)
-    return acc.scale(LP2.mono(-1, -3, -1))
-
-
-def lk_matrix(w: BraidWord) -> LKMatrix:
-    """Multiplicative image of a word under the Lawrence-Krammer representation."""
-    out = lk_identity(w.n)
-    for i, e in w.letters:
-        out = out * lk_generator(w.n, i, e)
+def _act(cols: list[Column], table: Table) -> list[Column]:
+    """Columns of M G from the columns of M and the sparse column table of G."""
+    out = []
+    for c, col in enumerate(table):
+        if col == ((c, ONE),):
+            out.append(cols[c])
+            continue
+        acc: Column = [{} for _ in cols[0]]
+        for k, poly in col:
+            for entry, into in zip(cols[k], acc):
+                for (qa, ta), ca in entry.items():
+                    for (qb, tb), cb in poly:
+                        e = (qa + qb, ta + tb)
+                        into[e] = into.get(e, 0) + ca * cb
+        out.append([{e: x for e, x in d.items() if x} for d in acc])
     return out
+
+
+@functools.cache
+def lk_generator(n: int, i: int, exponent: int) -> Table:
+    """Sparse columns of sigma_i^{+-1} in the basis x_{r,s}.
+
+    Column c lists (row, coefficient) for its nonzero entries, rows ascending
+    and each coefficient a sorted tuple of ((q exponent, t exponent), int).
+    """
+    pairs = _pairs(n)
+    if exponent == 1:
+        index = {p: k for k, p in enumerate(pairs)}
+        return tuple(
+            tuple(sorted((index[p], tuple(sorted(e.items()))) for p, e in _sigma_column(i, r, s).items()))
+            for r, s in pairs
+        )
+    # sigma^-1 from the cubic minimal polynomial; t q^3 is a unit.
+    m = len(pairs)
+    eye = _identity(m)
+    table = lk_generator(n, i, 1)
+    sigma = _act(eye, table)
+    square = _act(sigma, table)
+    combine = tuple(tuple((j * m + c, p) for j, p in enumerate(_INVERSE)) for c in range(m))
+    inverse = _act(square + sigma + eye, combine)
+    return tuple(tuple((r, tuple(sorted(e.items()))) for r, e in enumerate(col) if e) for col in inverse)
+
+
+def lk_matrix(w: BraidWord) -> tuple[tuple[Poly, ...], ...]:
+    """Multiplicative image of a word under the Lawrence-Krammer representation.
+
+    Rows of entries, each entry its sorted nonzero ((q exponent, t exponent),
+    coefficient) terms; two words are equal in B_n exactly when these are ==.
+    """
+    m = w.n * (w.n - 1) // 2
+    cols = _identity(m)
+    for i, e in w.letters:
+        cols = _act(cols, lk_generator(w.n, i, e))
+    return tuple(tuple(tuple(sorted(col[r].items())) for col in cols) for r in range(m))

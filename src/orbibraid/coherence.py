@@ -21,7 +21,6 @@ Z2-symmetric pair whenever the underlying signed permutations
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .braid.garside import GarsideNF, garside_nf
@@ -148,9 +147,6 @@ class Verdict:
             },
             "detail": self.detail,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _signature_text(sig: SignedSignature) -> str:

@@ -36,6 +36,7 @@ from ..dsl.objects import (
     ObjectExpr,
     Phi,
     Tensor,
+    is_module,
     obj_text,
     signature,
 )
@@ -66,10 +67,15 @@ class _Evaluator:
 
     def theta(self, o: ObjectExpr) -> QMatrix:
         """Balancing component at an A-typed object, by the ribbon rule."""
+        if is_module(o):
+            raise TypingError(f"balancing at a non-A-typed object {obj_text(o)}")
+        return fold(o, self._theta_node)
+
+    def _theta_node(self, o: ObjectExpr, kids: list) -> QMatrix:
         if isinstance(o, AUnit):
             return QMatrix.identity(1)
         if isinstance(o, Phi):
-            return self.theta(o.child)
+            return kids[0]
         if isinstance(o, ALeaf):
             if self._theta_leaf is None:
                 if self.data.balancing is not None:
@@ -85,7 +91,7 @@ class _Evaluator:
             x, y = o.left, o.right
             s_xy = self.eval(Gen("sigma", (x, y)))
             s_yx = self.eval(Gen("sigma", (y, x)))
-            return s_yx * self.theta(y).kron(self.theta(x)) * s_xy
+            return s_yx * kids[1].kron(kids[0]) * s_xy
         raise TypingError(f"balancing at a non-A-typed object {obj_text(o)}")
 
     # -- morphisms -----------------------------------------------------------

@@ -141,20 +141,12 @@ class LaurentScalar:
         return LaurentScalar(num_low - den_low, num, 0, den)
 
     @staticmethod
-    def from_int(k: int) -> LaurentScalar:
-        return LaurentScalar.make(0, (k,))
-
-    @staticmethod
     def q_power(e: int, coeff: int = 1) -> LaurentScalar:
         return LaurentScalar.make(e, (coeff,))
 
     @property
     def is_zero(self) -> bool:
         return not self.num
-
-    @property
-    def is_one(self) -> bool:
-        return self == ONE
 
     def __add__(self, other: LaurentScalar) -> LaurentScalar:
         if self.is_zero:
@@ -189,18 +181,6 @@ class LaurentScalar:
 
     def __truediv__(self, other: LaurentScalar) -> LaurentScalar:
         return self * other.inverse()
-
-    def __pow__(self, k: int) -> LaurentScalar:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def specialize(self, q0: Fraction) -> Fraction:
         """Exact value at q = q0 (q0 nonzero, denominator nonvanishing)."""

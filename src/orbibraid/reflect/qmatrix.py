@@ -79,18 +79,6 @@ class QMatrix:
             tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
         )
 
-    def __sub__(self, other: QMatrix) -> QMatrix:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in matrix difference")
-        return QMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def scale(self, s: LaurentScalar) -> QMatrix:
-        return QMatrix(self.rows, self.cols, tuple(tuple(s * x for x in r) for r in self.entries))
-
     def kron(self, other: QMatrix) -> QMatrix:
         rows = []
         for r1 in self.entries:
@@ -103,10 +91,6 @@ class QMatrix:
         if self.rows != self.cols:
             return False
         return self == QMatrix.identity(self.rows)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x.is_zero for r in self.entries for x in r)
 
     def det(self) -> LaurentScalar:
         if self.rows != self.cols:

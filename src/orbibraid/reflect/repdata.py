@@ -102,19 +102,6 @@ class RepData:
         )
 
     @staticmethod
-    def from_text(text: str) -> RepData:
-        return RepData.from_json_dict(json.loads(text))
-
-    @staticmethod
     def load(path) -> RepData:
         with open(path, "r", encoding="utf-8") as fh:
             return RepData.from_json_dict(json.load(fh))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "m": self.m,
-            "R": self.R.to_strings(),
-            "K": self.K.to_strings(),
-            "T": self.T.to_strings(),
-        }

@@ -80,3 +80,22 @@ def test_balancing_supplied_when_twist_not_involutive():
     )
     got = eval_mor(data, parse_mor("t(X1)"))
     assert got == QMatrix.from_strings([["q", "0"], ["0", "q"]])
+
+
+
+def test_balancing_follows_the_ribbon_rule_under_deep_involutions(sl2_data):
+    # The parser accepts 985 nested Phi; the balancing walks them on an explicit stack.
+    deep = parse_mor("t(" + "Phi(" * 985 + "X1" + ")" * 985 + ")")
+    assert eval_mor(sl2_data, deep) == eval_mor(sl2_data, parse_mor("t(X1)"))
+    # theta_{X (x) Y} = sigma_{Y,X} (theta_Y (x) theta_X) sigma_{X,Y}, with a balancing
+    # that is not scalar, so the order of the factors shows.
+    balancing = QMatrix.from_strings([["q", "0"], ["0", "1"]])
+    data = RepData.build(2, 1, sl2_R(), QMatrix.identity(2), balancing=balancing)
+
+    def ev(text):
+        return eval_mor(data, parse_mor(text))
+
+    x, y = "X1", "tensor(X2, X3)"
+    want = ev(f"sigma({y}, {x})") * ev(f"t({y})").kron(ev(f"t({x})")) * ev(f"sigma({x}, {y})")
+    assert ev(f"t(tensor({x}, {y}))") == want
+    assert ev("t(" + "Phi(" * 985 + f"tensor({x}, {y})" + ")" * 985 + ")") == want
