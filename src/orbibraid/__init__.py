@@ -4,8 +4,9 @@ Subpackages:
 
 - ``braid``: words in B_n and B^cyl_n, Garside normal forms, the
   Lawrence-Krammer oracle, pole windings.
-- ``operad``: signed-permutation classes of operations, their composition
-  law and symbolic functors, with a one-dimensional interval oracle.
+- ``operad``: signed-permutation classes of operations, the object each
+  builds from Phi, tensor and the module action, composition as
+  substitution of those objects, with a one-dimensional interval oracle.
 - ``dsl``: formal objects and structural isomorphisms of a Z2-braided
   pair, parsing, typing, and single-strand normalisation.
 - ``coherence``: underlying (cylinder) braids and the three coherence

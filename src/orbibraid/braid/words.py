@@ -87,9 +87,6 @@ class _Word:
     def inverse(self):
         return type(self)(self.n, tuple((i, -e) for i, e in reversed(self.letters)))
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
 
 class BraidWord(_Word):
     """A word in the Artin generators of B_n; the empty word is the identity."""

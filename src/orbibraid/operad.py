@@ -4,16 +4,15 @@ An operation with d two-sided disk inputs is classified, up to isotopy, by
 a tuple eps in {0,1}^d saying which half of the target each disk's marked
 half lands in, together with the permutation ranking the disks by their
 canonical representatives (nearest the pole first when the target has a
-pole, left to right otherwise).  This module implements that discrete
-shadow: enumeration, the composition law, the symbolic functor attached to
-a class, and a one-dimensional interval model that serves as an
-independent geometric oracle for the composition law.
+pole, left to right otherwise); a module input is stored first.  This
+module implements that discrete shadow: enumeration, the object a class
+builds in the categorical algebra (``op_object``), the composition law,
+and a one-dimensional interval model as its oracle.
 
-Composition conventions.  ``compose(g, fs, outer_perm)`` plugs ``fs[j]``
-into input ``outer_perm[j]`` of ``g``.  Signs add mod 2 through a slot;
-blocks are ranked lexicographically (slot rank first, then the inner rank,
-reversed when the slot itself is mirrored).  When the output has a pole,
-the pole-adjacent (module) input is always stored first.
+Composition is substitution: ``compose(g, fs, outer_perm)`` plugs the
+object of ``fs[j]`` into input ``outer_perm[j]`` of the object of ``g``
+and reads the class off the signed signature (``op_of_signature``).  Phi
+is anti-monoidal, so a block in a mirrored slot comes out reversed.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .dsl.objects import ALeaf, Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, SignedSignature, Tensor, signature
 from .errors import ArityError, GeometryError, TypingError
 
 
@@ -44,13 +44,6 @@ def parse_color(text: str) -> Color:
 Perm = tuple[int, ...]
 
 MAX_DISK_INPUTS = 7  # 2^7 7! = 645,120 classes, the largest listing classify builds
-
-
-def _inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -162,6 +155,45 @@ def classify(k: int, output: Color, input_colors) -> list[SignedOp]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Operation classes as objects of the categorical algebra.
+
+
+def _tensor_all(factors: list[ObjectExpr]) -> ObjectExpr:
+    """Tensor product in order, bracketed pairwise: a right-nested chain caches O(d^2) strands."""
+    if not factors:
+        return AUnit()
+    while len(factors) > 1:
+        paired = [Tensor(a, b) for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[2 * len(paired) :]
+    return factors[0]
+
+
+def op_object(op: SignedOp, leaves: list[ObjectExpr] | None = None, module: ObjectExpr | None = None) -> ObjectExpr:
+    """The functor of ``op`` applied to ``leaves``: Phi^eps on each, tensored in rank order.
+
+    Leaf i defaults to the generator X<i+1>.  A pole-disk output acts on
+    ``module``: by default M with a module input, the pointing oneM without.
+    """
+    if leaves is None:
+        leaves = [ALeaf(i + 1) for i in range(op.d_arity)]
+    body = _tensor_all([Phi(leaves[i]) if op.eps[i] else leaves[i] for i in op.perm])
+    if op.output is Color.D:
+        return body
+    if module is None:
+        module = MLeaf() if op.has_module_input else MUnit()
+    return Act(module, body)
+
+
+def op_of_signature(sig: SignedSignature) -> SignedOp:
+    """The class whose object has signature ``sig``, its strands labelled 1..d."""
+    eps = tuple(sign for _, sign in sorted(sig.strands))
+    perm = tuple(label - 1 for label, _ in sig.strands)
+    output = Color.D if sig.module is None else Color.DSTAR
+    inputs = ((Color.DSTAR,) if sig.module == "M" else ()) + (Color.D,) * len(perm)
+    return SignedOp(inputs, output, eps, perm)
+
+
 def compose(g: SignedOp, fs, outer_perm: Perm | None = None) -> SignedOp:
     """Class of g . (outer_perm . (f_1 u ... u f_m)); fs[j] feeds input outer_perm[j]."""
     fs = tuple(fs)
@@ -181,94 +213,12 @@ def compose(g: SignedOp, fs, outer_perm: Perm | None = None) -> SignedOp:
     if g.has_module_input and outer_perm[0] != 0:
         raise TypingError("the module argument must be plugged into the module slot first")
 
-    inputs = tuple(c for f in fs for c in f.inputs)
-    d_offsets = []
-    acc = 0
-    for f in fs:
-        d_offsets.append(acc)
-        acc += f.d_arity
-
-    # Sign of the slot each f lands in (module slot is orientation preserving).
-    g_d_positions = g.d_positions()
-    slot_sign = {}
-    for local, pos in enumerate(g_d_positions):
-        slot_sign[pos] = g.eps[local]
-
-    eps = []
-    for j, f in enumerate(fs):
-        s = slot_sign.get(outer_perm[j], 0)
-        eps.extend((e + s) % 2 for e in f.eps)
-
-    outer_inv = _inverse(outer_perm)
-    ranked: list[int] = []
-    if g.has_module_input:
-        f0 = fs[0]
-        ranked.extend(d_offsets[0] + local for local in f0.perm)
-    for rho in range(g.d_arity):
-        local = g.perm[rho]
-        slot = g_d_positions[local]
-        j = outer_inv[slot]
-        block = list(fs[j].perm)
-        if g.eps[local] == 1:
-            block.reverse()
-        ranked.extend(d_offsets[j] + b for b in block)
-
-    return SignedOp(inputs, g.output, tuple(eps), tuple(ranked))
-
-
-# ---------------------------------------------------------------------------
-# Symbolic functor of a class (leafwise involution, permutation, fold).
-
-
-@dataclass(frozen=True)
-class FunctorExpr:
-    """Three-stage functor: leafwise Phi powers, a permutation, then a fold.
-
-    fold is "tensor" for operations into the double disk (iterated tensor
-    product, the unit object when nullary), "point" when a poleless
-    operation lands at the pole (tensor then act on the pointing), and
-    "act" when a module input is present (module action on the folded
-    tensor factor).
-    """
-
-    phi_powers: tuple[int, ...]
-    perm: Perm
-    fold: str
-
-    def describe(self) -> str:
-        k = len(self.phi_powers)
-        stages = []
-        if any(self.phi_powers):
-            stages.append(" (x) ".join(f"Phi^{e}" if e else "id" for e in self.phi_powers))
-        if self.perm != tuple(range(k)):
-            stages.append("perm[" + " ".join(str(v + 1) for v in self.perm) + "]")
-        fold = f"tensor_{k}" if k != 0 else "unit"
-        if self.fold == "point":
-            fold = f"act(point, {fold})"
-        elif self.fold == "act":
-            fold = f"act . (id_M (x) {fold})"
-        stages.append(fold)
-        return " . ".join(reversed(stages))
-
-
-def realize_functor(op: SignedOp) -> FunctorExpr:
-    if op.output is Color.D:
-        fold = "tensor"
-    elif op.has_module_input:
-        fold = "act"
-    else:
-        fold = "point"
-    return FunctorExpr(op.eps, op.perm, fold)
-
-
-def functor_to_op(fe: FunctorExpr) -> SignedOp:
-    """Inverse of realize_functor; recovers the class from its functor."""
-    d = len(fe.phi_powers)
-    if fe.fold == "tensor":
-        return SignedOp((Color.D,) * d, Color.D, fe.phi_powers, fe.perm)
-    if fe.fold == "point":
-        return SignedOp((Color.D,) * d, Color.DSTAR, fe.phi_powers, fe.perm)
-    return SignedOp((Color.DSTAR,) + (Color.D,) * d, Color.DSTAR, fe.phi_powers, fe.perm)
+    # Label the inner disks 1..d in argument order; plug each object into its slot.
+    firsts = itertools.accumulate((f.d_arity for f in fs), initial=1)
+    objects = [op_object(f, [ALeaf(a + i) for i in range(f.d_arity)]) for f, a in zip(fs, firsts)]
+    by_slot = dict(zip(outer_perm, objects))
+    module = by_slot[0] if g.has_module_input else None
+    return op_of_signature(signature(op_object(g, [by_slot[pos] for pos in g.d_positions()], module)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +305,7 @@ def brute_force_classify_1d(cfg: IntervalConfig) -> SignedOp:
 def realize_intervals(op: SignedOp) -> IntervalConfig:
     """A concrete embedding in the class of ``op`` (canonical representative)."""
     k = op.d_arity
-    rank_of = _inverse(op.perm) if k else ()
+    rank_of = {local: rank for rank, local in enumerate(op.perm)}
     intervals = []
     if op.output is Color.DSTAR:
         radius = Fraction(1, 4 * (k + 1))

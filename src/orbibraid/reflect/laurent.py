@@ -220,9 +220,6 @@ class LaurentScalar:
         den = self._poly_text(self.den_low, self.den)
         return f"({num}) / ({den})"
 
-    def __str__(self) -> str:
-        return self.to_text()
-
 
 ZERO = LaurentScalar(0, (), 0, (1,))
 ONE = LaurentScalar(0, (1,), 0, (1,))

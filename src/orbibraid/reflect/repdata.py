@@ -75,10 +75,9 @@ class RepData:
                 raise ParseError(f"representation data is missing {key}", 1, 1)
 
         def size(key):
-            try:
-                return int(doc[key])
-            except TypeError:
-                raise ParseError(f"representation data: {key} must be an integer", 1, 1) from None
+            if type(doc[key]) is not int:  # JSON true, 2.9 and "2" are not sizes
+                raise ParseError(f"representation data: {key} must be an integer", 1, 1)
+            return doc[key]
 
         def mat(key):
             if key not in doc:

@@ -25,6 +25,7 @@ from orbibraid.dsl import (
     Tensor,
     TensorMor,
     Vert,
+    codomain,
     is_module,
     strand_count,
 )
@@ -157,14 +158,10 @@ def _size(o: ObjectExpr) -> int:
     return 1
 
 
-def applicable_steps(obj: ObjectExpr, allow_growth: bool) -> list[tuple[MorExpr, ObjectExpr]]:
-    """Basic rewriting steps with domain exactly ``obj``."""
-    from orbibraid.dsl import codomain
-
-    steps: list[tuple[MorExpr, ObjectExpr]] = []
-
-    def emit(mor: MorExpr) -> None:
-        steps.append((mor, codomain(mor)))
+def applicable_steps(obj: ObjectExpr, allow_growth: bool) -> list[MorExpr]:
+    """Basic rewriting steps with domain exactly ``obj``; none is typed until it is chosen."""
+    steps: list[MorExpr] = []
+    emit = steps.append
 
     if isinstance(obj, Tensor):
         l, r = obj.left, obj.right
@@ -210,18 +207,13 @@ def applicable_steps(obj: ObjectExpr, allow_growth: bool) -> list[tuple[MorExpr,
 
     # Recurse into children.
     if isinstance(obj, Tensor):
-        for sub, new in applicable_steps(obj.left, allow_growth):
-            steps.append((TensorMor(sub, Id(obj.right)), Tensor(new, obj.right)))
-        for sub, new in applicable_steps(obj.right, allow_growth):
-            steps.append((TensorMor(Id(obj.left), sub), Tensor(obj.left, new)))
+        steps.extend(TensorMor(sub, Id(obj.right)) for sub in applicable_steps(obj.left, allow_growth))
+        steps.extend(TensorMor(Id(obj.left), sub) for sub in applicable_steps(obj.right, allow_growth))
     if isinstance(obj, Phi):
-        for sub, new in applicable_steps(obj.child, allow_growth):
-            steps.append((PhiMor(sub), Phi(new)))
+        steps.extend(PhiMor(sub) for sub in applicable_steps(obj.child, allow_growth))
     if isinstance(obj, Act):
-        for sub, new in applicable_steps(obj.module, allow_growth):
-            steps.append((ActMor(sub, Id(obj.algebra)), Act(new, obj.algebra)))
-        for sub, new in applicable_steps(obj.algebra, allow_growth):
-            steps.append((ActMor(Id(obj.module), sub), Act(obj.module, new)))
+        steps.extend(ActMor(sub, Id(obj.algebra)) for sub in applicable_steps(obj.module, allow_growth))
+        steps.extend(ActMor(Id(obj.module), sub) for sub in applicable_steps(obj.algebra, allow_growth))
     return steps
 
 
@@ -246,6 +238,7 @@ def random_mor(
         steps = applicable_steps(cur, allow_growth)
         if not steps:
             break
-        step, cur = rng.choice(steps)
+        step = rng.choice(steps)
+        cur = codomain(step)
         mor = Vert(step, mor)
     return mor

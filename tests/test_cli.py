@@ -221,6 +221,9 @@ def test_rep_file_not_an_object_exits_two(capsys, tmp_path):
 
 MALFORMED_REP = {
     "d-not-a-number": ("d", [1], "d must be an integer"),
+    "d-float": ("d", 2.9, "d must be an integer"),
+    "d-string": ("d", "2", "d must be an integer"),
+    "m-boolean": ("m", True, "m must be an integer"),
     "entry-not-a-string": ("R", [[1]], "R must be an array of arrays of strings"),
     "matrix-not-an-array": ("R", 5, "R must be an array of arrays of strings"),
 }

@@ -25,7 +25,7 @@ from orbibraid.dsl import (
     signature,
 )
 from orbibraid.errors import ArityError, FlavorError, TypingError
-from orbibraid.operad import Color, SignedOp
+from orbibraid.operad import Color, SignedOp, op_of_signature
 
 D, DS = Color.D, Color.DSTAR
 
@@ -83,7 +83,7 @@ def test_extract_vert_concatenates_and_inverse_negates():
         steps = applicable_steps(g_dom, allow_growth=False)
         if not steps:
             continue
-        g, _ = steps[0]
+        g = steps[0]
         from orbibraid.dsl import Vert, Inv
 
         assert extract_braid(Vert(g, f)).letters == extract_braid(f).letters + extract_braid(g).letters
@@ -154,6 +154,21 @@ def test_braid_of_signed_path_examples():
         braid_of_signed_path(two, CylBraidWord.from_text(3, "k"))
     with pytest.raises(TypingError):
         braid_of_signed_path(SignedOp((D,), D, (0,), (0,)), CylBraidWord.from_text(1, "k"))
+
+
+def test_braid_of_signed_path_moves_domain_class_to_codomain_class():
+    # Read as classes, a morphism's domain moved along its braid is its codomain.
+    rng = seeded_rng(14)
+    checked = 0
+    for _ in range(1000):
+        f = random_mor(rng, max_leaves=6)
+        start = op_of_signature(signature(domain(f)))
+        if start.d_arity == 0:
+            continue
+        end = braid_of_signed_path(start, extract_braid(f))
+        assert end == op_of_signature(signature(codomain(f)))
+        checked += 1
+    assert checked >= 700
 
 
 def test_endpoint_consistency_small():

@@ -1,12 +1,16 @@
+import hashlib
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import seeded_rng
+from orbibraid.dsl import Tensor, obj_text, signature
 from orbibraid.errors import ArityError, GeometryError, TypingError
 from orbibraid.operad import (
     Color,
-    FunctorExpr,
     Interval,
     IntervalConfig,
     SignedOp,
@@ -14,10 +18,10 @@ from orbibraid.operad import (
     classify,
     compose,
     compose_intervals,
-    functor_to_op,
     identity_op,
+    op_object,
+    op_of_signature,
     parse_signed_op,
-    realize_functor,
     realize_intervals,
 )
 
@@ -182,21 +186,65 @@ def test_realize_then_classify_round_trip_exhaustive_small():
         assert brute_force_classify_1d(realize_intervals(op)) == op
 
 
-def test_realize_functor_examples_and_round_trip():
-    plain = SignedOp((D, D), D, (0, 0), (0, 1))
-    fe = realize_functor(plain)
-    assert fe == FunctorExpr((0, 0), (0, 1), "tensor")
-    assert fe.describe() == "tensor_2"
-    unit = SignedOp((), D, (), ())
-    assert realize_functor(unit).describe() == "unit"
-    act = SignedOp((DS, D), DS, (0,), (0,))
-    fe = realize_functor(act)
-    assert fe.fold == "act"
-    assert "act" in fe.describe()
+def test_op_object_examples():
+    assert obj_text(op_object(SignedOp((D, D), D, (0, 0), (0, 1)))) == "tensor(X1, X2)"
+    assert obj_text(op_object(SignedOp((), D, (), ()))) == "one"
+    act = parse_signed_op("op Dstar [Dstar,D,D] eps=10 perm=2 1")
+    assert obj_text(op_object(act)) == "act(M, tensor(X2, Phi(X1)))"
     pointing = classify(1, DS, [D])[1]
-    assert realize_functor(pointing).fold == "point"
-    for op in all_ops(2, D, False) + all_ops(2, DS, False) + all_ops(2, DS, True):
-        assert functor_to_op(realize_functor(op)) == op
+    assert obj_text(op_object(pointing)) == "act(oneM, Phi(X1))"
+    three = SignedOp((D, D, D), D, (0, 0, 0), (2, 0, 1))
+    assert obj_text(op_object(three)) == "tensor(tensor(X3, X1), X2)"
+
+
+def test_op_of_signature_inverts_op_object():
+    for op in all_ops(3, D, False) + all_ops(3, DS, False) + all_ops(3, DS, True):
+        assert op_of_signature(signature(op_object(op))) == op
+
+
+def _tensor_depth(o) -> int:
+    deepest, stack = 0, [(o, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depth += type(node) is Tensor
+        deepest = max(deepest, depth)
+        stack.extend((kid, depth) for kid in node.children())
+    return deepest
+
+
+def test_op_object_tensor_is_balanced():
+    # A right-nested chain would make every signature quadratic in d.
+    rng = seeded_rng(13)
+    d = 1000
+    perm = list(range(d))
+    rng.shuffle(perm)
+    op = SignedOp((DS,) + (D,) * d, DS, tuple(rng.randint(0, 1) for _ in range(d)), tuple(perm))
+    assert _tensor_depth(op_object(op)) <= math.ceil(math.log2(d)) + 1
+    assert op_of_signature(signature(op_object(op))) == op
+
+
+def _valid_compose_triples():
+    """Every valid (g, fs, outer_perm), g of 1-3 inputs, g and fs with at most 2 disks."""
+    pool = all_ops(2, D, False) + all_ops(2, DS, False) + all_ops(2, DS, True)
+    by_output = {c: [op for op in pool if op.output is c] for c in (D, DS)}
+    out = []
+    for g in pool:
+        if g.arity == 0:
+            continue
+        for outer in itertools.permutations(range(g.arity)):
+            if g.has_module_input and outer[0] != 0:
+                continue
+            out.extend((g, fs, outer) for fs in itertools.product(*[by_output[g.inputs[s]] for s in outer]))
+    return out
+
+
+def test_compose_pinned_on_a_sample_of_valid_triples():
+    # Recorded from the block-ranking compose that substitution replaced.
+    triples = _valid_compose_triples()
+    assert len(triples) == 47014
+    sample = random.Random(20261018).sample(triples, 10_000)
+    text = "\n".join(compose(g, fs, outer).to_text() for g, fs, outer in sample)
+    assert hashlib.sha256(text.encode()).hexdigest() == "0c2b26942003ebdb134b52626ec3d90e7b3fac4d248ae670f92e1be577d348aa"
 
 
 def test_signed_op_text_round_trip():

@@ -1,7 +1,8 @@
 """Source-level rules for src/: invariants are raised errors, never `assert`;
 depth is bounded by explicit caps, never by the recursion limit; a module
 outside a package's __init__ uses every name it imports; a package's __all__
-lists exactly what its __init__ imports relatively or defines."""
+lists exactly what its __init__ imports relatively or defines; each layer
+imports only from the layers below it."""
 
 import ast
 from pathlib import Path
@@ -82,4 +83,48 @@ def test_package_all_lists_exactly_its_relative_imports_and_definitions():
         if extra or missing or len(listed) != len(set(listed)):
             found.append(f"{path.relative_to(SRC)}: extra {extra}, missing {missing}")
     assert checked >= 3
+    assert found == []
+
+
+# The layers each top-level module of orbibraid may import from, besides its
+# own package; cli may import any.  The order is acyclic by construction.
+LAYERS = {
+    "errors": set(),
+    "braid": {"errors"},
+    "dsl": {"errors"},
+    "operad": {"errors", "dsl"},
+    "reflect": {"errors", "braid", "dsl"},
+    "coherence": {"errors", "braid", "dsl", "operad"},
+    "__init__": set(),
+}
+
+
+def _imported_layers(parts: tuple[str, ...], tree: ast.Module):
+    """Top-level orbibraid modules imported by the module at ``parts`` below the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name.split(".")[1:] for alias in node.names if alias.name.startswith("orbibraid.")]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            anchor = list(parts[: len(parts) - node.level])
+            targets = [anchor + node.module.split(".")] if node.module else [anchor + [a.name] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("orbibraid."):
+            targets = [node.module.split(".")[1:]]
+        else:
+            continue
+        yield from ((node.lineno, target[0]) for target in targets)
+
+
+def test_each_layer_imports_only_the_layers_below_it():
+    package = SRC / "orbibraid"
+    checked, found = 0, []
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(package).with_suffix("").parts
+        if parts[0] == "cli":
+            continue
+        checked += 1
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for lineno, layer in _imported_layers(parts, tree):
+            if layer != parts[0] and layer not in LAYERS[parts[0]]:
+                found.append(f"{path.relative_to(SRC)}:{lineno} imports {layer}")
+    assert checked >= 15
     assert found == []
