@@ -9,14 +9,20 @@ absorbs every generator that could migrate from the factor to its right,
 which makes the form canonical, so two words represent the same group
 element exactly when their normal forms are identical tuples.
 
-The form is built by right multiplication, one letter at a time.  A
-positive letter sigma_i contributes its permutation braid; an inverse
-letter is sigma_i^-1 = Delta^-1 (Delta sigma_i^-1), whose second factor has
-permutation s_i . omega.  After the letter's factor is appended, one sweep
-from the right weights pairs up to the first one that is already
-left-weighted, as every pair left of it was.  Only the appended factor can
-become the identity, and is dropped; a Delta that forms is carried to the
-front and goes into the power.
+The form is built by right multiplication, one permutation braid at a
+time.  The word is cut into runs: maximal stretches of letters of one sign
+in which no two strands cross twice, so that each run is a permutation
+braid P or the inverse of one.  A positive run appends P's permutation.  A
+negative run is P^-1 = Delta^-1 (Delta P^-1): it counts one Delta^-1 and
+appends the permutation x -> P^-1(omega(x)) of Delta P^-1.  After each
+append, one sweep from the right weights pairs up to the first one that is
+already left-weighted, as every pair left of it was.  Only the appended
+factor can become the identity, and is dropped; a Delta that forms is
+carried to the front and goes into the power.
+
+Each stored factor is kept beside its inverse permutation, both as mutable
+lists, so weighting a pair moves one generator at a time by four swaps in
+place, with no permutation rebuilt.
 
 Moving the Delta^-1 to the front conjugates the factors before it by Delta
 (generator indices i -> n-i), which preserves permutation braids and
@@ -51,22 +57,6 @@ def inverse_perm(p: Perm) -> Perm:
     return tuple(out)
 
 
-def flip_perm(p: Perm) -> Perm:
-    """Conjugation by Delta: omega . p . omega."""
-    n = len(p)
-    return tuple(n - 1 - p[n - 1 - i] for i in range(n))
-
-
-def _swap_values(p: Perm, j: int) -> Perm:
-    q = list(p)
-    for x in range(len(q)):
-        if q[x] == j:
-            q[x] = j + 1
-        elif q[x] == j + 1:
-            q[x] = j
-    return tuple(q)
-
-
 def _swap_entries(p: Perm, j: int) -> Perm:
     q = list(p)
     q[j], q[j + 1] = q[j + 1], q[j]
@@ -97,33 +87,34 @@ def perm_to_letters(p: Perm) -> tuple[tuple[int, int], ...]:
             return tuple(letters)
 
 
-def _weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
-    """Move b ^ da, the meet of b and the complement of a, from b into a.
+def _weight_pair(a: list[int], a_inv: list[int], b: list[int], b_inv: list[int]) -> bool:
+    """Move b ^ da, the meet of b and the complement of a, from b into a, in place.
 
     sigma_{j+1} can move while it left-divides b (b has a descent at j) and
     a sigma_{j+1} is still a permutation braid (a^-1 has an ascent at j).
-    Moving it swaps positions j and j+1 of b and of a^-1, which changes
-    whether positions j-1..j+1 can move and no other.  One scan that steps
-    back one position after each move therefore ends with nothing left to
+    Moving it swaps positions j and j+1 of b and of a^-1, and values j and
+    j+1 of b^-1 and of a: four swaps.  A move at j changes whether positions
+    j-1..j+1 can move and no other, and a move at j-1 right after one at j
+    leaves j unable to move.  So one scan from the left, which at each
+    position keeps moving leftwards while it can, ends with nothing left to
     move: the pair is left-weighted and a has absorbed exactly the meet.
+    Returns whether anything moved.
     """
-    a_inv = list(inverse_perm(a))
-    b_out = list(b)
     moved = False
-    j = 0
-    last = len(b) - 2
-    while j <= last:
-        if b_out[j] > b_out[j + 1] and a_inv[j] < a_inv[j + 1]:
-            b_out[j], b_out[j + 1] = b_out[j + 1], b_out[j]
-            a_inv[j], a_inv[j + 1] = a_inv[j + 1], a_inv[j]
+    for start in range(len(b) - 1):
+        j = start
+        while j >= 0:
+            x, y = b[j], b[j + 1]
+            u, v = a_inv[j], a_inv[j + 1]
+            if x < y or u > v:
+                break
+            b[j], b[j + 1] = y, x
+            b_inv[x], b_inv[y] = j + 1, j
+            a_inv[j], a_inv[j + 1] = v, u
+            a[u], a[v] = j + 1, j
             moved = True
-            if j:
-                j -= 1
-        else:
-            j += 1
-    if not moved:
-        return a, b, False
-    return inverse_perm(a_inv), tuple(b_out), True
+            j -= 1
+    return moved
 
 
 @dataclass(frozen=True)
@@ -170,39 +161,71 @@ class GarsideNF:
         return f"Delta^{self.power} {facs}".strip()
 
 
+def _runs(n: int, letters):
+    """Cut a word into maximal same-sign runs whose letters form a permutation braid.
+
+    A letter extends the current run while it has the run's sign and the two
+    strands at its positions have not crossed yet.  Strands are named by
+    their start positions; ``at`` maps position -> strand and ``pos`` strand
+    -> position, so a finished run yields its sign, its start -> end
+    permutation ``pos`` and that permutation's inverse ``at``.
+    """
+    sign = 0
+    at: list[int] = []
+    pos: list[int] = []
+    for i, e in letters:
+        j = i - 1
+        if e != sign or at[j] > at[j + 1]:
+            if sign:
+                yield sign, pos, at
+            sign, at, pos = e, list(range(n)), list(range(n))
+        x, y = at[j], at[j + 1]
+        at[j], at[j + 1] = y, x
+        pos[x], pos[y] = j + 1, j
+    if sign:
+        yield sign, pos, at
+
+
 def garside_nf(w: BraidWord) -> GarsideNF:
     """Left-greedy normal form; nf(u) == nf(v) iff u = v in B_n."""
     n = w.n
-    ident = identity_perm(n)
-    omega = omega_perm(n)
+    top = n - 1
+    ident = list(range(n))
+    omega = ident[::-1]
     power = 0
     odd = False  # parity of Delta^-1 moved to the front so far
-    factors: list[Perm] = []
+    factors: list[list[int]] = []
+    inverses: list[list[int]] = []  # inverses[k] is the inverse permutation of factors[k]
     lead = 0  # factors[:lead] are Delta, and stay out of the sweep
-    for i, e in w.letters:
-        j = i - 1
-        if e == 1:
-            f = _swap_entries(ident, j)
-        else:
+    for e, f, f_inv in _runs(n, w.letters):
+        if e == -1:
+            # P^-1 = Delta^-1 (Delta P^-1), where Delta P^-1 is x -> P^-1(omega(x)).
             power -= 1
             odd = not odd
-            f = _swap_values(omega, j)
-        factors.append(flip_perm(f) if odd else f)
+            if odd:  # conjugated by Delta as well; the two reversals cancel
+                f, f_inv = [top - v for v in f], f_inv[::-1]
+            else:
+                f, f_inv = f[::-1], [top - v for v in f_inv]
+        elif odd:  # stored conjugated by Delta
+            f, f_inv = [top - v for v in reversed(f)], [top - v for v in reversed(f_inv)]
+        factors.append(f)
+        inverses.append(f_inv)
         k = len(factors) - 1
-        while k > lead:
-            a, b, moved = _weight_pair(factors[k - 1], factors[k])
-            if not moved:
-                break
-            factors[k - 1], factors[k] = a, b
+        while k > lead and _weight_pair(factors[k - 1], inverses[k - 1], factors[k], inverses[k]):
             k -= 1
         if factors[-1] == ident:
             factors.pop()
+            inverses.pop()
         while lead < len(factors) and factors[lead] == omega:
             lead += 1
     tail = factors[lead:]
     if odd:
-        tail = [flip_perm(f) for f in tail]
-    return GarsideNF(n, power + lead, tuple(tail))
+        tail = [[top - v for v in reversed(f)] for f in tail]
+    # Tuples are made from lists, which size them once.  tuple() of a
+    # generator guesses a size and resizes, so CPython files the freed tuple
+    # under another size's free list; over many calls those lists hold
+    # megabytes.
+    return GarsideNF(n, power + lead, tuple([tuple(f) for f in tail]))
 
 
 def braid_eq(u: BraidWord, v: BraidWord) -> bool:

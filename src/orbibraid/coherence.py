@@ -49,8 +49,12 @@ from .dsl.morphisms import (
     unexpected,
 )
 from .dsl.objects import SignedSignature, signature, strand_count
-from .errors import ArityError, FlavorError, TypingError
+from .errors import ArityError, FlavorError, SizeCapError, TypingError
 from .operad import Color, SignedOp
+
+# Longest underlying word extract_braid builds: a kappa cabled over a
+# 1,200-strand block has 720,600 letters.
+MAX_WORD_LETTERS = 1_000_000
 
 COMMUTES = "COMMUTES"
 NOT_COMMUTES = "NOT_COMMUTES"
@@ -84,22 +88,40 @@ def _cable_kappa(ell: int, c: int) -> list[Letter]:
     return letters
 
 
+def _too_long(length: int) -> SizeCapError:
+    return SizeCapError(f"underlying braid word of {length} letters exceeds the cap of {MAX_WORD_LETTERS}")
+
+
 def _letters(f: MorExpr, kids: list) -> list[Letter]:
-    """Word of one node, its strands counted from 0 (kids are the children's words)."""
+    """Word of one node, its strands counted from 0 (kids are the children's words).
+
+    A node's word is never shorter than a child's, so checking each node's
+    length against MAX_WORD_LETTERS before building it bounds the whole word.
+    """
     if isinstance(f, Id):
         return []
     if isinstance(f, Gen):
         if f.name == "sigma":
             x, y = f.params
-            return _block_swap(0, strand_count(x), strand_count(y))
+            a, b = strand_count(x), strand_count(y)
+            if a * b > MAX_WORD_LETTERS:
+                raise _too_long(a * b)
+            return _block_swap(0, a, b)
         if f.name == "kappa":
             m, x = f.params
-            return _cable_kappa(strand_count(m), strand_count(x))
+            ell, c = strand_count(m), strand_count(x)
+            length = 2 * c * ell + c * (c + 1) // 2
+            if length > MAX_WORD_LETTERS:
+                raise _too_long(length)
+            return _cable_kappa(ell, c)
         return []
     if isinstance(f, Inv):
         return [(i, -e) for i, e in reversed(kids[0])]
     if isinstance(f, Vert):
         after, before = kids
+        length = len(before) + len(after)
+        if length > MAX_WORD_LETTERS:
+            raise _too_long(length)
         before.extend(after)
         return before
     if isinstance(f, PhiMor):
@@ -110,13 +132,19 @@ def _letters(f: MorExpr, kids: list) -> list[Letter]:
     # The right factor's strands follow the left factor's; typing keeps the
     # module-typed factor (the only one with pole windings) on the left.
     left, right = kids
+    length = len(left) + len(right)
+    if length > MAX_WORD_LETTERS:
+        raise _too_long(length)
     shift = strand_count(domain(f.children()[0]))
     left.extend((i + shift, e) for i, e in right)
     return left
 
 
 def extract_braid(f: MorExpr) -> BraidWord | CylBraidWord:
-    """Underlying braid of a presentation; cylinder word iff f is M-typed."""
+    """Underlying braid of a presentation; cylinder word iff f is M-typed.
+
+    A word of more than MAX_WORD_LETTERS letters is refused with SizeCapError.
+    """
     sig = signature(domain(f))
     n = max(1, len(sig.strands))
     letters = tuple(fold(f, _letters))

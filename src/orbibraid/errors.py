@@ -13,6 +13,10 @@ class ArityError(OrbibraidError):
     """Two operands live on different strand counts / arities."""
 
 
+class SizeCapError(OrbibraidError):
+    """An input is refused before the work it asks for, because its size passes a fixed cap."""
+
+
 class ParseError(OrbibraidError):
     """Syntax error in a DSL text, with position information."""
 

@@ -242,3 +242,28 @@ def random_mor(
         cur = codomain(step)
         mor = Vert(step, mor)
     return mor
+
+
+def balanced_tensor_text(first: int, count: int) -> str:
+    """Text of a balanced tensor of the leaves X<first> .. X<first + count - 1>."""
+    if count == 1:
+        return f"X{first}"
+    half = count // 2
+    return f"tensor({balanced_tensor_text(first, half)}, {balanced_tensor_text(first + half, count - half)})"
+
+
+def kappa_cable_diagram(c: int) -> str:
+    """kappa over a balanced tensor of c >= 2 leaves against its route through the two halves.
+
+    The route is the two-leaf cylinder winding expansion with each leaf replaced
+    by one half of the tensor, so the diagram commutes in every braided pair.
+    """
+    x1, x2 = balanced_tensor_text(1, c // 2), balanced_tensor_text(c // 2 + 1, c - c // 2)
+    return (
+        "flavor = braided\n"
+        f"lhs = kappa(M, tensor({x1}, {x2}))\n"
+        f"rhs = vert(act(id(M), phi2({x2}; {x1})), vert(a(M, Phi({x2}), Phi({x1})),"
+        f" vert(act(kappa(M, {x2}), id(Phi({x1}))), vert(inv(a(M, {x2}, Phi({x1}))),"
+        f" vert(act(id(M), sigma(Phi({x1}), {x2})), vert(a(M, Phi({x1}), {x2}),"
+        f" vert(act(kappa(M, {x1}), id({x2})), inv(a(M, {x1}, {x2})))))))))\n"
+    )

@@ -9,10 +9,19 @@ import time
 import pytest
 
 from conftest import data_path
-from helpers import normal_form_violations, random_braid_word, random_cyl_word, relation_rewrite, seeded_rng
+from helpers import (
+    balanced_tensor_text,
+    kappa_cable_diagram,
+    normal_form_violations,
+    random_braid_word,
+    random_cyl_word,
+    relation_rewrite,
+    seeded_rng,
+)
 from orbibraid import cli
 from orbibraid.braid import BraidWord
-from orbibraid.cli import build_parser, main
+from orbibraid.cli import MAX_BRAID_WORK, build_parser, main
+from orbibraid.coherence import MAX_WORD_LETTERS
 from orbibraid.dsl import parse_diagram
 from orbibraid.reflect import RepData, checks, yang_baxter_check
 
@@ -515,8 +524,12 @@ def test_classify_reports_are_byte_identical_to_the_original(capsys, key, as_jso
             ["rep", "eval", str(data_path("sl2.rep.json")), "-n", "9", "s1"],
             "DimensionError: dimension 1*2^9 exceeds the cap of 256",
         ),
+        (
+            ["braid", "nf", "-n", "5001", "s1 S2"],
+            "SizeCapError: 5001 strands x 2 letters exceeds the normal-form cap of 10000",
+        ),
     ],
-    ids=["classify-k8", "rep-eval-n9"],
+    ids=["classify-k8", "rep-eval-n9", "braid-nf-n5001"],
 )
 def test_oversized_requests_exit_two_at_once(argv, error):
     start = time.perf_counter()
@@ -524,3 +537,45 @@ def test_oversized_requests_exit_two_at_once(argv, error):
     assert time.perf_counter() - start < 10  # uncapped, either would run for minutes
     assert proc.returncode == 2 and proc.stderr == ""
     assert json.loads(proc.stdout)["payload"] == {"error": error}
+
+
+def test_braid_work_cap_counts_strands_times_letters(capsys):
+    assert MAX_BRAID_WORK == 10_000
+    cases = [
+        (["nf", "-n", "5000", "s1 s2"], 0),
+        (["nf", "-n", "5001", "s1 s2"], 2),
+        (["eq", "-n", "2500", "s1 s2", "s2 s1"], 1),  # u^-1 v has four letters
+        (["eq", "-n", "2501", "s1 s2", "s2 s1"], 2),
+        (["nf", "--cyl", "-n", "2499", "k s1"], 0),  # embedded: 2500 strands x 3 letters
+        (["nf", "--cyl", "-n", "3333", "k s1"], 2),
+        (["nf", "-n", "10001", ""], 2),  # the empty word counts as one letter
+    ]
+    for argv, exit_code in cases:
+        code, doc = run_json(capsys, "braid", *argv)
+        assert code == exit_code, argv
+        if exit_code == 2:
+            assert doc["payload"]["error"].startswith("SizeCapError: "), doc
+
+
+def test_kappa_cable_over_300_strands_commutes(capsys, tmp_path):
+    f = tmp_path / "cable.diag"
+    f.write_text(kappa_cable_diagram(300))
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "coherence", "check", str(f))
+    assert time.perf_counter() - start < 30  # the letter-wise normal form took minutes at c = 1,200
+    assert code == 0 and doc["payload"]["status"] == "COMMUTES"
+    assert doc["payload"]["lhs_nf"] == doc["payload"]["rhs_nf"]
+    assert len(doc["payload"]["braid_words"]["lhs"].split()) == 300 * 301 // 2
+
+
+def test_diagram_just_past_the_word_cap_exits_two(tmp_path):
+    # sigma of a 101-leaf block over a 9,901-leaf block is MAX_WORD_LETTERS + 1 letters.
+    assert 101 * 9901 == MAX_WORD_LETTERS + 1
+    lhs = f"sigma({balanced_tensor_text(1, 101)}, {balanced_tensor_text(102, 9901)})"
+    f = tmp_path / "past_cap.diag"
+    f.write_text(f"flavor = braided\nlhs = {lhs}\nrhs = {lhs}\n")
+    proc = run_module("coherence", "check", str(f), "--json")
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout)["payload"] == {
+        "error": f"SizeCapError: underlying braid word of 1000001 letters exceeds the cap of {MAX_WORD_LETTERS}"
+    }

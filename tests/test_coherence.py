@@ -2,6 +2,7 @@ import pytest
 
 from helpers import random_mor, seeded_rng
 from orbibraid.braid import KAPPA, BraidWord, CylBraidWord, all_pole_windings, cyl_braid_eq, word_positions
+from orbibraid import coherence
 from orbibraid.coherence import (
     COMMUTES,
     NOT_COMMUTES,
@@ -24,7 +25,7 @@ from orbibraid.dsl import (
     parse_mor,
     signature,
 )
-from orbibraid.errors import ArityError, FlavorError, TypingError
+from orbibraid.errors import ArityError, FlavorError, SizeCapError, TypingError
 from orbibraid.operad import Color, SignedOp, op_of_signature
 
 D, DS = Color.D, Color.DSTAR
@@ -193,3 +194,29 @@ def test_normalize_preserves_braid_sample():
         f = random_mor(rng, n_steps=5)
         nf = normalize_presentation(f)
         assert cyl_braid_eq(extract_braid(f), extract_braid(nf))
+
+
+def test_word_cap_is_checked_against_the_exact_length(monkeypatch):
+    # Each generator's length comes from strand counts before its letters are
+    # built, so a cap equal to the word's length must pass and one less refuse.
+    rng = seeded_rng(13)
+    morphisms = [random_mor(rng, n_steps=6) for _ in range(120)] + [
+        parse_mor("kappa(act(M, tensor(X1, X2)), tensor(X3, tensor(X4, X5)))"),
+        parse_mor("sigma(tensor(X1, X2), tensor(X3, tensor(X4, X5)))"),
+        parse_mor("vert(inv(sigma(tensor(X1, X3), X2)), sigma(tensor(X1, X3), X2))"),
+        parse_mor("tens(sigma(X1, X2), sigma(X3, X4))"),
+        parse_mor("act(kappa(M, X1), sigma(X2, X3))"),
+    ]
+    checked = 0
+    for f in morphisms:
+        length = len(extract_braid(f).letters)
+        if not length:
+            continue
+        monkeypatch.setattr(coherence, "MAX_WORD_LETTERS", length)
+        assert len(extract_braid(f).letters) == length
+        monkeypatch.setattr(coherence, "MAX_WORD_LETTERS", length - 1)
+        with pytest.raises(SizeCapError, match=f"exceeds the cap of {length - 1}"):
+            extract_braid(f)
+        monkeypatch.undo()
+        checked += 1
+    assert checked >= 30

@@ -11,13 +11,22 @@ from orbibraid.braid import (
     lk_matrix,
 )
 from orbibraid.braid.garside import (
+    GarsideNF,
     finishing_set,
-    flip_perm,
+    identity_perm,
+    inverse_perm,
     omega_perm,
     perm_to_letters,
     starting_set,
 )
+from orbibraid.coherence import _cable_kappa
 from orbibraid.errors import ArityError
+
+
+def flip_perm(p: tuple) -> tuple:
+    """Conjugation by Delta: omega . p . omega."""
+    n = len(p)
+    return tuple(n - 1 - p[n - 1 - i] for i in range(n))
 
 
 def positive_rewriting_class(word: tuple[int, ...], max_size: int = 50_000) -> set:
@@ -174,17 +183,120 @@ def seed_nf(w: BraidWord) -> tuple[int, tuple]:
     return power, tuple(factors)
 
 
-def test_nf_matches_the_original_algorithm():
+def _mixed_words():
+    """The 150-word mix: balanced, 90% positive and 90% negative letters, n <= 10."""
     rng = seeded_rng(5)
     for k in range(150):
         n = rng.randint(2, 10)
-        positive = (0.5, 0.9, 0.1)[k % 3]  # balanced, 90% positive, 90% negative letters
+        positive = (0.5, 0.9, 0.1)[k % 3]
         letters = tuple(
             (rng.randint(1, n - 1), 1 if rng.random() < positive else -1) for _ in range(rng.randint(0, 60))
         )
-        w = BraidWord(n, letters)
+        yield BraidWord(n, letters)
+
+
+def test_nf_matches_the_original_algorithm():
+    for w in _mixed_words():
         nf = garside_nf(w)
         assert (nf.power, nf.factors) == seed_nf(w), w.to_text()
+
+
+def _letterwise_weight_pair(a, b):
+    """Move the meet of b and the complement of a from b into a (tuples in, tuples out)."""
+    a_inv = list(inverse_perm(a))
+    b_out = list(b)
+    moved = False
+    j = 0
+    while j <= len(b) - 2:
+        if b_out[j] > b_out[j + 1] and a_inv[j] < a_inv[j + 1]:
+            b_out[j], b_out[j + 1] = b_out[j + 1], b_out[j]
+            a_inv[j], a_inv[j + 1] = a_inv[j + 1], a_inv[j]
+            moved = True
+            j = max(j - 1, 0)
+        else:
+            j += 1
+    if not moved:
+        return a, b, False
+    return inverse_perm(a_inv), tuple(b_out), True
+
+
+def letterwise_nf(w: BraidWord) -> GarsideNF:
+    """The normal form built one letter at a time: the oracle for the run-grouped one.
+
+    Each letter appends its own permutation braid (an inverse letter counts one
+    Delta^-1 and appends s_i . omega), then a sweep from the right weights pairs
+    until one does not change.
+    """
+    n = w.n
+    ident, omega = identity_perm(n), omega_perm(n)
+    power, odd, factors, lead = 0, False, [], 0
+    for i, e in w.letters:
+        j = i - 1
+        if e == 1:
+            f = ident[:j] + (j + 1, j) + ident[j + 2 :]
+        else:
+            power -= 1
+            odd = not odd
+            f = tuple(j + 1 if v == j else j if v == j + 1 else v for v in omega)
+        factors.append(flip_perm(f) if odd else f)
+        k = len(factors) - 1
+        while k > lead:
+            a, b, moved = _letterwise_weight_pair(factors[k - 1], factors[k])
+            if not moved:
+                break
+            factors[k - 1], factors[k] = a, b
+            k -= 1
+        if factors[-1] == ident:
+            factors.pop()
+        while lead < len(factors) and factors[lead] == omega:
+            lead += 1
+    tail = factors[lead:]
+    if odd:
+        tail = [flip_perm(f) for f in tail]
+    return GarsideNF(n, power + lead, tuple(tail))
+
+
+def _permutation_braid_word(rng, n: int, sign: int) -> tuple:
+    """A random permutation braid's minimal word, or that word's inverse."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    letters = perm_to_letters(tuple(perm))
+    if sign == 1:
+        return letters
+    return tuple((i, -e) for i, e in reversed(letters))
+
+
+def test_run_grouped_nf_matches_letterwise_on_permutation_braid_products():
+    rng = seeded_rng(11)
+    for k in range(120):
+        n = rng.randint(2, 9)
+        positive = (0.5, 0.9, 0.1)[k % 3]
+        letters = ()
+        for _ in range(rng.randint(1, 6)):
+            letters += _permutation_braid_word(rng, n, 1 if rng.random() < positive else -1)
+        w = BraidWord(n, letters)
+        assert garside_nf(w) == letterwise_nf(w), w.to_text()
+
+
+def test_run_grouped_nf_matches_letterwise_on_mixed_words():
+    for w in _mixed_words():
+        assert garside_nf(w) == letterwise_nf(w), w.to_text()
+    rng = seeded_rng(12)
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        letters = ()
+        for _ in range(rng.randint(1, 4)):  # permutation braids spliced with random letters
+            letters += _permutation_braid_word(rng, n, rng.choice((1, -1)))
+            letters += random_braid_word(rng, n, rng.randint(0, 6)).letters
+        w = BraidWord(n, letters)
+        assert garside_nf(w) == letterwise_nf(w), w.to_text()
+
+
+@pytest.mark.parametrize("ell, c", [(0, 1), (0, 7), (3, 5), (0, 40), (2, 40)])
+def test_run_grouped_nf_matches_letterwise_on_kappa_cables(ell, c):
+    w = embed_cyl(CylBraidWord(ell + c, tuple(_cable_kappa(ell, c))))
+    assert garside_nf(w) == letterwise_nf(w)
+    assert garside_nf(w.inverse()) == letterwise_nf(w.inverse())
 
 
 @pytest.mark.parametrize("n", [4, 8])
