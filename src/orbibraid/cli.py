@@ -16,10 +16,10 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .braid import KAPPA, BraidWord, CylBraidWord, braid_eq, cyl_braid_eq, embed_cyl, garside_nf
+from .braid import BraidWord, CylBraidWord, braid_eq, cyl_braid_eq, embed_cyl, garside_nf
 from .coherence import COMMUTES, check
 from .dsl import parse_diagram
-from .errors import OrbibraidError, RelationError, SizeCapError
+from .errors import OrbibraidError, RelationError
 from .operad import compose, classify, parse_color, parse_signed_op
 from .reflect import RepData, build_cyl_rep, cyl_relations, eval_braid, reflection_check, yang_baxter_check
 
@@ -62,30 +62,6 @@ class Report:
         return "\n".join(lines)
 
 
-# Largest strands x letters that `braid nf` and `braid eq` take on.  A normal
-# form costs up to about (n L)^2 steps: each of L appends can weight every
-# factor before it, at up to n^2 moves a pair.  At the cap the slowest words
-# found take a few seconds: the normal form of `-n 5000 "s1 S2"`, one pair of
-# n^2 / 2 moves, took 1.8 s on an idle 2-vCPU machine.
-MAX_BRAID_WORK = 10_000
-
-
-def _check_braid_work(words, cylinder: bool) -> None:
-    """Refuse before any normal form work when the strands times the letters it sees pass the cap.
-
-    A cylinder word is counted as its annular embedding: one more strand, and
-    two letters for each kappa.
-    """
-    strands = words[0].n + cylinder
-    letters = sum(len(w.letters) for w in words)
-    if cylinder:
-        letters += sum(i == KAPPA for w in words for i, _ in w.letters)
-    if strands * max(letters, 1) > MAX_BRAID_WORK:
-        raise SizeCapError(
-            f"{strands} strands x {letters} letters exceeds the normal-form cap of {MAX_BRAID_WORK}"
-        )
-
-
 def _parse_word(text: str, n: int, cylinder: bool):
     if cylinder:
         return CylBraidWord.from_text(n, text)
@@ -102,7 +78,6 @@ def _nf_payload(nf) -> dict:
 
 def _cmd_braid(args) -> tuple[str, dict]:
     words = [_parse_word(text, args.strands, args.cyl) for text in args.words]
-    _check_braid_work(words, args.cyl)
     if args.braid_cmd == "nf":
         w = words[0]
         nf = garside_nf(embed_cyl(w) if args.cyl else w)

@@ -14,7 +14,7 @@ class ArityError(OrbibraidError):
 
 
 class SizeCapError(OrbibraidError):
-    """An input is refused before the work it asks for, because its size passes a fixed cap."""
+    """An input's size or counted work passes a fixed cap; refused at once, or after work bounded by the cap."""
 
 
 class ParseError(OrbibraidError):

@@ -20,7 +20,14 @@ from .qmatrix import QMatrix
 from .repdata import RepData
 from ..braid.words import KAPPA, BraidWord, CylBraidWord
 
-MAX_REP_DIM = 256  # largest m d^n built: n = 8 at d = 2, n = 5 at d = 3
+MAX_REP_DIM = 256  # largest matrix built: m d^n at n = 8 for d = 2, n = 5 for d = 3
+
+
+def _check_dim(m: int, d: int, n: int) -> None:
+    """Refuse a matrix of m d^n rows past MAX_REP_DIM before it is built (the power stops
+    at the cap's bit length, past which d^n passes the cap for every d >= 2)."""
+    if m * d ** min(n, MAX_REP_DIM.bit_length()) > MAX_REP_DIM:
+        raise DimensionError(f"dimension {m}*{d}^{n} exceeds the cap of {MAX_REP_DIM}")
 
 
 def _isqrt_exact(n: int) -> int:
@@ -35,6 +42,7 @@ def yang_baxter_check(R: QMatrix) -> bool:
     if R.rows != R.cols:
         raise DimensionError("R must be square")
     d = _isqrt_exact(R.rows)
+    _check_dim(1, d, 3)
     eye = QMatrix.identity(d)
     flip23 = eye.kron(QMatrix.flip(d, d))
     r12 = R.kron(eye)
@@ -63,6 +71,7 @@ def reflection_check(data: RepData) -> bool:
     With Rphi = Rphiphi = R and T the identity this is the untwisted
     reflection equation.
     """
+    _check_dim(data.m, data.d, 2)
     k1, k2, r12, rphi12, rphi21, rphiphi21 = _legs(data)
     return k1 * rphi21 * k2 * r12 == rphiphi21 * k2 * rphi12 * k1
 
@@ -90,7 +99,7 @@ class CylRep:
 
 
 def cyl_relations(data: RepData, n: int, yang_baxter: bool | None = None) -> tuple[QMatrix, QMatrix]:
-    """Refuse m d^n past MAX_REP_DIM, then check the defining relations of B^cyl_n.
+    """Check the defining relations of B^cyl_n.
 
     As A (x) I = B (x) I exactly when A = B, each relation is checked once,
     on its own legs, in the order and under the names of the full-size
@@ -104,14 +113,12 @@ def cyl_relations(data: RepData, n: int, yang_baxter: bool | None = None) -> tup
     if n < 1:
         raise DimensionError("strand count must be positive")
     d, m = data.d, data.m
-    # Once d >= 2, d^n exceeds the cap for every n past its bit length.
-    if m * d ** min(n, MAX_REP_DIM.bit_length()) > MAX_REP_DIM:
-        raise DimensionError(f"dimension {m}*{d}^{n} exceeds the cap of {MAX_REP_DIM}")
     rhat = QMatrix.flip(d, d) * data.R
     core = QMatrix.identity(m).kron(data.T.inverse()) * data.K
     if n >= 3 and not (yang_baxter_check(data.R) if yang_baxter is None else yang_baxter):
         raise RelationError("sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2")
     if n >= 2:
+        _check_dim(m, d, 2)
         s1 = QMatrix.identity(m).kron(rhat)
         k = core.kron(QMatrix.identity(d))
         if s1 * k * s1 * k != k * s1 * k * s1:
@@ -120,15 +127,16 @@ def cyl_relations(data: RepData, n: int, yang_baxter: bool | None = None) -> tup
 
 
 def build_cyl_rep(data: RepData, n: int) -> CylRep:
-    """Verify the defining relations (``cyl_relations``), then assemble the
-    generator matrices.
+    """Refuse m d^n past MAX_REP_DIM, verify the defining relations
+    (``cyl_relations``), then assemble the generator matrices.
 
     sigma_i is I_(m d^(i-1)) (x) Rhat (x) I_(d^(n-i-1)) and kappa is
     (1 (x) T^-1) K (x) I_(d^(n-1)).  As (A (x) B)^-1 = A^-1 (x) B^-1, only
     Rhat and (1 (x) T^-1) K are inverted.
     """
-    rhat, core = cyl_relations(data, n)
     d, m = data.d, data.m
+    _check_dim(m, d, n)
+    rhat, core = cyl_relations(data, n)
 
     def place(mat: QMatrix, i: int) -> QMatrix:
         """mat on the legs M (x) V_1 for i = 0, on V_i (x) V_(i+1) otherwise."""

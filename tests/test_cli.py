@@ -20,7 +20,8 @@ from helpers import (
 )
 from orbibraid import cli
 from orbibraid.braid import BraidWord
-from orbibraid.cli import MAX_BRAID_WORK, build_parser, main
+from orbibraid.braid.garside import MAX_NF_WORK
+from orbibraid.cli import build_parser, main
 from orbibraid.coherence import MAX_WORD_LETTERS
 from orbibraid.dsl import parse_diagram
 from orbibraid.reflect import RepData, checks, yang_baxter_check
@@ -140,6 +141,30 @@ def test_rep_verify_past_the_dimension_cap_exits_two(capsys, tmp_path):
     code, doc = run_json(capsys, "rep", "verify", str(f))
     assert code == 2
     assert doc["payload"] == {"error": "DimensionError: dimension 1*7^3 exceeds the cap of 256"}
+
+
+def test_rep_verify_refuses_the_yang_baxter_matrix_before_building_it(capsys, tmp_path):
+    # R on V (x) V (x) V at d = 14 is 2,744 rows; checked at that size, the file took 17 s.
+    f = tmp_path / "d14.rep.json"
+    f.write_text(json.dumps({"d": 14, "m": 1, "R": identity_text(196), "K": identity_text(14)}))
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "rep", "verify", str(f))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert doc["payload"] == {"error": "DimensionError: dimension 1*14^3 exceeds the cap of 256"}
+
+
+def test_rep_verify_sizes_each_check_by_the_matrix_it_builds(capsys, tmp_path):
+    # m d^3 = 432 passes the cap, but no check builds it: Yang-Baxter is d^3 = 216,
+    # reflection and the kappa relation m d^2 = 72.
+    f = tmp_path / "m2d6.rep.json"
+    f.write_text(json.dumps({"d": 6, "m": 2, "R": identity_text(36), "K": identity_text(12)}))
+    code, doc = run_json(capsys, "rep", "verify", str(f))
+    assert code == 0
+    assert doc["payload"] == {"yang_baxter": True, "reflection": True, "cylinder_rep_n3": True}
+    code, doc = run_json(capsys, "rep", "eval", str(f), "-n", "3", "s1")
+    assert code == 2
+    assert doc["payload"] == {"error": "DimensionError: dimension 2*6^3 exceeds the cap of 256"}
 
 
 def test_rep_eval_reflection_identity(capsys):
@@ -525,36 +550,48 @@ def test_classify_reports_are_byte_identical_to_the_original(capsys, key, as_jso
             "DimensionError: dimension 1*2^9 exceeds the cap of 256",
         ),
         (
-            ["braid", "nf", "-n", "5001", "s1 S2"],
-            "SizeCapError: 5001 strands x 2 letters exceeds the normal-form cap of 10000",
+            ["braid", "nf", "-n", "20000", "s1 S2"],
+            "SizeCapError: normal form on 20000 strands would pass the work cap of 15000000 (40000 units counted)",
         ),
     ],
-    ids=["classify-k8", "rep-eval-n9", "braid-nf-n5001"],
+    ids=["classify-k8", "rep-eval-n9", "braid-nf-n20000"],
 )
 def test_oversized_requests_exit_two_at_once(argv, error):
     start = time.perf_counter()
     proc = run_module(*argv, "--json")
-    assert time.perf_counter() - start < 10  # uncapped, either would run for minutes
+    assert time.perf_counter() - start < 10  # uncapped, each would run for a minute or more
     assert proc.returncode == 2 and proc.stderr == ""
     assert json.loads(proc.stdout)["payload"] == {"error": error}
 
 
-def test_braid_work_cap_counts_strands_times_letters(capsys):
-    assert MAX_BRAID_WORK == 10_000
+def test_braid_work_cap_counts_runs_pairs_and_moves(capsys):
+    # The normal form counts n per run, n per pair visited and one per generator
+    # moved, and refuses a pair when the count plus n + n(n-1)/2 passes the cap.
+    # After two runs (2n) a pair fits on 5,474 strands and not on 5,475.
+    assert MAX_NF_WORK == 15_000_000
+    assert 3 * 5474 + 5474 * 5473 // 2 <= MAX_NF_WORK < 3 * 5475 + 5475 * 5474 // 2
     cases = [
-        (["nf", "-n", "5000", "s1 s2"], 0),
-        (["nf", "-n", "5001", "s1 s2"], 2),
-        (["eq", "-n", "2500", "s1 s2", "s2 s1"], 1),  # u^-1 v has four letters
-        (["eq", "-n", "2501", "s1 s2", "s2 s1"], 2),
-        (["nf", "--cyl", "-n", "2499", "k s1"], 0),  # embedded: 2500 strands x 3 letters
-        (["nf", "--cyl", "-n", "3333", "k s1"], 2),
-        (["nf", "-n", "10001", ""], 2),  # the empty word counts as one letter
+        (["nf", "-n", "5474", "s1 s1"], 0, None),  # two runs and a pair that moves nothing: 3n
+        (["nf", "-n", "5475", "s1 s1"], 2, 10950),  # refused before its first pair
+        (["nf", "-n", "5474", "s1 s1 s1"], 2, 21896),  # refused at its second pair, after 3n + n
+        (["eq", "-n", "5474", "S1", "s1"], 1, None),  # u^-1 v is s1 s1
+        (["eq", "-n", "5475", "S1", "s1"], 2, 10950),
+        (["nf", "--cyl", "-n", "5473", "k"], 0, None),  # embedded: s1 s1 on 5,474 strands
+        (["nf", "--cyl", "-n", "5474", "k"], 2, 10950),
+        (["nf", "-n", "15000001", "s1"], 2, 0),  # the first run alone passes the cap
+        (["nf", "-n", "15000001", ""], 0, None),  # the empty word counts nothing
     ]
-    for argv, exit_code in cases:
+    for argv, exit_code, counted in cases:
+        start = time.perf_counter()
         code, doc = run_json(capsys, "braid", *argv)
+        assert time.perf_counter() - start < 10, argv
         assert code == exit_code, argv
-        if exit_code == 2:
-            assert doc["payload"]["error"].startswith("SizeCapError: "), doc
+        if counted is not None:
+            strands = int(argv[argv.index("-n") + 1]) + ("--cyl" in argv)
+            assert doc["payload"] == {
+                "error": f"SizeCapError: normal form on {strands} strands would pass the work cap of"
+                f" {MAX_NF_WORK} ({counted} units counted)"
+            }
 
 
 def test_kappa_cable_over_300_strands_commutes(capsys, tmp_path):
@@ -566,6 +603,25 @@ def test_kappa_cable_over_300_strands_commutes(capsys, tmp_path):
     assert code == 0 and doc["payload"]["status"] == "COMMUTES"
     assert doc["payload"]["lhs_nf"] == doc["payload"]["rhs_nf"]
     assert len(doc["payload"]["braid_words"]["lhs"].split()) == 300 * 301 // 2
+
+
+def test_two_letters_on_twelve_thousand_strands_exit_two_within_seconds(tmp_path):
+    # One pair of the normal form of s1 S1 on 12,002 strands may move n(n-1)/2
+    # generators; uncapped, the check took 11-30 s before COMMUTES.
+    r = balanced_tensor_text(3, 12000)
+    f = tmp_path / "wide.diag"
+    f.write_text(
+        "flavor = braided\n"
+        f"lhs = vert(tens(inv(sigma(X1, X2)), id({r})), tens(sigma(X1, X2), id({r})))\n"
+        f"rhs = id(tensor(tensor(X1, X2), {r}))\n"
+    )
+    start = time.perf_counter()
+    proc = run_module("coherence", "check", str(f), "--json")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout)["payload"] == {
+        "error": f"SizeCapError: normal form on 12002 strands would pass the work cap of {MAX_NF_WORK} (24004 units counted)"
+    }
 
 
 def test_diagram_just_past_the_word_cap_exits_two(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from helpers import normal_form_violations, random_braid_word, random_cyl_word, seeded_rng, stdout_under_python_O
@@ -10,17 +12,18 @@ from orbibraid.braid import (
     garside_nf,
     lk_matrix,
 )
+from orbibraid.braid import garside
 from orbibraid.braid.garside import (
+    MAX_NF_WORK,
     GarsideNF,
     finishing_set,
-    identity_perm,
     inverse_perm,
     omega_perm,
     perm_to_letters,
     starting_set,
 )
 from orbibraid.coherence import _cable_kappa
-from orbibraid.errors import ArityError
+from orbibraid.errors import ArityError, SizeCapError
 
 
 def flip_perm(p: tuple) -> tuple:
@@ -228,7 +231,7 @@ def letterwise_nf(w: BraidWord) -> GarsideNF:
     until one does not change.
     """
     n = w.n
-    ident, omega = identity_perm(n), omega_perm(n)
+    ident, omega = tuple(range(n)), omega_perm(n)
     power, odd, factors, lead = 0, False, [], 0
     for i, e in w.letters:
         j = i - 1
@@ -323,3 +326,115 @@ def test_invalid_forms_raise_under_python_O():
         "factor 1 is not a proper permutation braid",
         "factor 0 is not a proper permutation braid",
     ]
+
+
+def _work_trace(monkeypatch, w: BraidWord) -> list[tuple[str, int]]:
+    """The uncapped normal form's work, in order: ("run", n) per run, ("pair", n + moves) per pair."""
+    trace = []
+    runs, weight_pair = garside._runs, garside._weight_pair
+
+    def traced_runs(n, letters):
+        for run in runs(n, letters):
+            trace.append(("run", n))
+            yield run
+
+    def traced_pair(a, a_inv, b, b_inv):
+        moved = weight_pair(a, a_inv, b, b_inv)
+        trace.append(("pair", len(b) + moved))
+        return moved
+
+    with monkeypatch.context() as m:
+        m.setattr(garside, "MAX_NF_WORK", 10**18)
+        m.setattr(garside, "_runs", traced_runs)
+        m.setattr(garside, "_weight_pair", traced_pair)
+        garside_nf(w)
+    return trace
+
+
+def _refused_at(trace, n: int, cap: int) -> int | None:
+    """Work counted when the cap stops the trace (a run of n, or a pair of up to n + n(n-1)/2), else None."""
+    work = 0
+    for kind, units in trace:
+        if work + (n if kind == "run" else n + n * (n - 1) // 2) > cap:
+            return work
+        work += units
+    return None
+
+
+def test_nf_refuses_before_its_counted_work_passes_the_cap(monkeypatch):
+    rng = seeded_rng(13)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        w = random_braid_word(rng, n, rng.randint(1, 30))
+        expected = garside_nf(w)
+        trace = _work_trace(monkeypatch, w)
+        total = sum(units for _, units in trace)
+        worst = n + n * (n - 1) // 2
+        for cap in sorted({0, n - 1, n, total // 3, total // 2, total - 1, total, total + worst, rng.randint(0, total)}):
+            stop = _refused_at(trace, n, cap)
+            with monkeypatch.context() as m:
+                m.setattr(garside, "MAX_NF_WORK", cap)
+                if stop is None:
+                    assert garside_nf(w) == expected, (w.to_text(), cap)
+                    continue
+                assert stop <= cap
+                with pytest.raises(SizeCapError) as info:
+                    garside_nf(w)
+            assert str(info.value) == f"normal form on {n} strands would pass the work cap of {cap} ({stop} units counted)"
+        assert _refused_at(trace, n, total + worst) is None
+
+
+def test_nf_refuses_after_moves_past_the_cap(monkeypatch):
+    # s1 S2 s1 S2 s1 S2 on 40 strands: every pair moves hundreds of generators.
+    w = BraidWord.from_text(40, "s1 S2 s1 S2 s1 S2")
+    trace = _work_trace(monkeypatch, w)
+    moves = sum(units - 40 for kind, units in trace if kind == "pair")
+    assert moves > 1000
+    total = sum(units for _, units in trace)
+    monkeypatch.setattr(garside, "MAX_NF_WORK", total // 2)
+    stop = _refused_at(trace, 40, total // 2)
+    assert 0 < stop <= total // 2 and stop > 40 * 6
+    with pytest.raises(SizeCapError, match=rf"\({stop} units counted\)$"):
+        garside_nf(w)
+
+
+def test_garside_nf_raises_the_size_cap_error():
+    assert MAX_NF_WORK == 15_000_000
+    # Two runs of n, then one pair of up to n + n(n-1)/2: on 5,475 strands that passes the cap.
+    message = "normal form on 5475 strands would pass the work cap of 15000000 (10950 units counted)"
+    with pytest.raises(SizeCapError) as info:
+        garside_nf(BraidWord.from_text(5475, "s1 S2"))
+    assert str(info.value) == message
+    with pytest.raises(SizeCapError, match="5475 strands"):
+        braid_eq(BraidWord.from_text(5475, "s1"), BraidWord.from_text(5475, "s2"))
+    with pytest.raises(SizeCapError, match="5475 strands"):  # the annular embedding adds a strand
+        cyl_braid_eq(CylBraidWord.from_text(5474, "k"), CylBraidWord(5474))
+
+
+def test_first_run_past_the_cap_and_the_empty_word_build_no_strand_lists(monkeypatch):
+    def no_runs(n, letters):
+        raise AssertionError(f"a run on {n} strands was built")
+
+    monkeypatch.setattr(garside, "MAX_NF_WORK", 1000)
+    monkeypatch.setattr(garside, "_runs", no_runs)
+    with pytest.raises(SizeCapError, match=r"on 1001 strands .* \(0 units counted\)$"):
+        garside_nf(BraidWord.from_text(1001, "s1"))
+    assert garside_nf(BraidWord(1001)) == GarsideNF(1001, 0, ())
+    monkeypatch.undo()
+    monkeypatch.setattr(garside, "MAX_NF_WORK", 1000)
+    assert garside_nf(BraidWord.from_text(1000, "s1")).factors == ((1, 0, *range(2, 1000)),)
+
+
+@pytest.mark.parametrize(
+    "n, text, digest",
+    [
+        (5000, "s1 S2", "63df582a4cbc9b9eeb4d0f950fff4a983205cc414e58465971fb15ece00880de"),
+        (300, "S1 s2 S3 s1 S2", "15ba533190686234533317711c6ea99b0c8dabd67c9f735328773f1ccdb8eed9"),
+    ],
+)
+def test_edge_words_of_the_strands_times_letters_rule_keep_their_forms(n, text, digest):
+    # The slowest words a cap of 10,000 strands x letters admitted; sha256 of
+    # describe() as the normal form gave it before the work was counted.
+    nf = garside_nf(BraidWord.from_text(n, text))
+    assert nf.power == -1 and len(nf.factors) == 2
+    assert hashlib.sha256(nf.describe().encode()).hexdigest() == digest
