@@ -40,9 +40,8 @@ from .words import BraidWord, CylBraidWord, embed_cyl
 
 Perm = tuple[int, ...]
 
-# Most work garside_nf counts: n for each run appended, n for each pair visited,
-# one for each generator moved.  A unit took 230-380 ns on the word shapes timed.
-MAX_NF_WORK = 15_000_000
+MAX_NF_WORK = 15_000_000  # most units garside_nf counts: about 5.5 s for the slowest word found
+HELD_UNITS = 199  # units a strand of a factor costs while held: one factor holds at most 75,000 strands
 
 
 def omega_perm(n: int) -> Perm:
@@ -69,16 +68,15 @@ def finishing_set(p: Perm) -> set[int]:
 
 def perm_to_letters(p: Perm) -> tuple[tuple[int, int], ...]:
     """A minimal positive word for a permutation braid (letters 1-based)."""
-    letters = []
-    q = list(p)
-    while True:
-        for j in range(len(q) - 1):
-            if q[j] > q[j + 1]:
-                letters.append((j + 1, 1))
-                q[j], q[j + 1] = q[j + 1], q[j]
-                break
+    letters, q, j = [], list(p), 0
+    while j < len(q) - 1:  # swap the first descent; the next one is no further left than j - 1
+        if q[j] > q[j + 1]:
+            letters.append((j + 1, 1))
+            q[j], q[j + 1] = q[j + 1], q[j]
+            j = max(j - 1, 0)
         else:
-            return tuple(letters)
+            j += 1
+    return tuple(letters)
 
 
 def _weight_pair(a: list[int], a_inv: list[int], b: list[int], b_inv: list[int]) -> int:
@@ -99,8 +97,10 @@ def _weight_pair(a: list[int], a_inv: list[int], b: list[int], b_inv: list[int])
         j = start
         while j >= 0:
             x, y = b[j], b[j + 1]
+            if x < y:
+                break
             u, v = a_inv[j], a_inv[j + 1]
-            if x < y or u > v:
+            if u > v:
                 break
             b[j], b[j + 1] = y, x
             b_inv[x], b_inv[y] = j + 1, j
@@ -124,7 +124,7 @@ class GarsideNF:
     factors: tuple[Perm, ...]
 
     def __post_init__(self):
-        ends = self.factors and (tuple(range(self.n)), omega_perm(self.n))  # identity and Delta, if any factor
+        ends = (tuple(range(self.n)), omega_perm(self.n))  # the identity and Delta
         for k, f in enumerate(self.factors):
             if f in ends:
                 raise ValueError(f"factor {k} is not a proper permutation braid")
@@ -139,12 +139,9 @@ class GarsideNF:
     def to_word(self) -> BraidWord:
         """Rebuild a braid word (Delta^power, then the factors)."""
         delta = perm_to_letters(omega_perm(self.n))
-        letters: list[tuple[int, int]] = []
-        if self.power >= 0:
-            letters.extend(delta * self.power)
-        else:
-            delta_inv = tuple((i, -e) for i, e in reversed(delta))
-            letters.extend(delta_inv * (-self.power))
+        if self.power < 0:
+            delta = tuple((i, -e) for i, e in reversed(delta))
+        letters = list(delta * abs(self.power))
         for f in self.factors:
             letters.extend(perm_to_letters(f))
         return BraidWord(self.n, tuple(letters))
@@ -161,57 +158,57 @@ def _runs(n: int, letters):
     strands at its positions have not crossed yet.  Strands are named by
     their start positions; ``at`` maps position -> strand and ``pos`` strand
     -> position, so a finished run yields its sign, its start -> end
-    permutation ``pos`` and that permutation's inverse ``at``.
+    permutation ``pos``, that permutation's inverse ``at`` and its length.
     """
-    sign = 0
-    at: list[int] = []
-    pos: list[int] = []
+    sign = length = 0  # a first letter always starts a run, so at and pos are set before use
     for i, e in letters:
         j = i - 1
         if e != sign or at[j] > at[j + 1]:
             if sign:
-                yield sign, pos, at
-            sign, at, pos = e, list(range(n)), list(range(n))
+                yield sign, pos, at, length
+            sign, length, at, pos = e, 0, list(range(n)), list(range(n))
         x, y = at[j], at[j + 1]
         at[j], at[j + 1] = y, x
         pos[x], pos[y] = j + 1, j
+        length += 1
     if sign:
-        yield sign, pos, at
+        yield sign, pos, at, length
 
 
-def _refusal(n: int, work: int) -> SizeCapError:
-    return SizeCapError(f"normal form on {n} strands would pass the work cap of {MAX_NF_WORK} ({work} units counted)")
+def _refusal(n: int, count: int) -> SizeCapError:
+    return SizeCapError(f"normal form on {n} strands would pass the work cap of {MAX_NF_WORK} ({count} units counted)")
 
 
 def garside_nf(w: BraidWord) -> GarsideNF:
     """Left-greedy normal form; nf(u) == nf(v) iff u = v in B_n.
 
-    Raises SizeCapError before a run or a pair (up to n + n(n-1)/2 units) could take the count past MAX_NF_WORK.
+    Counts n a run appended, n a pair visited and one a generator moved (100-370 ns a unit), and
+    HELD_UNITS a strand for each factor while it is held, which bounds the lists held and the form
+    built and printed from them.  Raises SizeCapError before a run (n + HELD_UNITS n) or a pair
+    (n + its right factor's length, which bounds its moves) could take the count past MAX_NF_WORK.
     """
     n = w.n
-    if not w.letters:  # decided without a list of n entries
-        return GarsideNF(n, 0, ())
-    run_limit = MAX_NF_WORK - n  # most work counted before a run is appended
-    pair_limit = run_limit - n * (n - 1) // 2  # and before a pair is weighted
-    if run_limit < 0:  # refuse the first run before building it
+    held = HELD_UNITS * n  # units a factor costs while it is held
+    run_limit = MAX_NF_WORK - n - held  # most units counted before a run is appended
+    pair_limit = MAX_NF_WORK - n  # and, less its right factor's length, before a pair is weighted
+    if run_limit < 0:  # refuse any word, before building a list of n entries
         raise _refusal(n, 0)
-    work = 0
-    top = n - 1
-    ident = list(range(n))
-    omega = ident[::-1]
-    power = 0
+    count = power = 0
+    top, half = n - 1, n * (n - 1) // 2  # half is the length of Delta
     odd = False  # parity of Delta^-1 moved to the front so far
     factors: list[list[int]] = []
     inverses: list[list[int]] = []  # inverses[k] is the inverse permutation of factors[k]
+    lengths: list[int] = []  # lengths[k] is the number of crossings of factors[k]
     lead = 0  # factors[:lead] are Delta, and stay out of the sweep
-    for e, f, f_inv in _runs(n, w.letters):
-        if work > run_limit:
-            raise _refusal(n, work)
-        work += n
+    for e, f, f_inv, length in _runs(n, w.letters):
+        if count > run_limit:
+            raise _refusal(n, count)
+        count += n + held
         if e == -1:
             # P^-1 = Delta^-1 (Delta P^-1), where Delta P^-1 is x -> P^-1(omega(x)).
             power -= 1
             odd = not odd
+            length = half - length
             if odd:  # conjugated by Delta as well; the two reversals cancel
                 f, f_inv = [top - v for v in f], f_inv[::-1]
             else:
@@ -220,27 +217,30 @@ def garside_nf(w: BraidWord) -> GarsideNF:
             f, f_inv = [top - v for v in reversed(f)], [top - v for v in reversed(f_inv)]
         factors.append(f)
         inverses.append(f_inv)
+        lengths.append(length)
         k = len(factors) - 1
-        while k > lead:
-            if work > pair_limit:
-                raise _refusal(n, work)
+        while k > lead:  # length is that of factors[k], kept in lengths[k] once the sweep leaves it
+            if count + length > pair_limit:  # a pair moves at most its right factor's length
+                raise _refusal(n, count)
             moved = _weight_pair(factors[k - 1], inverses[k - 1], factors[k], inverses[k])
-            work += n + moved
+            count += n + moved
             if not moved:
                 break
+            lengths[k] = length - moved
             k -= 1
-        if factors[-1] == ident:
-            factors.pop()
-            inverses.pop()
-        while lead < len(factors) and factors[lead] == omega:
+            length = lengths[k] + moved
+        lengths[k] = length
+        if not lengths[-1]:  # the identity
+            del factors[-1], inverses[-1], lengths[-1]
+            count -= held
+        while lead < len(factors) and lengths[lead] == half:
             lead += 1
     tail = factors[lead:]
     if odd:
         tail = [[top - v for v in reversed(f)] for f in tail]
-    # Tuples are made from lists, which size them once.  tuple() of a
-    # generator guesses a size and resizes, so CPython files the freed tuple
-    # under another size's free list; over many calls those lists hold
-    # megabytes.
+    # Tuples are made from lists, which size them once.  tuple() of a generator guesses a size and
+    # resizes, so CPython files the freed tuple under another size's free list; over many calls
+    # those lists hold megabytes.
     return GarsideNF(n, power + lead, tuple([tuple(f) for f in tail]))
 
 

@@ -20,6 +20,7 @@ from helpers import (
 )
 from orbibraid import cli
 from orbibraid.braid import BraidWord
+from orbibraid.braid import garside
 from orbibraid.braid.garside import MAX_NF_WORK
 from orbibraid.cli import build_parser, main
 from orbibraid.coherence import MAX_WORD_LETTERS
@@ -551,7 +552,7 @@ def test_classify_reports_are_byte_identical_to_the_original(capsys, key, as_jso
         ),
         (
             ["braid", "nf", "-n", "20000", "s1 S2"],
-            "SizeCapError: normal form on 20000 strands would pass the work cap of 15000000 (40000 units counted)",
+            "SizeCapError: normal form on 20000 strands would pass the work cap of 15000000 (8000000 units counted)",
         ),
     ],
     ids=["classify-k8", "rep-eval-n9", "braid-nf-n20000"],
@@ -566,25 +567,28 @@ def test_oversized_requests_exit_two_at_once(argv, error):
 
 def test_braid_work_cap_counts_runs_pairs_and_moves(capsys):
     # The normal form counts n per run, n per pair visited and one per generator
-    # moved, and refuses a pair when the count plus n + n(n-1)/2 passes the cap.
-    # After two runs (2n) a pair fits on 5,474 strands and not on 5,475.
-    assert MAX_NF_WORK == 15_000_000
-    assert 3 * 5474 + 5474 * 5473 // 2 <= MAX_NF_WORK < 3 * 5475 + 5475 * 5474 // 2
+    # moved, and 199 n for each factor while it is held.  It refuses a run when
+    # the count plus 200 n passes the cap, and a pair when the count plus n plus
+    # the length of its right factor does.  s1 s1 holds two factors and its
+    # pair moves nothing: 401 n + 1 fits on 37,406 strands and not on 37,407.
+    assert (MAX_NF_WORK, garside.HELD_UNITS) == (15_000_000, 199)
+    assert 401 * 37406 + 1 <= MAX_NF_WORK < 401 * 37407 + 1
     cases = [
-        (["nf", "-n", "5474", "s1 s1"], 0, None),  # two runs and a pair that moves nothing: 3n
-        (["nf", "-n", "5475", "s1 s1"], 2, 10950),  # refused before its first pair
-        (["nf", "-n", "5474", "s1 s1 s1"], 2, 21896),  # refused at its second pair, after 3n + n
-        (["eq", "-n", "5474", "S1", "s1"], 1, None),  # u^-1 v is s1 s1
-        (["eq", "-n", "5475", "S1", "s1"], 2, 10950),
-        (["nf", "--cyl", "-n", "5473", "k"], 0, None),  # embedded: s1 s1 on 5,474 strands
-        (["nf", "--cyl", "-n", "5474", "k"], 2, 10950),
-        (["nf", "-n", "15000001", "s1"], 2, 0),  # the first run alone passes the cap
-        (["nf", "-n", "15000001", ""], 0, None),  # the empty word counts nothing
+        (["nf", "-n", "37406", "s1 s1"], 0, None),
+        (["nf", "-n", "37407", "s1 s1"], 2, 14962800),  # refused before its first pair
+        (["nf", "-n", "37406", "s1 s1 s1"], 2, 14999806),  # refused at its third run, after a pair
+        (["eq", "-n", "37406", "S1", "s1"], 1, None),  # u^-1 v is s1 s1
+        (["eq", "-n", "37407", "S1", "s1"], 2, 14962800),
+        (["nf", "--cyl", "-n", "37405", "k"], 0, None),  # embedded: s1 s1 on 37,406 strands
+        (["nf", "--cyl", "-n", "37406", "k"], 2, 14962800),
+        (["nf", "-n", "75000", "s1"], 0, None),  # the largest single run: 200 n fits (0.3 s, 28 MB)
+        (["nf", "-n", "75001", "s1"], 2, 0),  # refused before any list of n entries
+        (["nf", "-n", "75001", ""], 2, 0),  # the empty word as well
     ]
     for argv, exit_code, counted in cases:
         start = time.perf_counter()
         code, doc = run_json(capsys, "braid", *argv)
-        assert time.perf_counter() - start < 10, argv
+        assert time.perf_counter() - start < 5, argv  # the slowest accepted pair takes about 5.5 s
         assert code == exit_code, argv
         if counted is not None:
             strands = int(argv[argv.index("-n") + 1]) + ("--cyl" in argv)
@@ -606,7 +610,7 @@ def test_kappa_cable_over_300_strands_commutes(capsys, tmp_path):
 
 
 def test_two_letters_on_twelve_thousand_strands_exit_two_within_seconds(tmp_path):
-    # One pair of the normal form of s1 S1 on 12,002 strands may move n(n-1)/2
+    # The pair of the normal form of s1 S1 on 12,002 strands moves n(n-1)/2 - 1
     # generators; uncapped, the check took 11-30 s before COMMUTES.
     r = balanced_tensor_text(3, 12000)
     f = tmp_path / "wide.diag"
@@ -620,8 +624,25 @@ def test_two_letters_on_twelve_thousand_strands_exit_two_within_seconds(tmp_path
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2 and proc.stderr == ""
     assert json.loads(proc.stdout)["payload"] == {
-        "error": f"SizeCapError: normal form on 12002 strands would pass the work cap of {MAX_NF_WORK} (24004 units counted)"
+        "error": f"SizeCapError: normal form on 12002 strands would pass the work cap of {MAX_NF_WORK} (4800800 units counted)"
     }
+
+
+def test_two_positive_runs_on_six_thousand_strands_decide(capsys, tmp_path):
+    # The double braiding is s1 s1 on 6,002 strands: two runs and a pair that
+    # moves nothing, about 400 n units, so the pair is not charged n(n-1)/2.
+    r = balanced_tensor_text(3, 6000)
+    f = tmp_path / "wide_positive.diag"
+    f.write_text(
+        "flavor = braided\n"
+        f"lhs = vert(tens(sigma(X1, X2), id({r})), tens(sigma(X2, X1), id({r})))\n"
+        f"rhs = tens(vert(sigma(X1, X2), sigma(X2, X1)), id({r}))\n"
+    )
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "coherence", "check", str(f))
+    assert time.perf_counter() - start < 10
+    assert code == 0 and doc["payload"]["status"] == "COMMUTES"
+    assert doc["payload"]["braid_words"]["lhs"] == "s1 s1"
 
 
 def test_diagram_just_past_the_word_cap_exits_two(tmp_path):

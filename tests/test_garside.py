@@ -328,19 +328,30 @@ def test_invalid_forms_raise_under_python_O():
     ]
 
 
-def _work_trace(monkeypatch, w: BraidWord) -> list[tuple[str, int]]:
-    """The uncapped normal form's work, in order: ("run", n) per run, ("pair", n + moves) per pair."""
+def _inversions(p) -> int:
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+def _work_trace(monkeypatch, w: BraidWord) -> list[tuple]:
+    """The uncapped normal form's steps, in order.
+
+    ("run", length) for each run appended, length being the crossings of the
+    factor it stores (Delta P^-1 for a negative run P^-1), and ("pair", length
+    of b, moves) for each pair weighted; lengths are counted from the lists.
+    """
     trace = []
     runs, weight_pair = garside._runs, garside._weight_pair
 
     def traced_runs(n, letters):
         for run in runs(n, letters):
-            trace.append(("run", n))
+            crossings = _inversions(run[1])
+            trace.append(("run", crossings if run[0] == 1 else n * (n - 1) // 2 - crossings))
             yield run
 
     def traced_pair(a, a_inv, b, b_inv):
+        length = _inversions(b)
         moved = weight_pair(a, a_inv, b, b_inv)
-        trace.append(("pair", len(b) + moved))
+        trace.append(("pair", length, moved))
         return moved
 
     with monkeypatch.context() as m:
@@ -351,78 +362,104 @@ def _work_trace(monkeypatch, w: BraidWord) -> list[tuple[str, int]]:
     return trace
 
 
-def _refused_at(trace, n: int, cap: int) -> int | None:
-    """Work counted when the cap stops the trace (a run of n, or a pair of up to n + n(n-1)/2), else None."""
-    work = 0
-    for kind, units in trace:
-        if work + (n if kind == "run" else n + n * (n - 1) // 2) > cap:
-            return work
-        work += units
-    return None
+def _checks(trace, n: int, held: int) -> list[tuple[int, int]]:
+    """(units counted, most units the next step adds) at each check the traced steps pass.
+
+    A run adds n + held n, and its factor gives back held n when it ends its
+    sweep as the identity (its length less the moves of its first pair, the
+    one where it is b, is 0).  A pair adds n + its moves, at most n + b's length.
+    """
+    held *= n
+    checks = [(0, n + held)]  # before any list of n entries is built
+    count, last, first = 0, None, False
+    for step in trace:
+        if step[0] == "run":
+            if last == 0:
+                count -= held
+            checks.append((count, n + held))
+            count += n + held
+            last, first = step[1], True
+        else:
+            checks.append((count, n + step[1]))
+            count += n + step[2]
+            if first:
+                last -= step[2]
+                first = False
+    return checks
 
 
-def test_nf_refuses_before_its_counted_work_passes_the_cap(monkeypatch):
+def _refused_at(checks, cap: int) -> int | None:
+    """Units counted when the cap stops the checks, else None."""
+    return next((count for count, most in checks if count + most > cap), None)
+
+
+@pytest.mark.parametrize("held", [0, 3, garside.HELD_UNITS])
+def test_nf_refuses_before_its_counted_work_passes_the_cap(monkeypatch, held):
     rng = seeded_rng(13)
     for _ in range(60):
         n = rng.randint(2, 7)
-        w = random_braid_word(rng, n, rng.randint(1, 30))
+        w = random_braid_word(rng, n, rng.randint(0, 30))
         expected = garside_nf(w)
-        trace = _work_trace(monkeypatch, w)
-        total = sum(units for _, units in trace)
-        worst = n + n * (n - 1) // 2
-        for cap in sorted({0, n - 1, n, total // 3, total // 2, total - 1, total, total + worst, rng.randint(0, total)}):
-            stop = _refused_at(trace, n, cap)
+        checks = _checks(_work_trace(monkeypatch, w), n, held)
+        need = max(count + most for count, most in checks)  # the least cap that accepts w
+        for cap in sorted({0, n, n + held * n, need // 3, need // 2, need - 1, need, rng.randint(0, need)}):
+            stop = _refused_at(checks, cap)
             with monkeypatch.context() as m:
                 m.setattr(garside, "MAX_NF_WORK", cap)
+                m.setattr(garside, "HELD_UNITS", held)
                 if stop is None:
                     assert garside_nf(w) == expected, (w.to_text(), cap)
                     continue
-                assert stop <= cap
+                assert 0 <= stop <= cap
                 with pytest.raises(SizeCapError) as info:
                     garside_nf(w)
             assert str(info.value) == f"normal form on {n} strands would pass the work cap of {cap} ({stop} units counted)"
-        assert _refused_at(trace, n, total + worst) is None
+        assert _refused_at(checks, need) is None and _refused_at(checks, need - 1) is not None
 
 
 def test_nf_refuses_after_moves_past_the_cap(monkeypatch):
-    # s1 S2 s1 S2 s1 S2 on 40 strands: every pair moves hundreds of generators.
+    # s1 S2 s1 S2 s1 S2 on 40 strands: pairs move hundreds of generators.
     w = BraidWord.from_text(40, "s1 S2 s1 S2 s1 S2")
     trace = _work_trace(monkeypatch, w)
-    moves = sum(units - 40 for kind, units in trace if kind == "pair")
-    assert moves > 1000
-    total = sum(units for _, units in trace)
-    monkeypatch.setattr(garside, "MAX_NF_WORK", total // 2)
-    stop = _refused_at(trace, 40, total // 2)
-    assert 0 < stop <= total // 2 and stop > 40 * 6
+    checks = _checks(trace, 40, garside.HELD_UNITS)
+    cap = max(count + most for count, most in checks) - 1
+    stop = _refused_at(checks, cap)
+    i = next(i for i, (count, most) in enumerate(checks) if count + most > cap)
+    assert sum(step[2] for step in trace[: i - 1] if step[0] == "pair") > 1000  # counted before the stop
+    monkeypatch.setattr(garside, "MAX_NF_WORK", cap)
     with pytest.raises(SizeCapError, match=rf"\({stop} units counted\)$"):
         garside_nf(w)
 
 
 def test_garside_nf_raises_the_size_cap_error():
-    assert MAX_NF_WORK == 15_000_000
-    # Two runs of n, then one pair of up to n + n(n-1)/2: on 5,475 strands that passes the cap.
-    message = "normal form on 5475 strands would pass the work cap of 15000000 (10950 units counted)"
+    assert (MAX_NF_WORK, garside.HELD_UNITS) == (15_000_000, 199)
+    # Two runs of 200 n, then a pair whose b, Delta S2^-1, has n(n-1)/2 - 1 crossings:
+    # with n more for the pair's visit, 5,091 strands fit the cap and 5,092 do not.
+    assert 401 * 5091 + 5091 * 5090 // 2 - 1 <= MAX_NF_WORK < 401 * 5092 + 5092 * 5091 // 2 - 1
+    message = "normal form on 5092 strands would pass the work cap of 15000000 (2036800 units counted)"
     with pytest.raises(SizeCapError) as info:
-        garside_nf(BraidWord.from_text(5475, "s1 S2"))
+        garside_nf(BraidWord.from_text(5092, "s1 S2"))
     assert str(info.value) == message
-    with pytest.raises(SizeCapError, match="5475 strands"):
-        braid_eq(BraidWord.from_text(5475, "s1"), BraidWord.from_text(5475, "s2"))
-    with pytest.raises(SizeCapError, match="5475 strands"):  # the annular embedding adds a strand
-        cyl_braid_eq(CylBraidWord.from_text(5474, "k"), CylBraidWord(5474))
+    with pytest.raises(SizeCapError, match="5092 strands"):  # u^-1 v is s1 S2
+        braid_eq(BraidWord.from_text(5092, "S1"), BraidWord.from_text(5092, "S2"))
+    with pytest.raises(SizeCapError, match="5092 strands"):  # embedded: s2 S3, one more strand
+        cyl_braid_eq(CylBraidWord.from_text(5091, "S1"), CylBraidWord.from_text(5091, "S2"))
+    # S1 s2 has the same strands and letters, but b is s2 (stored conjugated): one crossing.
+    assert braid_eq(BraidWord.from_text(5092, "s1"), BraidWord.from_text(5092, "s2")) is False
 
 
-def test_first_run_past_the_cap_and_the_empty_word_build_no_strand_lists(monkeypatch):
+def test_words_past_the_held_cap_build_no_strand_lists(monkeypatch):
+    # One factor on n strands costs n + 199 n: 75,000 strands fit the cap, 75,001 do not.
     def no_runs(n, letters):
         raise AssertionError(f"a run on {n} strands was built")
 
-    monkeypatch.setattr(garside, "MAX_NF_WORK", 1000)
     monkeypatch.setattr(garside, "_runs", no_runs)
-    with pytest.raises(SizeCapError, match=r"on 1001 strands .* \(0 units counted\)$"):
-        garside_nf(BraidWord.from_text(1001, "s1"))
-    assert garside_nf(BraidWord(1001)) == GarsideNF(1001, 0, ())
+    for text in ("", "s1"):
+        with pytest.raises(SizeCapError, match=r"on 75001 strands .* \(0 units counted\)$"):
+            garside_nf(BraidWord.from_text(75001, text))
     monkeypatch.undo()
-    monkeypatch.setattr(garside, "MAX_NF_WORK", 1000)
-    assert garside_nf(BraidWord.from_text(1000, "s1")).factors == ((1, 0, *range(2, 1000)),)
+    assert garside_nf(BraidWord(75000)) == GarsideNF(75000, 0, ())
+    assert garside_nf(BraidWord.from_text(75000, "s1")).factors == ((1, 0, *range(2, 75000)),)
 
 
 @pytest.mark.parametrize(
