@@ -48,7 +48,7 @@ from .dsl.morphisms import (
     mentions_braiding,
     unexpected,
 )
-from .dsl.objects import SignedSignature, signature, strand_count
+from .dsl.objects import SignedSignature, is_module, signature, strand_count
 from .errors import ArityError, FlavorError, SizeCapError, TypingError
 from .operad import Color, SignedOp
 
@@ -145,10 +145,10 @@ def extract_braid(f: MorExpr) -> BraidWord | CylBraidWord:
 
     A word of more than MAX_WORD_LETTERS letters is refused with SizeCapError.
     """
-    sig = signature(domain(f))
-    n = max(1, len(sig.strands))
+    dom = domain(f)
+    n = max(1, strand_count(dom))
     letters = tuple(fold(f, _letters))
-    if sig.module is not None:
+    if is_module(dom):
         return CylBraidWord(n, letters)
     return BraidWord(n, letters)
 

@@ -16,12 +16,14 @@ expansion).
 Every pass over a tree is a post-order ``fold`` on an explicit stack, so
 the depth of a tree is not limited by the interpreter's recursion limit.
 
-Typing is one fold that builds every domain and codomain through one
-``share`` table (see ``objects``): objects are shared within one call, so
-the two sides of a vertical seam are the same node whenever they are
-equal, and no object is built or sort-checked twice.  ``parse_mor`` types
-through the table it parsed with; ``validate`` on its own starts a table
-of its own.
+Typing is one rule, ``_types``, that builds every domain and codomain
+through one ``share`` table (see ``objects``): objects are shared within
+one call, so the two sides of a vertical seam are the same node whenever
+they are equal, and no object is built or sort-checked twice.  Each node
+keeps its (domain, codomain) in ``_types``.  ``parse_mor`` applies the
+rule to each node as the parser closes it (``typed``), through the table
+it parses with; ``validate`` folds it over a tree built by hand, through
+a table of its own.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, fold, is_module, obj_t
 
 
 class MorExpr:
+    _types = None  # (domain, codomain) once typed
+
     def children(self) -> tuple[MorExpr, ...]:
         return ()
 
@@ -218,12 +222,24 @@ def _types(table: dict, f: MorExpr, kids: list) -> tuple[ObjectExpr, ObjectExpr]
     return share(table, node, dom, dom2), share(table, node, cod, cod2)
 
 
+def typed(f: MorExpr, table: dict, held: list) -> MorExpr:
+    """f, its children typed, with its types cached, unless held has a typing
+    error: then f stays untyped, and the first error f raises is held.  The
+    parser closes nodes in ``validate``'s post-order, so the same error."""
+    if not held:
+        try:
+            object.__setattr__(f, "_types", _types(table, f, [kid._types for kid in f.children()]))
+        except TypingError as exc:
+            held.append(exc)
+    return f
+
+
 def validate(f: MorExpr, table: dict | None = None) -> tuple[ObjectExpr, ObjectExpr]:
     """Type-check f fully; returns (domain, codomain), cached on every node.
 
     Objects are built through table, a table of this call's own if None.
     """
-    types = f.__dict__.get("_types")
+    types = f._types
     if types is not None:
         return types
     return fold(f, partial(_types, {} if table is None else table), "_types")

@@ -16,7 +16,9 @@ the identity of each child, so equal objects read or typed in that call
 are one node and each distinct node runs its sort checks once.  The table
 lives only as long as the call.  Every walk over an object (signature,
 text, equality) runs on an explicit stack, so depth costs no interpreter
-frames.
+frames.  Each node gets its strand count ``n_strands`` as it is built;
+the strand sequences are built only for a signature (built eagerly, a
+deep comb would hold quadratically many strands).
 """
 
 from __future__ import annotations
@@ -25,9 +27,16 @@ from dataclasses import dataclass
 
 from ..errors import TypingError
 
+# Caches are written with object.__setattr__: frozen dataclasses refuse a
+# plain setattr, and reaching for a node's __dict__ would build one.
+_set = object.__setattr__
+
 
 class ObjectExpr:
     """Base class for object trees."""
+
+    n_strands = 0
+    _strand_cache = None
 
     def children(self) -> tuple[ObjectExpr, ...]:
         return ()
@@ -36,6 +45,7 @@ class ObjectExpr:
 @dataclass(frozen=True)
 class ALeaf(ObjectExpr):
     index: int
+    n_strands = 1
 
     def __post_init__(self):
         if self.index < 1:
@@ -72,6 +82,7 @@ class Tensor(ObjectExpr):
     def __post_init__(self):
         if is_module(self.left) or is_module(self.right):
             raise TypingError(f"tensor factors must be A-typed in {obj_text(self)}")
+        _set(self, "n_strands", self.left.n_strands + self.right.n_strands)
 
 
 @dataclass(frozen=True)
@@ -84,6 +95,7 @@ class Phi(ObjectExpr):
     def __post_init__(self):
         if is_module(self.child):
             raise TypingError(f"the involution applies to A-typed objects only in {obj_text(self)}")
+        _set(self, "n_strands", self.child.n_strands)
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,7 @@ class Act(ObjectExpr):
             raise TypingError(f"action expects an M-typed left argument in {obj_text(self)}")
         if is_module(self.algebra):
             raise TypingError(f"action expects an A-typed right argument in {obj_text(self)}")
+        _set(self, "n_strands", self.module.n_strands + self.algebra.n_strands)
 
 
 # Head word of every object node but the labelled generators X<i>, shared by
@@ -113,8 +126,8 @@ def fold(f, rule, slot: str | None = None):
 
     Works on any tree whose nodes list their subtrees in ``children()``:
     objects and morphisms.  With ``slot``, each node keeps its value under
-    that attribute, and later folds with the same slot reuse it without
-    descending.
+    that attribute (None until then), and later folds with the same slot
+    reuse it without descending.
     """
     values: list = []
     stack: list = [f]
@@ -125,8 +138,8 @@ def fold(f, rule, slot: str | None = None):
             cut = len(values) - len(kids)
             value = rule(node, values[cut:])
             del values[cut:]
-        elif slot is not None and slot in node.__dict__:
-            values.append(node.__dict__[slot])
+        elif slot is not None and (cached := getattr(node, slot)) is not None:
+            values.append(cached)
             continue
         else:
             kids = node.children()
@@ -136,22 +149,23 @@ def fold(f, rule, slot: str | None = None):
                 continue
             value = rule(node, kids)
         if slot is not None:
-            node.__dict__[slot] = value  # frozen dataclasses refuse setattr, not their __dict__
+            _set(node, slot, value)
         values.append(value)
     return values[0]
 
 
-def share(table: dict, node: type, *args: ObjectExpr) -> ObjectExpr:
-    """``node(*args)``, or the node that table already holds for it.
+def share(table: dict, node: type, a: ObjectExpr | None = None, b: ObjectExpr | None = None) -> ObjectExpr:
+    """``node`` over the children given, or the node that table already holds for it.
 
-    The key is the node type and the identity of each child, so children
-    must have come out of the same table for equal objects to be one node;
-    the table keeps every node it made, and with it every key, alive.
+    The key is the node type and the identity of each child (one shape for
+    every arity), so children must have come out of the same table for
+    equal objects to be one node; the table keeps every node it made, and
+    with it every key, alive.
     """
-    key = (node, *map(id, args))
+    key = (node, id(a), id(b))
     found = table.get(key)
     if found is None:
-        found = table[key] = node(*args)
+        found = table[key] = node() if a is None else node(a) if b is None else node(a, b)
     return found
 
 
@@ -196,7 +210,7 @@ def _strand_rule(o: ObjectExpr, kids: list) -> tuple[tuple[int, int], ...]:
 
 
 def _strands(o: ObjectExpr) -> tuple[tuple[int, int], ...]:
-    cached = o.__dict__.get("_strand_cache")
+    cached = o._strand_cache
     return cached if cached is not None else fold(o, _strand_rule, "_strand_cache")
 
 
@@ -209,7 +223,7 @@ def signature(o: ObjectExpr) -> SignedSignature:
 
 
 def strand_count(o: ObjectExpr) -> int:
-    return len(_strands(o))
+    return o.n_strands
 
 
 def _text_rule(o: ObjectExpr, kids: list) -> str:

@@ -20,11 +20,13 @@ scanning the text again up to that token.  ``_parse`` reads both sorts in
 one loop over the tokens, from their head-word tables
 (``objects.OBJECT_WORDS``, ``morphisms.KEYWORDS``), and keeps the
 expressions still open on a stack of its own.  Objects are built through
-one ``share`` table per call.  ``parse_mor`` types the tree through the
-same table in a pass of its own once the whole text has parsed, so a
-syntax error is reported before a typing error (only a ``horiz`` has its
-inners typed as it is read).  The ``lhs`` and ``rhs`` of a diagram file
-are parsed in place, so their errors give lines and columns in the file.
+one ``share`` table per call, and each morphism is typed through it as
+it closes (``morphisms.typed``), so the tree comes out typed in one pass.
+The first typing error is held and raised by ``parse_mor`` only once the
+whole text has parsed, so a syntax error is reported first (an ill-sorted
+object, and the inners of a ``horiz``, are still refused as they are
+read).  The ``lhs`` and ``rhs`` of a diagram file are parsed in place, so
+their errors give lines and columns in the file.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from ..errors import ParseError
-from .morphisms import GENERATORS, KEYWORDS, Gen, Id, MorExpr, desugar_horiz, validate
+from .morphisms import GENERATORS, KEYWORDS, Gen, Id, MorExpr, desugar_horiz, typed, validate
 from .objects import OBJECT_WORDS, ObjectExpr, share, share_leaf
 
 _TOKEN = re.compile(r"[(),;]|\w+")  # \w is exactly str.isalnum() or '_'
@@ -82,7 +84,7 @@ def _found(tok: str | None) -> str:
     return "end of input" if tok is None else repr(tok)
 
 
-def _parse(tokens: list, is_mor: bool, table: dict):
+def _parse(tokens: list, is_mor: bool, table: dict, held: list):
     """One object or morphism, the whole token list, which ends in None.
 
     Each open expression is a frame ``(node, arity, of_mor, args)`` on the
@@ -92,7 +94,8 @@ def _parse(tokens: list, is_mor: bool, table: dict):
     (arity None, args its parameters); of_mor is the sort of its arguments.
     The loop reads one head word: a leaf is a value at once, a head with
     arguments opens a frame.  A value goes to the frames it completes,
-    innermost first, until one wants another argument.
+    innermost first, until one wants another argument.  Each morphism is
+    typed as it closes, until held takes a typing error.
     """
     pos = 0
     stack: list[tuple] = []
@@ -122,16 +125,14 @@ def _parse(tokens: list, is_mor: bool, table: dict):
                     raise _Error(f"unknown object {word!r}", pos - 1)
                 value = table[word] = share_leaf(table, int(word[1:]))
         elif word in GENERATORS:
-            if tokens[pos] != "(":
-                value = Gen(word, ())
-            elif tokens[pos + 1] == ")":
+            if tokens[pos] == "(":
+                if tokens[pos + 1] != ")":
+                    pos += 1
+                    stack.append((word, None, False, []))
+                    is_mor = False
+                    continue
                 pos += 2
-                value = Gen(word, ())
-            else:
-                pos += 1
-                stack.append((word, None, False, []))
-                is_mor = False
-                continue
+            value = typed(Gen(word, ()), table, held)
         else:
             raise _Error(f"unknown generator {word!r}", pos - 1)
 
@@ -150,7 +151,7 @@ def _parse(tokens: list, is_mor: bool, table: dict):
                     raise _Error(f"expected ')', found {_found(sep)}", pos)
                 pos += 1
                 stack.pop()
-                value = share(table, node, *args) if node in _OBJECT_NODES else node(*args)
+                value = share(table, node, *args) if node in _OBJECT_NODES else typed(node(*args), table, held)
                 continue
             # A horiz or a generator's parameter list: a separator or ')'.
             if node == "horiz":
@@ -164,10 +165,12 @@ def _parse(tokens: list, is_mor: bool, table: dict):
             pos += 1
             if sep == ")":
                 stack.pop()
-                if node == "horiz":
-                    value = desugar_horiz(args[0], args[1:], table)
-                else:
-                    value = Gen(node, tuple(args))
+                if node != "horiz":
+                    value = typed(Gen(node, tuple(args)), table, held)
+                    continue
+                value = desugar_horiz(args[0], args[1:], table)
+                if not held:
+                    validate(value, table)  # its inners are typed, its new nodes not yet
                 continue
             if not ok:
                 raise _Error(f"expected {wrong}, found {sep!r}", pos - 1)
@@ -179,9 +182,9 @@ def _parse(tokens: list, is_mor: bool, table: dict):
             return value
 
 
-def _run(text: str, is_mor: bool, table: dict | None = None):
-    """``_parse`` over the whole text, objects shared through table (a table
-    of its own if None), with a syntax error raised as a ParseError."""
+def _run(text: str, is_mor: bool, held: list | None = None):
+    """``_parse`` over the whole text, with a syntax error raised as a
+    ParseError; the first typing error, if any, is left in held."""
     # A comment runs to the end of its line, so dropping it moves no other character.
     text = _COMMENT.sub("", text)
     stray = _STRAY.search(text)
@@ -189,7 +192,7 @@ def _run(text: str, is_mor: bool, table: dict | None = None):
         raise ParseError(f"unexpected character {stray[0]!r}", *_position(text, stray.start()))
     tokens = _TOKEN.findall(text)
     try:
-        return _parse([*tokens, None], is_mor, {} if table is None else table)
+        return _parse([*tokens, None], is_mor, {}, [] if held is None else held)
     except _Error as exc:
         message, k = exc.args
         raise ParseError(message, *_where(text, tokens, k)) from None
@@ -200,10 +203,12 @@ def parse_obj(text: str) -> ObjectExpr:
 
 
 def parse_mor(text: str) -> MorExpr:
-    """Parse a morphism, then type-check it through the objects' own table."""
-    table: dict = {}
-    mor = _run(text, True, table)
-    validate(mor, table)
+    """Parse a morphism, typed as it is read; a typing error is raised once
+    the whole text has parsed."""
+    held: list = []
+    mor = _run(text, True, held)
+    if held:
+        raise held[0]
     return mor
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_mor, seeded_rng
+from helpers import balanced_tensor_text, random_a_object, random_m_object, random_mor, seeded_rng
 from orbibraid.dsl import (
     ALeaf,
     Act,
@@ -13,6 +13,7 @@ from orbibraid.dsl import (
     Id,
     Inv,
     MLeaf,
+    MUnit,
     Phi,
     Tensor,
     TensorMor,
@@ -216,7 +217,7 @@ def object_nodes(f) -> list:
     stack, out = [], []
     for g in fold_nodes(f):
         stack.extend(g.params if isinstance(g, Gen) else (g.obj,) if isinstance(g, Id) else ())
-        stack.extend(g.__dict__.get("_types", ()))
+        stack.extend(g._types or ())
     while stack:
         o = stack.pop()
         out.append(o)
@@ -274,3 +275,35 @@ def test_validate_on_an_unshared_tree_gives_the_parsed_types():
         nodes = object_nodes(hand)
         assert len({id(o) for o in nodes}) == len(nodes)
         assert validate(hand) == validate(f)
+
+
+def every_subobject(o) -> list:
+    stack, out = [o], []
+    while stack:
+        o = stack.pop()
+        out.append(o)
+        stack.extend(o.children())
+    return out
+
+
+def test_strand_count_is_the_signature_length_however_the_object_was_built():
+    rng = seeded_rng(13)
+    objects = []
+    for _ in range(30):
+        labels = list(range(1, rng.randint(1, 5) + 1))
+        o = random_m_object(rng, labels) if rng.random() < 0.5 else random_a_object(rng, labels)
+        objects += [parse_obj(obj_text(o)), o]  # shared by the parser, and built by hand
+    # built by hand, unshared: a Phi chain at the parser's depth limit and a
+    # balanced tensor of 1,200 leaves, with module material on top
+    chain = ALeaf(7)
+    for _ in range(985):
+        chain = Phi(chain)
+    level = [ALeaf(i) for i in range(1, 1201)]
+    while len(level) > 1:
+        level = [Tensor(*level[i : i + 2]) if i + 1 < len(level) else level[i] for i in range(0, len(level), 2)]
+    objects += [chain, level[0], Act(Act(MUnit(), chain), level[0]), parse_obj(balanced_tensor_text(1, 1200))]
+    for whole in objects:
+        for o in every_subobject(whole):
+            assert strand_count(o) == len(signature(o).strands)
+    assert strand_count(chain) == 1 and signature(chain).strands == ((7, 1),)
+    assert strand_count(objects[-2]) == 1201

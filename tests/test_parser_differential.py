@@ -1,9 +1,10 @@
 """The one-loop parser against the recursive-descent parser it replaced.
 
 ``seed_parse_mor`` and ``seed_parse_obj`` below are that parser, kept as
-test-only code.  Both parsers read seeded random morphisms, and the same
-texts with one token deleted, inserted or swapped or cut short, to equal
-trees, or fail with the same error: type, message, line and column.  At
+test-only code.  Both parsers read seeded random morphisms, the same
+texts with one token deleted, inserted or swapped or cut short, and the
+same texts changed so that they parse but do not type, to equal trees,
+or fail with the same error: type, message, line and column.  At
 the nesting limit the recursive parser is run on a fresh thread, where
 its refusal point is the one the one-loop parser's ``MAX_DEPTH``
 reproduces.
@@ -20,7 +21,7 @@ import pytest
 from helpers import random_a_object, random_mor, seeded_rng
 from orbibraid.dsl import mor_text, obj_text, parse_mor, parse_obj
 from orbibraid.dsl.morphisms import GENERATORS, KEYWORDS, Gen, Id, desugar_horiz, validate
-from orbibraid.dsl.objects import OBJECT_WORDS, ALeaf
+from orbibraid.dsl.objects import OBJECT_WORDS, ALeaf, same
 from orbibraid.errors import OrbibraidError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -271,3 +272,118 @@ AT_THE_LIMIT = {
 @pytest.mark.parametrize("text", AT_THE_LIMIT.values(), ids=AT_THE_LIMIT)
 def test_nesting_limit_matches_the_recursive_parser_on_a_fresh_thread(text):
     assert outcome(parse_mor, text) == outcome_on_a_new_thread(seed_parse_mor, text)
+
+
+def arg_spans(tokens: list[str], i: int) -> list[tuple[int, int]]:
+    """Token spans [start, end) of the arguments of the head word at
+    tokens[i] (none when no argument list follows it)."""
+    if i + 1 >= len(tokens) or tokens[i + 1] != "(":
+        return []
+    spans, start, depth = [], i + 2, 0
+    for k in range(i + 2, len(tokens)):
+        tok = tokens[k]
+        if tok == "(":
+            depth += 1
+        elif depth and tok == ")":
+            depth -= 1
+        elif not depth and tok in (",", ";", ")"):
+            if k > start:
+                spans.append((start, k))
+            if tok == ")":
+                return spans
+            start = k + 1
+    return spans
+
+
+def ill_typed(rng, text: str) -> tuple[list[str], int] | None:
+    """text with one change that keeps it parsing but, most of the time, not
+    typing: two arguments of a generator or of an object or morphism node
+    swapped, a leaf label changed, a generator replaced by another of its
+    arity, or a generator's parameter wrapped in Phi.  Returns the tokens
+    and the index of the last one changed, or None when text has nothing
+    to change."""
+    tokens = _TOKEN.findall(text)
+    gens = [(i, arg_spans(tokens, i)) for i, tok in enumerate(tokens) if tok in GENERATORS]
+    swaps = [spans for i in range(len(tokens)) for spans in [arg_spans(tokens, i)] if len(spans) >= 2]
+    labels = [i for i, tok in enumerate(tokens) if re.fullmatch(r"X\d+", tok)]
+    renames = [
+        (i, others)
+        for i, spans in gens
+        for others in [[g for g, entry in GENERATORS.items() if len(entry[0]) == len(spans) and g != tokens[i]]]
+        if others
+    ]
+    params = [span for _, spans in gens for span in spans]
+    kinds = [kind for kind, found in enumerate((swaps, labels, renames, params)) if found]
+    if not kinds:
+        return None
+    kind = rng.choice(kinds)
+    if kind == 0:
+        (a, b), (c, d) = sorted(rng.sample(rng.choice(swaps), 2))
+        return tokens[:a] + tokens[c:d] + tokens[b:c] + tokens[a:b] + tokens[d:], d - 1
+    if kind == 1:
+        k = rng.choice(labels)
+        tokens[k] = rng.choice([f"X{j}" for j in range(1, 6) if f"X{j}" != tokens[k]])
+        return tokens, k
+    if kind == 2:
+        k, others = rng.choice(renames)
+        tokens[k] = rng.choice(others)
+        return tokens, k
+    a, b = rng.choice(params)
+    return tokens[:a] + ["Phi", "("] + tokens[a:b] + [")"] + tokens[b:], b + 2
+
+
+def typing_kind(message: str) -> str:
+    """A TypingError message up to the objects it names, without the
+    generator it names or its counts."""
+    head, _, rest = message.partition(" ")
+    if head in GENERATORS:
+        message = rest
+    return re.sub(r"\d+", "N", re.sub(r"(\bparameter | in | at ).*", r"\1", message)).strip()
+
+
+def break_at(rng, tokens: list[str], k: int) -> list[str]:
+    """tokens with token k deleted, swapped with the next one, or preceded by a word of VOCABULARY."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return tokens[:k] + tokens[k + 1 :]
+    if kind == 1 and k + 1 < len(tokens):
+        return tokens[:k] + [tokens[k + 1], tokens[k]] + tokens[k + 2 :]
+    return tokens[:k] + [rng.choice(VOCABULARY)] + tokens[k:]
+
+
+def test_ill_typed_mutants_fail_alike():
+    # Each mutant parses and most do not type; a third also get a one-token
+    # break after the change, and a syntax error must still be reported first.
+    rng = seeded_rng(34)
+    kinds, syntax_first = set(), 0
+    for text in random_texts(rng):
+        for _ in range(8):
+            changed = ill_typed(rng, text)
+            if changed is None:
+                break
+            tokens, last = changed
+            mutant = " ".join(tokens)
+            want = outcome(seed_parse_mor, mutant)
+            assert outcome(parse_mor, mutant) == want, mutant
+            if type(want) is not tuple or want[0] != "TypingError":
+                continue
+            kinds.add(typing_kind(want[1]))
+            if rng.random() < 0.3 and last + 1 < len(tokens):
+                mutant = " ".join(break_at(rng, tokens, rng.randrange(last + 1, len(tokens))))
+                broken = outcome(seed_parse_mor, mutant)
+                assert outcome(parse_mor, mutant) == broken, mutant
+                syntax_first += type(broken) is tuple and broken[0] == "ParseError"
+    assert len(kinds) >= 5, kinds
+    assert syntax_first >= 10, syntax_first
+
+
+def test_every_parsed_node_carries_the_types_validate_gives():
+    rng = seeded_rng(35)
+    for text in random_texts(rng):
+        pairs = [(parse_mor(text), seed_parse_mor(text))]
+        while pairs:
+            f, g = pairs.pop()
+            assert type(f) is type(g)
+            assert f._types is not None, text
+            assert all(map(same, f._types, g._types)), text
+            pairs.extend(zip(f.children(), g.children()))
