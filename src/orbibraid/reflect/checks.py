@@ -8,6 +8,8 @@ cylinder braid group act by genuine matrix products, with the pole
 winding represented by the T-straightened K-action (1 (x) T^-1) K on the
 M (x) V_1 legs.  Each cylinder-braid relation is checked once, on its own
 legs: A (x) I = B (x) I exactly when A = B, and disjoint legs commute.
+Every placement on legs and every conjugation by a flip is an index map
+(``QMatrix.placed``, ``QMatrix.permuted``); only the equations multiply.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import DimensionError, RelationError
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, leg_swap
 from .repdata import RepData
 from ..braid.words import KAPPA, BraidWord, CylBraidWord
 
@@ -38,30 +40,38 @@ def _isqrt_exact(n: int) -> int:
 
 
 def yang_baxter_check(R: QMatrix) -> bool:
-    """Whether R_12 R_13 R_23 = R_23 R_13 R_12 on V (x) V (x) V, exactly."""
+    """Whether R_12 R_13 R_23 = R_23 R_13 R_12 on V (x) V (x) V, exactly.
+
+    R_12 and R_23 are placed on their legs by index, and R_13 is R_12 with
+    legs 2 and 3 swapped by index.
+    """
     if R.rows != R.cols:
         raise DimensionError("R must be square")
     d = _isqrt_exact(R.rows)
     _check_dim(1, d, 3)
-    eye = QMatrix.identity(d)
-    flip23 = eye.kron(QMatrix.flip(d, d))
-    r12 = R.kron(eye)
-    r23 = eye.kron(R)
-    r13 = flip23 * r12 * flip23
+    swap23 = leg_swap(d, d)
+    r12 = R.placed(1, d)
+    r23 = R.placed(d, 1)
+    r13 = r12.permuted(swap23, swap23)
     return r12 * r13 * r23 == r23 * r13 * r12
 
 
+def rhat(R: QMatrix, d: int) -> QMatrix:
+    """The braiding operator flip . R on V (x) V: the rows of R, reindexed."""
+    return R.permuted(leg_swap(1, d))
+
+
 def _legs(data: RepData):
+    """K_1, K_2, R_12, R^phi_12, R^phi_21 and R^phiphi_21 on M (x) V_1 (x) V_2, the 21 legs
+    and K_2 by swapping V_1 and V_2 over M."""
     d, m = data.d, data.m
-    eye_d = QMatrix.identity(d)
-    eye_m = QMatrix.identity(m)
-    p = eye_m.kron(QMatrix.flip(d, d))  # swap V_1 V_2 over M
-    k1 = data.K.kron(eye_d)
-    k2 = p * k1 * p
-    r12 = eye_m.kron(data.R)
-    rphi12 = eye_m.kron(data.Rphi)
-    rphi21 = p * rphi12 * p
-    rphiphi21 = p * eye_m.kron(data.Rphiphi) * p
+    swap = leg_swap(m, d)
+    k1 = data.K.placed(1, d)
+    r12 = data.R.placed(m, 1)
+    rphi12 = data.Rphi.placed(m, 1)
+    k2 = k1.permuted(swap, swap)
+    rphi21 = rphi12.permuted(swap, swap)
+    rphiphi21 = data.Rphiphi.placed(m, 1).permuted(swap, swap)
     return k1, k2, r12, rphi12, rphi21, rphiphi21
 
 
@@ -108,22 +118,24 @@ def cyl_relations(data: RepData, n: int, yang_baxter: bool | None = None) -> tup
     outcome), the kappa relation one identity on M (x) V^(x)2.  The far
     commutations and sigma_i kappa = kappa sigma_i (i >= 2) hold as
     operators on disjoint legs commute.  A failing relation raises a
-    RelationError naming it.  Returns Rhat and (1 (x) T^-1) K.
+    RelationError naming it.  The kappa relation is checked as
+    (sigma_1 kappa)^2 = (kappa sigma_1)^2.  Returns Rhat and (1 (x) T^-1) K.
     """
     if n < 1:
         raise DimensionError("strand count must be positive")
     d, m = data.d, data.m
-    rhat = QMatrix.flip(d, d) * data.R
-    core = QMatrix.identity(m).kron(data.T.inverse()) * data.K
+    braiding = rhat(data.R, d)
+    core = data.T.inverse().placed(m, 1) * data.K
     if n >= 3 and not (yang_baxter_check(data.R) if yang_baxter is None else yang_baxter):
         raise RelationError("sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2")
     if n >= 2:
         _check_dim(m, d, 2)
-        s1 = QMatrix.identity(m).kron(rhat)
-        k = core.kron(QMatrix.identity(d))
-        if s1 * k * s1 * k != k * s1 * k * s1:
+        s1 = braiding.placed(m, 1)
+        k = core.placed(1, d)
+        s1k, ks1 = s1 * k, k * s1
+        if s1k * s1k != ks1 * ks1:
             raise RelationError("sigma_1 kappa sigma_1 kappa = kappa sigma_1 kappa sigma_1")
-    return rhat, core
+    return braiding, core
 
 
 def build_cyl_rep(data: RepData, n: int) -> CylRep:
@@ -136,17 +148,13 @@ def build_cyl_rep(data: RepData, n: int) -> CylRep:
     """
     d, m = data.d, data.m
     _check_dim(m, d, n)
-    rhat, core = cyl_relations(data, n)
-
-    def place(mat: QMatrix, i: int) -> QMatrix:
-        """mat on the legs M (x) V_1 for i = 0, on V_i (x) V_(i+1) otherwise."""
-        left = m * d ** (i - 1) if i else 1
-        return QMatrix.identity(left).kron(mat).kron(QMatrix.identity(d ** (n - i - 1)))
-
-    rhat_inv = rhat.inverse()
-    sigma = tuple(place(rhat, i) for i in range(1, n))
-    sigma_inv = tuple(place(rhat_inv, i) for i in range(1, n))
-    return CylRep(data, n, sigma, place(core, 0), sigma_inv, place(core.inverse(), 0))
+    braiding, core = cyl_relations(data, n)
+    braiding_inv = braiding.inverse()
+    legs = [(m * d ** (i - 1), d ** (n - i - 1)) for i in range(1, n)]  # V_i (x) V_(i+1)
+    sigma = tuple(braiding.placed(left, right) for left, right in legs)
+    sigma_inv = tuple(braiding_inv.placed(left, right) for left, right in legs)
+    rest = d ** (n - 1)
+    return CylRep(data, n, sigma, core.placed(1, rest), sigma_inv, core.inverse().placed(1, rest))
 
 
 def eval_braid(rep: CylRep, w: CylBraidWord | BraidWord) -> QMatrix:

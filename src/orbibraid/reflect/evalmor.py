@@ -41,6 +41,7 @@ from ..dsl.objects import (
     signature,
 )
 from ..errors import TypingError, UnsupportedGeneratorError
+from .checks import rhat
 from .qmatrix import QMatrix
 from .repdata import RepData
 
@@ -121,14 +122,14 @@ class _Evaluator:
         if name == "sigma":
             x, y = f.params
             twist = self._twist(x).kron(self._twist(y))
-            return QMatrix.flip(self.data.d, self.data.d) * twist * self.data.R * twist.inverse()
+            return rhat(twist * self.data.R * twist.inverse(), self.data.d)
         if name == "kappa":
             m, x = f.params
             if isinstance(m, MUnit):
                 raise UnsupportedGeneratorError("the module pointing has no K-matrix")
             if not isinstance(m, MLeaf):
                 raise TypingError("normalisation should have peeled the module argument")
-            twist = QMatrix.identity(self.data.m).kron(self._twist(x))
+            twist = self._twist(x).placed(self.data.m, 1)
             return twist * self.data.K * twist.inverse()
         if name == "phi2":
             x, y = f.params

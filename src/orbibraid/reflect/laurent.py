@@ -140,10 +140,6 @@ class LaurentScalar:
             den = tuple(-x for x in den)
         return LaurentScalar(num_low - den_low, num, 0, den)
 
-    @staticmethod
-    def q_power(e: int, coeff: int = 1) -> LaurentScalar:
-        return LaurentScalar.make(e, (coeff,))
-
     @property
     def is_zero(self) -> bool:
         return not self.num
@@ -153,6 +149,25 @@ class LaurentScalar:
             return other
         if other.is_zero:
             return self
+        if self.den == other.den == (1,):
+            # Polynomials: add the aligned runs; with the zeros at both ends stripped the sum is canonical.
+            low, a, b = self.num_low, self.num, other.num
+            shift = other.num_low - low
+            if shift < 0:
+                low, a, b, shift = other.num_low, b, a, -shift
+            out = list(a)
+            out.extend([0] * (shift + len(b) - len(out)))
+            for i, y in enumerate(b, shift):
+                out[i] += y
+            hi = len(out)
+            while hi and not out[hi - 1]:
+                hi -= 1
+            if not hi:
+                return ZERO
+            lo = 0
+            while not out[lo]:
+                lo += 1
+            return LaurentScalar(low + lo, tuple(out[lo:hi]), 0, (1,))
         low = min(self.num_low, other.num_low)
         a = (0,) * (self.num_low - low) + self.num
         b = (0,) * (other.num_low - low) + other.num
@@ -233,7 +248,7 @@ def parse_scalar(text: str) -> LaurentScalar:
     if not s:
         raise ValueError("empty scalar")
     chunks = [c for c in re.split(r"(?<!\^)(?=[+-])", s) if c]
-    out = ZERO
+    terms: dict[int, int] = {}
     for chunk in chunks:
         m = _TERM.match(chunk)
         if not m or (m.group("coeff") is None and m.group("q") is None):
@@ -244,5 +259,9 @@ def parse_scalar(text: str) -> LaurentScalar:
         exp = 0
         if m.group("q"):
             exp = int(m.group("exp")) if m.group("exp") is not None else 1
-        out = out + LaurentScalar.q_power(exp, coeff)
-    return out
+        terms[exp] = terms.get(exp, 0) + coeff
+    low = min(terms)
+    coeffs = [0] * (max(terms) - low + 1)
+    for exp, coeff in terms.items():
+        coeffs[exp - low] = coeff
+    return LaurentScalar.make(low, coeffs)

@@ -1,10 +1,12 @@
 """Matrices over the rational-function field Q(q), exact throughout.
 
 Storage is dense: ``entries`` is a tuple of row tuples.  Products and
-eliminations skip zero entries, so the many zeros of flips and of
-Kronecker products with identities cost no scalar arithmetic: a product
-walks the nonzero entries of each row and multiplies each one into the
-nonzero entries of the matching row of the right factor.
+eliminations skip zero entries: a product walks the nonzero entries of
+each row and multiplies each one into the nonzero entries of the matching
+row of the right factor.  Structural matrices cost no scalar arithmetic
+at all: ``placed`` writes I (x) A (x) I by index, and ``permuted``
+conjugates by a permutation of tensor legs (Van Loan, "The ubiquitous
+Kronecker product", 2000) by reindexing entries.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ from ..errors import DimensionError, SingularMatrixError
 from .laurent import ONE, ZERO, LaurentScalar, parse_scalar
 
 Row = tuple[LaurentScalar, ...]
+
+
+def leg_swap(left: int, d: int) -> tuple[int, ...]:
+    """Index map of I_left (x) flip(d, d): (x, b, c) -> (x, c, b).  It is its own inverse."""
+    dd = d * d
+    return tuple(x * dd + c * d + b for x in range(left) for b in range(d) for c in range(d))
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,34 @@ class QMatrix:
             out.append(tuple(row))
         return QMatrix(self.rows, other.cols, tuple(out))
 
+    def placed(self, left: int, right: int) -> QMatrix:
+        """I_left (x) A (x) I_right of a square A, by index: entry a_ij lands at row
+        (l n + i) right + r, column (l n + j) right + r for every l < left and r < right,
+        and every other entry is ZERO."""
+        if self.rows != self.cols:
+            raise DimensionError("only a square matrix is placed on tensor legs")
+        n = self.rows
+        dim = left * n * right
+        support = [[(j * right, a) for j, a in enumerate(row) if not a.is_zero] for row in self.entries]
+        zeros = [ZERO] * dim
+        out = []
+        for base in range(0, dim, n * right):
+            for terms in support:
+                for r in range(base, base + right):
+                    row = zeros.copy()
+                    for col, a in terms:
+                        row[col + r] = a
+                    out.append(tuple(row))
+        return QMatrix(dim, dim, tuple(out))
+
+    def permuted(self, rows, cols=None) -> QMatrix:
+        """The entries A[rows[i]][cols[j]], reindexed with no arithmetic.  For the permutation
+        matrix P with P[i][pi(i)] = 1, rows = cols = pi gives P A P^-1, and cols None gives P A."""
+        e = self.entries
+        if cols is None:
+            return QMatrix(len(rows), self.cols, tuple(e[i] for i in rows))
+        return QMatrix(len(rows), len(cols), tuple(tuple([e[i][j] for j in cols]) for i in rows))
+
     def __add__(self, other: QMatrix) -> QMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("shape mismatch in matrix sum")
@@ -90,7 +126,10 @@ class QMatrix:
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        return self == QMatrix.identity(self.rows)
+        for i, row in enumerate(self.entries):
+            if row[i] != ONE or any(not x.is_zero for j, x in enumerate(row) if j != i):
+                return False
+        return True
 
     def det(self) -> LaurentScalar:
         if self.rows != self.cols:

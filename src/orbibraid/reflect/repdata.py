@@ -55,8 +55,7 @@ class RepData:
         # Derived twists are R or a conjugate of it, so det R covers them.
         explicit = [(name, mat) for name, mat in (("Rphi", Rphi), ("Rphiphi", Rphiphi)) if mat is not None]
         if Rphi is None:
-            t1 = T.kron(QMatrix.identity(d))
-            Rphi = R if T.is_identity else t1 * R * t1.inverse()
+            Rphi = R if T.is_identity else T.placed(1, d) * R * T.inverse().placed(1, d)
         if Rphiphi is None:
             Rphiphi = R
         for name, mat in (("R", R), ("K", K), ("T", T), *explicit):

@@ -64,9 +64,20 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "q +", "x", "q^^2", "1..2"):
-        with pytest.raises(ValueError):
+    messages = {
+        "": "empty scalar",
+        " ": "empty scalar",
+        "q +": "cannot parse scalar term '+' in 'q +'",
+        "x": "cannot parse scalar term 'x' in 'x'",
+        "q^^2": "cannot parse scalar term 'q^^2' in 'q^^2'",
+        "1..2": "cannot parse scalar term '1..2' in '1..2'",
+        "2*q + 3y": "cannot parse scalar term '+3y' in '2*q + 3y'",
+        "q^-": "cannot parse scalar term 'q^-' in 'q^-'",
+    }
+    for bad, message in messages.items():
+        with pytest.raises(ValueError) as exc:
             parse_scalar(bad)
+        assert str(exc.value) == message
 
 
 def test_field_axioms_random():
@@ -214,3 +225,70 @@ def test_polynomial_products_and_sums_match_sympy():
         assert a * b == scalar_of(ea * eb), (a, b)
         assert a + b == scalar_of(ea + eb), (a, b)
         assert a - b == scalar_of(ea - eb), (a, b)
+
+
+def fields(s: LaurentScalar) -> tuple:
+    return s.num_low, s.num, s.den_low, s.den
+
+
+def test_polynomial_sum_equals_make_of_the_same_sum():
+    """The direct sum of two polynomials is field for field what make builds from the padded sum."""
+
+    def by_make(a: LaurentScalar, b: LaurentScalar) -> LaurentScalar:
+        low = min(a.num_low, b.num_low)
+        width = max(a.num_low + len(a.num), b.num_low + len(b.num)) - low
+        coeffs = [0] * width
+        for s in (a, b):
+            for i, c in enumerate(s.num, s.num_low - low):
+                coeffs[i] += c
+        return LaurentScalar.make(low, coeffs)
+
+    def poly(low, coeffs):
+        s = LaurentScalar.make(low, coeffs)
+        assert s.den == (1,)
+        return s
+
+    rng = seeded_rng(44)
+    pairs = [
+        (poly(-1, (1, 2, 1)), poly(-1, (-1, 2, -1))),  # both end coefficients cancel: 4
+        (poly(-1, (1, 2, 1)), poly(-1, (-1, -2, -1))),  # full cancellation
+        (poly(0, (3, 0, 5)), poly(2, (-5,))),  # top end cancels past an inner zero
+        (poly(-2, (7,)), poly(-2, (-7, 0, 1))),  # bottom end cancels past an inner zero
+        (poly(5, (1,)), poly(-5, (1,))),  # far apart
+        (poly(0, (2, 4)), poly(0, (4, 2))),  # integer content stays: 6 + 6q
+    ]
+    for _ in range(300):
+        a = poly(rng.randint(-4, 4), [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))] + [rng.choice((-2, -1, 1, 2))])
+        if a.is_zero:
+            continue
+        # b shares a's ends with a random sign, so that one end, both or everything may cancel.
+        b_coeffs = [-c if rng.random() < 0.5 else rng.randint(-3, 3) for c in a.num]
+        b = poly(a.num_low + rng.choice((0, 0, -1, 1)), b_coeffs)
+        if not b.is_zero:
+            pairs.append((a, b))
+    assert any((a + b).is_zero for a, b in pairs)
+    for a, b in pairs:
+        want = by_make(a, b)
+        assert fields(a + b) == fields(want), (a, b)
+        assert fields(b + a) == fields(want), (a, b)
+        assert fields(a - b) == fields(by_make(a, -b)), (a, b)
+    assert (pairs[1][0] + pairs[1][1]) is ZERO
+    assert fields(pairs[0][0] + pairs[0][1]) == (0, (4,), 0, (1,))
+
+
+def test_parse_scalar_sums_terms_once():
+    """Repeated exponents are summed before one make; the result is the termwise sum."""
+    cases = {
+        "q + q - 2*q": [(1, 1), (1, 1), (1, -2)],
+        "q^2 + 1 - q^2": [(2, 1), (0, 1), (2, -1)],
+        "3 - q^-1 + q^-1 + 2*q^3 - 3": [(0, 3), (-1, -1), (-1, 1), (3, 2), (0, -3)],
+        "-0*q + 5": [(1, 0), (0, 5)],
+        "2*q^2 + q^2 - q^-2": [(2, 2), (2, 1), (-2, -1)],
+        "6*q - 4 + 2q^-1": [(1, 6), (0, -4), (-1, 2)],
+    }
+    for text, terms in cases.items():
+        want = ZERO
+        for exp, coeff in terms:
+            want = want + LaurentScalar.make(exp, (coeff,))
+        assert fields(parse_scalar(text)) == fields(want), text
+    assert fields(parse_scalar("6*q - 4 + 2q^-1")) == (-1, (2, -4, 6), 0, (1,))

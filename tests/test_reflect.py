@@ -1,9 +1,12 @@
 import pytest
 
+from conftest import data_path
 from helpers import random_cyl_word, seeded_rng
 from orbibraid.braid import BraidWord, CylBraidWord, cyl_braid_eq
+from orbibraid.cli import main
 from orbibraid.errors import DimensionError, RelationError, SingularMatrixError
 from orbibraid.reflect import (
+    LaurentScalar,
     QMatrix,
     RepData,
     ZERO,
@@ -188,13 +191,9 @@ def test_cylinder_inverses_match_direct_inversion(sl2_data, twisted, n):
 # Full-size relation oracle: every defining relation at dimension m d^n.
 
 
-def full_size_violation(data: RepData, n: int) -> str | None:
-    """The first relation the padded m d^n-dimensional generators violate, or None.
-
-    Checks every braid relation, far commutation, the kappa relation and
-    every sigma_i kappa commutation at full size, in that order: the checks
-    build_cyl_rep made before it checked each relation once on its own legs.
-    """
+def kron_generators(data: RepData, n: int):
+    """sigma_1..sigma_(n-1), kappa and their inverses, built with the flip matrix and padded
+    by kron with identities; each inverse is placed from one small inverse."""
     d, m = data.d, data.m
     rhat = QMatrix.flip(d, d) * data.R
     core = QMatrix.identity(m).kron(data.T.inverse()) * data.K
@@ -203,8 +202,19 @@ def full_size_violation(data: RepData, n: int) -> str | None:
         left = m * d ** (i - 1) if i else 1
         return QMatrix.identity(left).kron(mat).kron(QMatrix.identity(d ** (n - i - 1)))
 
+    rhat_inv = rhat.inverse()
     sigma = [place(rhat, i) for i in range(1, n)]
-    kappa = place(core, 0)
+    return sigma, place(core, 0), [place(rhat_inv, i) for i in range(1, n)], place(core.inverse(), 0)
+
+
+def full_size_violation(data: RepData, n: int) -> str | None:
+    """The first relation the padded m d^n-dimensional generators violate, or None.
+
+    Checks every braid relation, far commutation, the kappa relation and
+    every sigma_i kappa commutation at full size, in that order: the checks
+    build_cyl_rep made before it checked each relation once on its own legs.
+    """
+    sigma, kappa, _, _ = kron_generators(data, n)
     for i in range(1, n - 1):
         if sigma[i - 1] * sigma[i] * sigma[i - 1] != sigma[i] * sigma[i - 1] * sigma[i]:
             return f"sigma_{i} sigma_{i + 1} sigma_{i} = sigma_{i + 1} sigma_{i} sigma_{i + 1}"
@@ -254,3 +264,36 @@ def test_local_relation_checks_agree_with_full_size_oracle(sl2_data, n):
         assert "kappa" in outcomes["unipotent.json"] and "kappa" in outcomes["twisted_identity.json"]
     if n >= 3:
         assert outcomes["non-yb-identity-K"] == "sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("twisted", [False, True], ids=["sl2", "twisted-flip"])
+def test_placed_generators_equal_kron_built_ones(sl2_data, twisted, n):
+    data = make_data(TWISTED_FLIP_K, T_rows=[["1", "0"], ["0", "-1"]]) if twisted else sl2_data
+    rep = build_cyl_rep(data, n)
+    sigma, kappa, sigma_inv, kappa_inv = kron_generators(data, n)
+    assert list(rep.sigma) == sigma and list(rep.sigma_inv) == sigma_inv
+    assert rep.kappa == kappa and rep.kappa_inv == kappa_inv
+
+
+def test_rep_verify_work_counts(capsys, monkeypatch):
+    """Exact products of one `rep verify` of the bundled sl2 data.  Every leg is placed and
+    every flip applied by index, so no kron runs; building a leg by kron or a flip product
+    changes these counts, and a deliberate change records the new ones."""
+    counts = {"QMatrix.__mul__": 0, "QMatrix.kron": 0, "LaurentScalar.__mul__": 0}
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args):
+            counts[f"{cls.__name__}.{name}"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(QMatrix, "__mul__")
+    counted(QMatrix, "kron")
+    counted(LaurentScalar, "__mul__")
+    assert main(["rep", "verify", str(data_path("sl2.rep.json"))]) == 0
+    capsys.readouterr()
+    assert counts == {"QMatrix.__mul__": 15, "QMatrix.kron": 0, "LaurentScalar.__mul__": 169}
