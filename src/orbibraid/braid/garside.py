@@ -1,4 +1,4 @@
-"""Left-greedy Garside normal form for B_n and the word problem it decides.
+"""Left-greedy Garside normal form for B_n and B^cyl_n, and the word problem it decides.
 
 A braid is written Delta^p x_1 ... x_l where Delta is the positive half
 twist and every x_j is a permutation braid (a positive braid in which each
@@ -7,7 +7,8 @@ permutations of {0, ..., n-1} in one-line notation mapping start position
 to end position.  The factorisation is *left-weighted*: each factor
 absorbs every generator that could migrate from the factor to its right,
 which makes the form canonical, so two words represent the same group
-element exactly when their normal forms are identical tuples.
+element exactly when their normal forms are identical tuples.  A cylinder
+word's form is that of its annular embedding in B_{n+1}.
 
 The form is built by right multiplication, one permutation braid at a
 time.  The word is cut into runs: maximal stretches of letters of one sign
@@ -132,10 +133,6 @@ class GarsideNF:
             if not starting_set(self.factors[k]) <= finishing_set(self.factors[k - 1]):
                 raise ValueError(f"factor {k} is not left-weighted against factor {k - 1}")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.power == 0 and not self.factors
-
     def to_word(self) -> BraidWord:
         """Rebuild a braid word (Delta^power, then the factors)."""
         delta = perm_to_letters(omega_perm(self.n))
@@ -179,14 +176,16 @@ def _refusal(n: int, count: int) -> SizeCapError:
     return SizeCapError(f"normal form on {n} strands would pass the work cap of {MAX_NF_WORK} ({count} units counted)")
 
 
-def garside_nf(w: BraidWord) -> GarsideNF:
-    """Left-greedy normal form; nf(u) == nf(v) iff u = v in B_n.
+def garside_nf(w: BraidWord | CylBraidWord) -> GarsideNF:
+    """Left-greedy normal form; nf(u) == nf(v) iff u = v in B_n, or in B^cyl_n through embed_cyl.
 
     Counts n a run appended, n a pair visited and one a generator moved (100-370 ns a unit), and
     HELD_UNITS a strand for each factor while it is held, which bounds the lists held and the form
     built and printed from them.  Raises SizeCapError before a run (n + HELD_UNITS n) or a pair
     (n + its right factor's length, which bounds its moves) could take the count past MAX_NF_WORK.
     """
+    if isinstance(w, CylBraidWord):
+        w = embed_cyl(w)
     n = w.n
     held = HELD_UNITS * n  # units a factor costs while it is held
     run_limit = MAX_NF_WORK - n - held  # most units counted before a run is appended
@@ -244,15 +243,13 @@ def garside_nf(w: BraidWord) -> GarsideNF:
     return GarsideNF(n, power + lead, tuple([tuple(f) for f in tail]))
 
 
-def braid_eq(u: BraidWord, v: BraidWord) -> bool:
-    """Decide u = v in B_n via triviality of nf(u^-1 v), within garside_nf's work cap."""
-    if u.n != v.n:
-        raise ArityError(f"words live on {u.n} and {v.n} strands")
-    return garside_nf(u.inverse() * v).is_trivial
+def braid_eq(u: BraidWord | CylBraidWord, v: BraidWord | CylBraidWord) -> bool:
+    """Decide u = v by comparing normal forms, each within garside_nf's work cap on its own."""
+    if type(u) is not type(v) or u.n != v.n:
+        raise ArityError(f"cannot compare a {type(u).__name__} on {u.n} strands with a {type(v).__name__} on {v.n}")
+    return garside_nf(u) == garside_nf(v)
 
 
 def cyl_braid_eq(u: CylBraidWord, v: CylBraidWord) -> bool:
-    """Decide u = v in B^cyl_n through the annular embedding into B_{n+1}, within the same cap."""
-    if u.n != v.n:
-        raise ArityError(f"words live on {u.n} and {v.n} strands")
-    return braid_eq(embed_cyl(u), embed_cyl(v))
+    """Decide u = v in B^cyl_n: braid_eq, whose forms go through the annular embedding into B_{n+1}."""
+    return braid_eq(u, v)

@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .braid import BraidWord, CylBraidWord, braid_eq, cyl_braid_eq, embed_cyl, garside_nf
+from .braid import BraidWord, CylBraidWord, braid_eq, garside_nf
 from .coherence import COMMUTES, check
 from .dsl import parse_diagram
 from .errors import OrbibraidError, RelationError
@@ -79,14 +79,11 @@ def _nf_payload(nf) -> dict:
 def _cmd_braid(args) -> tuple[str, dict]:
     words = [_parse_word(text, args.strands, args.cyl) for text in args.words]
     if args.braid_cmd == "nf":
-        w = words[0]
-        nf = garside_nf(embed_cyl(w) if args.cyl else w)
-        payload = _nf_payload(nf)
+        payload = _nf_payload(garside_nf(words[0]))
         if args.cyl:
             payload["of_annular_embedding"] = True
         return "ok", payload
-    u, v = words
-    equal = cyl_braid_eq(u, v) if args.cyl else braid_eq(u, v)
+    equal = braid_eq(*words)
     return ("ok" if equal else "fail"), {"equal": equal}
 
 
@@ -204,7 +201,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         status, payload = _DISPATCH[args.cmd](args)
-    except (OrbibraidError, OSError, ValueError, json.JSONDecodeError, ZeroDivisionError) as exc:
+    except (OrbibraidError, OSError, ValueError) as exc:
         status, payload = "error", {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = (time.perf_counter() - start) * 1000.0
     report = Report(echo, status, payload, elapsed)

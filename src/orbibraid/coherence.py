@@ -30,7 +30,6 @@ from .braid.words import (
     CylBraidWord,
     Letter,
     all_pole_windings,
-    embed_cyl,
     word_positions,
 )
 from .dsl.morphisms import (
@@ -205,15 +204,14 @@ def check(lhs: MorExpr, rhs: MorExpr, flavor: str) -> Verdict:
 
     wl = extract_braid(lhs)
     wr = extract_braid(rhs)
-    cylinder = isinstance(wl, CylBraidWord)
-    nf_l = garside_nf(embed_cyl(wl) if cylinder else wl)
-    nf_r = garside_nf(embed_cyl(wr) if cylinder else wr)
+    nf_l = garside_nf(wl)
+    nf_r = garside_nf(wr)
     if flavor == "braided":
         # Garside normal forms are canonical, so they decide equality.
         return Verdict(COMMUTES if nf_l == nf_r else NOT_COMMUTES, wl, wr, nf_l, nf_r)
     # symmetric: signed symmetric group invariant
     equal = word_positions(wl) == word_positions(wr)
-    if cylinder:
+    if isinstance(wl, CylBraidWord):
         par_l = tuple(x % 2 for x in all_pole_windings(wl))
         par_r = tuple(x % 2 for x in all_pole_windings(wr))
         equal = equal and par_l == par_r

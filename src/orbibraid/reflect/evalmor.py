@@ -50,6 +50,7 @@ class _Evaluator:
     def __init__(self, data: RepData):
         self.data = data
         self._theta_leaf: QMatrix | None = None
+        self._t_inverse: QMatrix | None = None  # T^-1, inverted once per evaluation
 
     # -- objects -----------------------------------------------------------
     def dim(self, o: ObjectExpr) -> int:
@@ -59,12 +60,16 @@ class _Evaluator:
         return (self.data.m if sig.module else 1) * self.data.d ** len(sig.strands)
 
     # -- elementary matrices -------------------------------------------------
-    def _twist(self, o: ObjectExpr) -> QMatrix:
-        """T^e on the one strand of o, in state e."""
+    def _twist(self, o: ObjectExpr) -> tuple[QMatrix, QMatrix] | None:
+        """T^e and T^-e on the one strand of o, in state e; None where T^e is the identity."""
         strands = signature(o).strands
         if len(strands) != 1:
             raise TypingError(f"expected a single-strand object, got {obj_text(o)}")
-        return self.data.T if strands[0][1] % 2 else QMatrix.identity(self.data.d)
+        if strands[0][1] % 2 == 0 or self.data.T.is_identity:
+            return None
+        if self._t_inverse is None:
+            self._t_inverse = self.data.T.inverse()
+        return self.data.T, self._t_inverse
 
     def theta(self, o: ObjectExpr) -> QMatrix:
         """Balancing component at an A-typed object, by the ribbon rule."""
@@ -105,7 +110,7 @@ class _Evaluator:
         if isinstance(f, Gen):
             return self._eval_gen(f)
         if isinstance(f, Inv):
-            return kids[0].inverse()
+            return kids[0] if kids[0].is_identity else kids[0].inverse()
         if isinstance(f, Vert):
             return kids[0] * kids[1]
         if isinstance(f, (TensorMor, ActMor)):
@@ -121,16 +126,22 @@ class _Evaluator:
             return QMatrix.identity(self.dim(domain(f)))
         if name == "sigma":
             x, y = f.params
-            twist = self._twist(x).kron(self._twist(y))
-            return rhat(twist * self.data.R * twist.inverse(), self.data.d)
+            R, tx, ty = self.data.R, self._twist(x), self._twist(y)
+            if tx or ty:
+                eye = QMatrix.identity(self.data.d)
+                (a, a_inv), (b, b_inv) = tx or (eye, eye), ty or (eye, eye)
+                R = a.kron(b) * R * a_inv.kron(b_inv)
+            return rhat(R, self.data.d)
         if name == "kappa":
             m, x = f.params
             if isinstance(m, MUnit):
                 raise UnsupportedGeneratorError("the module pointing has no K-matrix")
             if not isinstance(m, MLeaf):
                 raise TypingError("normalisation should have peeled the module argument")
-            twist = self._twist(x).placed(self.data.m, 1)
-            return twist * self.data.K * twist.inverse()
+            twist = self._twist(x)
+            if twist is None:
+                return self.data.K
+            return twist[0].placed(self.data.m, 1) * self.data.K * twist[1].placed(self.data.m, 1)
         if name == "phi2":
             x, y = f.params
             return self.eval(Gen("sigma", (Phi(x), Phi(y))))

@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..errors import SizeCapError
+
 Coeffs = tuple[int, ...]
 
 
@@ -239,11 +241,15 @@ class LaurentScalar:
 ZERO = LaurentScalar(0, (), 0, (1,))
 ONE = LaurentScalar(0, (1,), 0, (1,))
 
+MAX_SCALAR_SPAN = 1_000  # widest exponent range a parsed scalar may write: its coefficient run is dense
 _TERM = re.compile(r"^(?P<sign>[+-])?(?:(?P<coeff>\d+)\*?)?(?P<q>q(?:\^(?P<exp>-?\d+))?)?$")
 
 
 def parse_scalar(text: str) -> LaurentScalar:
-    """Parse the tiny scalar grammar: integer terms in q^e joined by + and -."""
+    """Parse the tiny scalar grammar: integer terms in q^e joined by + and -.
+
+    Exponents spanning more than MAX_SCALAR_SPAN raise SizeCapError before any run is built.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar")
@@ -260,8 +266,10 @@ def parse_scalar(text: str) -> LaurentScalar:
         if m.group("q"):
             exp = int(m.group("exp")) if m.group("exp") is not None else 1
         terms[exp] = terms.get(exp, 0) + coeff
-    low = min(terms)
-    coeffs = [0] * (max(terms) - low + 1)
+    low, high = min(terms), max(terms)
+    if high - low > MAX_SCALAR_SPAN:
+        raise SizeCapError(f"scalar exponents span {low}..{high}, past the cap of {MAX_SCALAR_SPAN}")
+    coeffs = [0] * (high - low + 1)
     for exp, coeff in terms.items():
         coeffs[exp - low] = coeff
     return LaurentScalar.make(low, coeffs)

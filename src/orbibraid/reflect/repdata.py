@@ -16,10 +16,30 @@ matrices as nested arrays of strings in the scalar grammar, e.g.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from ..errors import DimensionError, ParseError, SingularMatrixError
 from .qmatrix import QMatrix
+
+MAX_JSON_DEPTH = 32  # the format nests 3 deep; json.loads recurses once per level
+# A string literal, skipped whole (to the end of the text if unterminated, so the scan stays linear), or a bracket.
+_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]')
+
+
+def _check_depth(text: str) -> None:
+    """Refuse text whose arrays and objects nest past MAX_JSON_DEPTH, before json.loads recurses into it."""
+    depth = 0
+    for m in _BRACKETS.finditer(text):
+        c = m.group()
+        if c in "[{":
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                at = m.start()
+                line = text.count("\n", 0, at) + 1
+                raise ParseError(f"representation data nests deeper than {MAX_JSON_DEPTH} levels", line, at - text.rfind("\n", 0, at))
+        elif c in "]}":
+            depth -= 1
 
 
 @dataclass(frozen=True)
@@ -102,4 +122,6 @@ class RepData:
     @staticmethod
     def load(path) -> RepData:
         with open(path, "r", encoding="utf-8") as fh:
-            return RepData.from_json_dict(json.load(fh))
+            text = fh.read()
+        _check_depth(text)
+        return RepData.from_json_dict(json.loads(text))

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from orbibraid.braid import BraidWord, CylBraidWord
+from orbibraid.braid import KAPPA, BraidWord, CylBraidWord
 from orbibraid.dsl import (
     ActMor,
     ALeaf,
@@ -55,25 +55,30 @@ def random_cyl_word(rng: random.Random, n: int, length: int) -> CylBraidWord:
     return CylBraidWord(n, tuple(letters))
 
 
-def relation_rewrite(rng: random.Random, w: BraidWord, steps: int) -> BraidWord:
-    """A word equal to w in B_n: each step changes it at one random place.
+def relation_rewrite(rng: random.Random, w: BraidWord | CylBraidWord, steps: int) -> BraidWord | CylBraidWord:
+    """A word equal to w in B_n, or in B^cyl_n for a cylinder word: each step changes it at one random place.
 
-    The step applies s_i s_j s_i -> s_j s_i s_j (|i - j| = 1, equal signs) if
-    such a triple starts there, else s_i s_j -> s_j s_i (|i - j| > 1) if such
-    a pair does, else it inserts a cancelling pair.
+    The step applies k s1 k s1 <-> s1 k s1 k (equal signs) if
+    such a quadruple starts there, else s_i s_j s_i -> s_j s_i s_j
+    (|i - j| = 1, neither a k, equal signs) if such a triple does, else
+    s_i s_j -> s_j s_i (|i - j| > 1, k counting as index 0) if such a pair
+    does, else it inserts a cancelling pair.
     """
+    low = KAPPA if isinstance(w, CylBraidWord) else 1
     letters = list(w.letters)
     for _ in range(steps):
         p = rng.randrange(len(letters) + 1)
-        x = letters[p : p + 3]
-        if len(x) == 3 and x[0] == x[2] and x[0][1] == x[1][1] and abs(x[0][0] - x[1][0]) == 1:
+        x = letters[p : p + 4]
+        if len(x) == 4 and x[:2] == x[2:] and {x[0][0], x[1][0]} == {KAPPA, 1} and x[0][1] == x[1][1]:
+            letters[p : p + 4] = [x[1], x[0], x[1], x[0]]
+        elif len(x) >= 3 and x[0] == x[2] and x[0][1] == x[1][1] and abs(x[0][0] - x[1][0]) == 1 and KAPPA not in (x[0][0], x[1][0]):
             letters[p : p + 3] = [x[1], x[0], x[1]]
         elif len(x) >= 2 and abs(x[0][0] - x[1][0]) > 1:
             letters[p : p + 2] = [x[1], x[0]]
         else:
-            i, e = rng.randint(1, w.n - 1), rng.choice((1, -1))
+            i, e = rng.randint(low, w.n - 1), rng.choice((1, -1))
             letters[p:p] = [(i, e), (i, -e)]
-    return BraidWord(w.n, tuple(letters))
+    return type(w)(w.n, tuple(letters))
 
 
 def normal_form_violations(w: BraidWord, power: int, factors) -> list[str]:

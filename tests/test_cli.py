@@ -288,6 +288,91 @@ def test_rep_file_missing_matrix_exits_two(capsys, tmp_path):
     assert out["payload"]["error"] == "ParseError: representation data is missing K (line 1, column 1)"
 
 
+@pytest.mark.parametrize("depth", [33, 1000, 100_000])
+def test_rep_file_nested_past_the_depth_bound_exits_two(tmp_path, depth):
+    # json.load recursed once per level: 1,000 levels raised RecursionError and a traceback.
+    doc = json.loads(data_path("sl2.rep.json").read_text())
+    doc["R"] = "NESTED"
+    f = tmp_path / "deep.rep"
+    text = json.dumps(doc).replace('"NESTED"', "[" * depth + "]" * depth)
+    f.write_text(text)
+    proc = run_module("rep", "verify", str(f), "--json")
+    assert proc.returncode == 2 and proc.stderr == ""
+    column = text.index("[" * 32) + 32  # the object is the first level, so R's 32nd array is the 33rd
+    assert json.loads(proc.stdout)["payload"] == {
+        "error": f"ParseError: representation data nests deeper than 32 levels (line 1, column {column})"
+    }
+
+
+def test_rep_file_at_the_depth_bound_reaches_the_field_checks(capsys, tmp_path):
+    # 32 levels, a string literal of brackets skipped, and an escaped quote inside it.
+    doc = json.loads(data_path("sl2.rep.json").read_text())
+    doc["note"] = '[[[[\\"[[[[' * 10
+    doc["R"] = "NESTED"
+    f = tmp_path / "deep.rep"
+    f.write_text(json.dumps(doc).replace('"NESTED"', "[" * 31 + "]" * 31))
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2
+    assert out["payload"] == {
+        "error": "ParseError: representation data: R must be an array of arrays of strings (line 1, column 1)"
+    }
+
+
+def test_rep_file_with_an_unterminated_string_exits_two_at_once(capsys, tmp_path):
+    # Each escaped quote could start a string literal of its own: the depth scan must not retry them all.
+    f = tmp_path / "open.rep"
+    f.write_text('{"d": "' + '\\"' * 200_000)
+    start = time.perf_counter()
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out["payload"]["error"].startswith("JSONDecodeError: Unterminated string starting at: line 1 column 7")
+
+
+def test_rep_scalar_past_the_exponent_span_exits_two_at_once(tmp_path):
+    # A dense coefficient run of 10^9 + 1 entries would be built before any check.
+    doc = json.loads(data_path("sl2.rep.json").read_text())
+    doc["K"] = [["q^1000000000 + 1", "0"], ["0", "1"]]
+    f = tmp_path / "wide.rep"
+    f.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    proc = run_module("rep", "verify", str(f), "--json")
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout)["payload"] == {
+        "error": "SizeCapError: scalar exponents span 0..1000000000, past the cap of 1000"
+    }
+
+
+def test_timing_adds_only_elapsed_ms(capsys):
+    # The echoed command line carries the flag; every other byte is the report without it.
+    argv = ["braid", "nf", "-n", "4", "s1 S2 s3"]
+    _, plain = run(capsys, *argv, "--json")
+    _, timed = run(capsys, *argv, "--json", "--timing")
+    doc = json.loads(plain)
+    doc["command"] += " --timing"
+    doc["elapsed_ms"] = json.loads(timed)["elapsed_ms"]
+    assert isinstance(doc["elapsed_ms"], float)
+    assert timed == json.dumps(doc, sort_keys=True) + "\n"
+    _, plain = run(capsys, *argv)
+    _, timed = run(capsys, *argv, "--timing")
+    first, *rest = plain.splitlines()
+    last = timed.splitlines()[-1]
+    float(last.removeprefix("elapsed_ms: "))
+    assert timed == "\n".join([first + " --timing", *rest, last]) + "\n"
+
+
+def test_internal_errors_propagate(capsys, monkeypatch):
+    # Only user-input, I/O and decoding errors become an exit-2 report.
+    def broken(args):
+        raise ZeroDivisionError("internal")
+
+    monkeypatch.setitem(cli._DISPATCH, "braid", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["braid", "nf", "-n", "2", "s1"])
+    assert capsys.readouterr().out == ""
+
+
 def test_nf_on_three_hundred_strands(capsys):
     code, doc = run_json(capsys, "braid", "nf", "-n", "300", "S1 s2 S3 s1 S2")
     assert code == 0
@@ -577,8 +662,9 @@ def test_braid_work_cap_counts_runs_pairs_and_moves(capsys):
         (["nf", "-n", "37406", "s1 s1"], 0, None),
         (["nf", "-n", "37407", "s1 s1"], 2, 14962800),  # refused before its first pair
         (["nf", "-n", "37406", "s1 s1 s1"], 2, 14999806),  # refused at its third run, after a pair
-        (["eq", "-n", "37406", "S1", "s1"], 1, None),  # u^-1 v is s1 s1
-        (["eq", "-n", "37407", "S1", "s1"], 2, 14962800),
+        (["eq", "-n", "37406", "S1", "s1"], 1, None),
+        (["eq", "-n", "37407", "S1", "s1"], 1, None),  # each word's form is capped on its own
+        (["eq", "-n", "37407", "s1 s1", "s1"], 2, 14962800),
         (["nf", "--cyl", "-n", "37405", "k"], 0, None),  # embedded: s1 s1 on 37,406 strands
         (["nf", "--cyl", "-n", "37406", "k"], 2, 14962800),
         (["nf", "-n", "75000", "s1"], 0, None),  # the largest single run: 200 n fits (0.3 s, 28 MB)

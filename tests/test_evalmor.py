@@ -53,6 +53,29 @@ def test_phi2_matches_braiding_at_twisted_objects(sl2_data):
     assert phi2 == sigma
 
 
+def test_no_inverse_of_an_identity(sl2_data, diagram_dir, monkeypatch):
+    # Over both sides of the corpus, 59 inversions were of identities: 40 twists
+    # (T is the identity in sl2) and 19 inv(...) of structural generators.
+    twisted = make_data([["0", "1"], ["1", "0"]], T_rows=[["1", "0"], ["0", "-1"]])
+    inverted = []
+    inverse = QMatrix.inverse
+
+    def counted(m):
+        inverted.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(QMatrix, "inverse", counted)
+    for path in sorted(diagram_dir.glob("*.diag")):
+        diag = parse_diagram(path.read_text())
+        eval_mor(sl2_data, diag.lhs)
+        eval_mor(sl2_data, diag.rhs)
+    assert inverted == []
+    # A twisted strand inverts T once per evaluation, however many twists it meets.
+    diag = parse_diagram((diagram_dir / "reflection_twisted.diag").read_text())
+    eval_mor(twisted, diag.lhs)
+    assert inverted == [twisted.T]
+
+
 def test_inverse_and_vert(sl2_data):
     f = parse_mor("vert(inv(kappa(M, X1)), kappa(M, X1))")
     assert eval_mor(sl2_data, f).is_identity

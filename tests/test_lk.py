@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 
-from helpers import random_braid_word, relation_rewrite, seeded_rng
+from helpers import random_braid_word, random_cyl_word, relation_rewrite, seeded_rng
 from orbibraid.braid import BraidWord, braid_eq, lk_matrix
 from orbibraid.braid.lk import lk_generator
 
@@ -98,13 +98,15 @@ def test_images_are_pinned():
 
 def test_long_words_agree_with_garside():
     # Criterion 2 draws independent random pairs, which are almost never equal;
-    # here every u is paired with a rewrite of itself and with u s1^2.
+    # here every u is paired with a rewrite of itself and with u s1^2, for
+    # words of B_n and then of B^cyl_n.
     rng = seeded_rng(33)
-    for n in range(3, 7):
-        for _ in range(2):
-            u = random_braid_word(rng, n, 30)
-            v = relation_rewrite(rng, u, 8)
-            w = BraidWord(n, u.letters + ((1, 1), (1, 1)))
-            image = lk_matrix(u)
-            assert braid_eq(u, v) and image == lk_matrix(v)
-            assert not braid_eq(u, w) and image != lk_matrix(w)
+    for random_word, strands in ((random_braid_word, range(3, 7)), (random_cyl_word, range(2, 6))):
+        for n in strands:
+            for _ in range(2):
+                u = random_word(rng, n, 30)
+                v = relation_rewrite(rng, u, 8)
+                w = type(u)(n, u.letters + ((1, 1), (1, 1)))
+                image = lk_matrix(u)
+                assert braid_eq(u, v) and image == lk_matrix(v)
+                assert not braid_eq(u, w) and image != lk_matrix(w)
