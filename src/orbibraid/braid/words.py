@@ -113,37 +113,20 @@ def embed_cyl(w: CylBraidWord) -> BraidWord:
     return BraidWord(w.n + 1, tuple(letters))
 
 
-def word_positions(w: CylBraidWord | BraidWord) -> tuple[int, ...]:
-    """Final position of each strand (both 1-based), tracking through the word."""
-    pos = list(range(w.n + 1))  # pos[s] = current position of strand s; index 0 unused
-    at = list(range(w.n + 1))  # at[p] = strand currently at position p
-    for i, _ in w.letters:
-        if i == KAPPA:
-            continue
-        a, b = at[i], at[i + 1]
-        at[i], at[i + 1] = b, a
-        pos[a], pos[b] = i + 1, i
-    return tuple(pos[1:])
+def strand_ends(w: CylBraidWord | BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each strand's 1-based end position and signed pole winding, in starting-position order.
 
-
-def pole_winding(w: CylBraidWord, strand: int) -> int:
-    """Signed number of kappa letters applied while ``strand`` sits in position 1.
-
-    Positions are threaded through the sigma letters, so the count is the
-    winding of that strand around the orbifold pole.
+    The winding counts the kappa letters applied while the strand sits in
+    position 1, so an ordinary word winds nothing.
     """
-    if not (1 <= strand <= w.n):
-        raise MalformedWordError(f"strand {strand} out of range for {w.n} strands")
-    return all_pole_windings(w)[strand - 1]
-
-
-def all_pole_windings(w: CylBraidWord) -> tuple[int, ...]:
-    """Winding numbers of every strand, in starting-position order."""
-    at = list(range(w.n + 1))
-    winding = [0] * (w.n + 1)
+    at = list(range(w.n))  # at[p] = strand at 0-based position p
+    winding = [0] * w.n
     for i, e in w.letters:
         if i == KAPPA:
-            winding[at[1]] += e
+            winding[at[0]] += e
         else:
-            at[i], at[i + 1] = at[i + 1], at[i]
-    return tuple(winding[1:])
+            at[i - 1], at[i] = at[i], at[i - 1]
+    ends = [0] * w.n
+    for p, s in enumerate(at, 1):
+        ends[s] = p
+    return tuple(ends), tuple(winding)

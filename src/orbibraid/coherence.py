@@ -24,14 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid.garside import GarsideNF, garside_nf
-from .braid.words import (
-    KAPPA,
-    BraidWord,
-    CylBraidWord,
-    Letter,
-    all_pole_windings,
-    word_positions,
-)
+from .braid.words import KAPPA, BraidWord, CylBraidWord, Letter, strand_ends
 from .dsl.morphisms import (
     ActMor,
     Gen,
@@ -210,19 +203,17 @@ def check(lhs: MorExpr, rhs: MorExpr, flavor: str) -> Verdict:
         # Garside normal forms are canonical, so they decide equality.
         return Verdict(COMMUTES if nf_l == nf_r else NOT_COMMUTES, wl, wr, nf_l, nf_r)
     # symmetric: signed symmetric group invariant
-    equal = word_positions(wl) == word_positions(wr)
-    if isinstance(wl, CylBraidWord):
-        par_l = tuple(x % 2 for x in all_pole_windings(wl))
-        par_r = tuple(x % 2 for x in all_pole_windings(wr))
-        equal = equal and par_l == par_r
+    ends_l, winding_l = strand_ends(wl)
+    ends_r, winding_r = strand_ends(wr)
+    equal = ends_l == ends_r and [x % 2 for x in winding_l] == [x % 2 for x in winding_r]
     return Verdict(COMMUTES if equal else NOT_COMMUTES, wl, wr, nf_l, nf_r)
 
 
 def braid_of_signed_path(start: SignedOp, word: CylBraidWord | BraidWord) -> SignedOp:
     """Endpoint of the path over ``start`` determined by a (cylinder) braid.
 
-    Each pole winding flips the sign of the strand nearest the pole, each
-    crossing swaps two adjacent ranks; the result is the isotopy class at
+    Each strand carries its disk to the strand's end rank, and the disk's
+    sign flips once per pole winding; the result is the isotopy class at
     the far end.
     """
     if word.n != start.d_arity:
@@ -231,10 +222,8 @@ def braid_of_signed_path(start: SignedOp, word: CylBraidWord | BraidWord) -> Sig
     if has_kappa and start.output is not Color.DSTAR:
         raise TypingError("pole windings require an operation targeting the pole disk")
     eps = list(start.eps)
-    perm = list(start.perm)
-    for i, _ in word.letters:
-        if i == KAPPA:
-            eps[perm[0]] ^= 1
-        else:
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    perm = [0] * word.n
+    for disk, end, winding in zip(start.perm, *strand_ends(word)):
+        perm[end - 1] = disk
+        eps[disk] ^= winding % 2
     return SignedOp(start.inputs, start.output, tuple(eps), tuple(perm))

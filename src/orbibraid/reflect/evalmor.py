@@ -39,9 +39,10 @@ from ..dsl.objects import (
     is_module,
     obj_text,
     signature,
+    strand_count,
 )
 from ..errors import TypingError, UnsupportedGeneratorError
-from .checks import rhat
+from .checks import _check_dim, rhat
 from .qmatrix import QMatrix
 from .repdata import RepData
 
@@ -151,5 +152,10 @@ class _Evaluator:
 
 
 def eval_mor(data: RepData, f: MorExpr) -> QMatrix:
-    """Matrix of a structural isomorphism on the bundled (V, M) data."""
+    """Matrix of a structural isomorphism on the bundled (V, M) data.
+
+    A domain past MAX_REP_DIM rows is refused with DimensionError before any matrix is built.
+    """
+    dom = domain(f)
+    _check_dim(data.m if is_module(dom) else 1, data.d, strand_count(dom))
     return _Evaluator(data).eval(f)

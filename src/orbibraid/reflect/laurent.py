@@ -1,11 +1,12 @@
 """Exact rational functions in q with integer coefficients.
 
-A scalar is a reduced fraction of Laurent polynomials, each stored as a
-lowest exponent together with its coefficient run.  The canonical form
-has the denominator's q-power absorbed into the numerator's lowest
-exponent, no common polynomial or integer-content factor, and a positive
-lowest denominator coefficient; zero is 0/1.  Equality of canonical forms
-is equality in the field Q(q).
+A scalar is a reduced fraction of Laurent polynomials: the numerator is
+stored as a lowest exponent together with its coefficient run, the
+denominator as a coefficient run from q^0.  The canonical form has the
+denominator's q-power absorbed into the numerator's lowest exponent, no
+common polynomial or integer-content factor, and a positive lowest
+denominator coefficient; zero is 0/1.  Equality of canonical forms is
+equality in the field Q(q).
 
 Reduction stays in the integers.  The polynomial gcd is the primitive
 remainder sequence over Z (Knuth, TAOCP vol. 2, 4.6.1): each step takes a
@@ -117,7 +118,6 @@ class LaurentScalar:
 
     num_low: int
     num: Coeffs
-    den_low: int
     den: Coeffs
 
     @staticmethod
@@ -127,7 +127,7 @@ class LaurentScalar:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return LaurentScalar(0, (), 0, (1,))
+            return LaurentScalar(0, (), (1,))
         if len(num) > 1 and len(den) > 1:  # else one side is c*q^k, coprime to den in Q[q]
             g = _pgcd(num, den)
             if len(g) > 1:
@@ -140,7 +140,7 @@ class LaurentScalar:
         if den[0] < 0:
             num = tuple(-x for x in num)
             den = tuple(-x for x in den)
-        return LaurentScalar(num_low - den_low, num, 0, den)
+        return LaurentScalar(num_low - den_low, num, den)
 
     @property
     def is_zero(self) -> bool:
@@ -169,14 +169,14 @@ class LaurentScalar:
             lo = 0
             while not out[lo]:
                 lo += 1
-            return LaurentScalar(low + lo, tuple(out[lo:hi]), 0, (1,))
+            return LaurentScalar(low + lo, tuple(out[lo:hi]), (1,))
         low = min(self.num_low, other.num_low)
         a = (0,) * (self.num_low - low) + self.num
         b = (0,) * (other.num_low - low) + other.num
         return LaurentScalar.make(low, _padd(_pmul(a, other.den), _pmul(b, self.den)), 0, _pmul(self.den, other.den))
 
     def __neg__(self) -> LaurentScalar:
-        return LaurentScalar(self.num_low, tuple(-x for x in self.num), self.den_low, self.den)
+        return LaurentScalar(self.num_low, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other: LaurentScalar) -> LaurentScalar:
         return self + (-other)
@@ -186,7 +186,7 @@ class LaurentScalar:
             return ZERO
         if self.den == other.den == (1,):
             # Polynomials with nonzero end coefficients: the product is canonical as it stands.
-            return LaurentScalar(self.num_low + other.num_low, _pmul(self.num, other.num), 0, (1,))
+            return LaurentScalar(self.num_low + other.num_low, _pmul(self.num, other.num), (1,))
         return LaurentScalar.make(
             self.num_low + other.num_low, _pmul(self.num, other.num), 0, _pmul(self.den, other.den)
         )
@@ -205,7 +205,7 @@ class LaurentScalar:
         if q0 == 0:
             raise ZeroDivisionError("cannot specialize at q = 0")
         num = sum(c * q0 ** (self.num_low + i) for i, c in enumerate(self.num))
-        den = sum(c * q0 ** (self.den_low + i) for i, c in enumerate(self.den))
+        den = sum(c * q0 ** i for i, c in enumerate(self.den))
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at q = {q0}")
         return Fraction(num) / den
@@ -234,12 +234,12 @@ class LaurentScalar:
         num = self._poly_text(self.num_low, self.num)
         if self.den == (1,):
             return num
-        den = self._poly_text(self.den_low, self.den)
+        den = self._poly_text(0, self.den)
         return f"({num}) / ({den})"
 
 
-ZERO = LaurentScalar(0, (), 0, (1,))
-ONE = LaurentScalar(0, (1,), 0, (1,))
+ZERO = LaurentScalar(0, (), (1,))
+ONE = LaurentScalar(0, (1,), (1,))
 
 MAX_SCALAR_SPAN = 1_000  # widest exponent range a parsed scalar may write: its coefficient run is dense
 _TERM = re.compile(r"^(?P<sign>[+-])?(?:(?P<coeff>\d+)\*?)?(?P<q>q(?:\^(?P<exp>-?\d+))?)?$")

@@ -7,14 +7,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines; the
 import itertools
 
 from helpers import random_braid_word, random_mor, seeded_rng
-from orbibraid.braid import (
-    CylBraidWord,
-    all_pole_windings,
-    braid_eq,
-    cyl_braid_eq,
-    lk_matrix,
-    word_positions,
-)
+from orbibraid.braid import CylBraidWord, braid_eq, cyl_braid_eq, lk_matrix, strand_ends
 from orbibraid.coherence import COMMUTES, NOT_COMMUTES, check, extract_braid
 from orbibraid.dsl import codomain, domain, normalize_presentation, parse_diagram, signature
 from orbibraid.operad import (
@@ -176,8 +169,7 @@ def test_criterion_5_endpoint_consistency():
         w = extract_braid(f)
         dom_strands = signature(domain(f)).strands
         cod_strands = signature(codomain(f)).strands
-        pos = word_positions(w)
-        windings = all_pole_windings(w)
+        pos, windings = strand_ends(w)
         for p, (label, eps) in enumerate(dom_strands):
             label_c, eps_c = cod_strands[pos[p] - 1]
             ok = ok and label == label_c and (eps + windings[p]) % 2 == eps_c

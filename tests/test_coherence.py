@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import random_mor, seeded_rng
-from orbibraid.braid import KAPPA, BraidWord, CylBraidWord, all_pole_windings, cyl_braid_eq, word_positions
+from orbibraid.braid import KAPPA, BraidWord, CylBraidWord, cyl_braid_eq, strand_ends
 from orbibraid import coherence
 from orbibraid.coherence import (
     COMMUTES,
@@ -179,8 +179,7 @@ def test_endpoint_consistency_small():
         w = extract_braid(f)
         sig_d = signature(domain(f)).strands
         sig_c = signature(codomain(f)).strands
-        pos = word_positions(w)
-        windings = all_pole_windings(w)
+        pos, windings = strand_ends(w)
         for p in range(len(sig_d)):
             label_d, eps_d = sig_d[p]
             label_c, eps_c = sig_c[pos[p] - 1]

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from orbibraid.dsl import parse_diagram, parse_mor
-from orbibraid.errors import UnsupportedGeneratorError
+from orbibraid.errors import DimensionError, UnsupportedGeneratorError
 from orbibraid.reflect import QMatrix, RepData, eval_mor
 from test_reflect import make_data, sl2_R
 
@@ -18,6 +20,18 @@ def test_identity_and_structural_generators(sl2_data):
 def test_units_are_one_dimensional(sl2_data):
     assert eval_mor(sl2_data, parse_mor("phi0()")).rows == 1
     assert eval_mor(sl2_data, parse_mor("id(one)")).is_identity
+
+
+def _leaves(k: int) -> str:
+    return "X1" if k == 1 else f"tensor({_leaves(k - 1)}, X{k})"
+
+
+def test_domain_past_the_dimension_cap_is_refused_before_any_matrix(sl2_data):
+    started = time.perf_counter()
+    with pytest.raises(DimensionError, match=r"dimension 1\*2\^9 exceeds the cap of 256"):
+        eval_mor(sl2_data, parse_mor(f"id({_leaves(9)})"))
+    assert time.perf_counter() - started < 1
+    assert eval_mor(sl2_data, parse_mor(f"id({_leaves(8)})")).rows == 256
 
 
 def test_sigma_is_flip_compose_R(sl2_data):

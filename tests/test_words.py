@@ -2,15 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_cyl_word, seeded_rng
-from orbibraid.braid import (
-    BraidWord,
-    CylBraidWord,
-    all_pole_windings,
-    embed_cyl,
-    pole_winding,
-    word_positions,
-)
+from helpers import random_braid_word, random_cyl_word, seeded_rng
+from orbibraid.braid import BraidWord, CylBraidWord, embed_cyl, garside_nf, strand_ends
 from orbibraid.errors import ArityError, MalformedWordError
 
 
@@ -59,13 +52,10 @@ def test_inverse_reverses_and_negates():
 
 
 def test_pole_winding_examples():
-    assert pole_winding(CylBraidWord.from_text(1, "k"), 1) == 1
-    w = CylBraidWord.from_text(2, "s1 k s1")
-    assert pole_winding(w, 1) == 0
-    assert pole_winding(w, 2) == 1
-    assert pole_winding(CylBraidWord.from_text(1, "k K"), 1) == 0
-    with pytest.raises(MalformedWordError):
-        pole_winding(w, 3)
+    assert strand_ends(CylBraidWord.from_text(1, "k")) == ((1,), (1,))
+    assert strand_ends(CylBraidWord.from_text(2, "s1 k s1")) == ((1, 2), (0, 1))
+    assert strand_ends(CylBraidWord.from_text(1, "k K")) == ((1,), (0,))
+    assert strand_ends(BraidWord.from_text(3, "s1 s2")) == ((3, 1, 2), (0, 0, 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,8 +64,34 @@ def test_pole_winding_additive_over_concatenation(n, length, seed):
     rng = seeded_rng(seed % 10_000)
     u = random_cyl_word(rng, n, length)
     v = random_cyl_word(rng, n, rng.randint(0, 8))
-    pos_after_u = word_positions(u)
-    total = all_pole_windings(u * v)
-    for strand in range(1, n + 1):
-        expected = pole_winding(u, strand) + pole_winding(v, pos_after_u[strand - 1])
-        assert total[strand - 1] == expected
+    ends_u, winding_u = strand_ends(u)
+    ends_v, winding_v = strand_ends(v)
+    ends, total = strand_ends(u * v)
+    for strand in range(n):
+        assert ends[strand] == ends_v[ends_u[strand] - 1]
+        assert total[strand] == winding_u[strand] + winding_v[ends_u[strand] - 1]
+
+
+def _nf_ends(w: BraidWord | CylBraidWord) -> tuple[int, ...]:
+    """End positions read off the Garside form: Delta^power, then each factor's permutation."""
+    nf = garside_nf(w)
+    pos = [nf.n - 1 - s for s in range(nf.n)] if nf.power % 2 else list(range(nf.n))
+    for factor in nf.factors:
+        pos = [factor[p] for p in pos]
+    return tuple(p + 1 for p in pos)
+
+
+def test_strand_ends_match_the_garside_permutation():
+    # The Garside form is an independent record of where each strand ends; a
+    # cylinder word's form is that of its embedding, whose first strand is the pole.
+    rng = seeded_rng(15)
+    for _ in range(600):
+        n, length = rng.randint(2, 7), rng.randint(0, 30)
+        w = random_braid_word(rng, n, length)
+        ends, winding = strand_ends(w)
+        assert ends == _nf_ends(w), w
+        assert winding == (0,) * n
+        c = random_cyl_word(rng, n - 1, length)
+        pole, *rest = _nf_ends(c)
+        assert pole == 1, c
+        assert strand_ends(c)[0] == tuple(p - 1 for p in rest), c
