@@ -84,52 +84,50 @@ def _too_long(length: int) -> SizeCapError:
     return SizeCapError(f"underlying braid word of {length} letters exceeds the cap of {MAX_WORD_LETTERS}")
 
 
-def _letters(f: MorExpr, kids: list) -> list[Letter]:
-    """Word of one node, its strands counted from 0 (kids are the children's words).
-
-    A node's word is never shorter than a child's, so checking each node's
-    length against MAX_WORD_LETTERS before building it bounds the whole word.
-    """
-    if isinstance(f, Id):
-        return []
-    if isinstance(f, Gen):
-        if f.name == "sigma":
-            x, y = f.params
-            a, b = strand_count(x), strand_count(y)
-            if a * b > MAX_WORD_LETTERS:
-                raise _too_long(a * b)
-            return _block_swap(0, a, b)
-        if f.name == "kappa":
-            m, x = f.params
-            ell, c = strand_count(m), strand_count(x)
-            length = 2 * c * ell + c * (c + 1) // 2
-            if length > MAX_WORD_LETTERS:
-                raise _too_long(length)
-            return _cable_kappa(ell, c)
-        return []
-    if isinstance(f, Inv):
-        return [(i, -e) for i, e in reversed(kids[0])]
-    if isinstance(f, Vert):
-        after, before = kids
-        length = len(before) + len(after)
+def _gen_letters(f: Gen, kids: list) -> list[Letter]:
+    if f.name == "sigma":
+        x, y = f.params
+        a, b = strand_count(x), strand_count(y)
+        if a * b > MAX_WORD_LETTERS:
+            raise _too_long(a * b)
+        return _block_swap(0, a, b)
+    if f.name == "kappa":
+        m, x = f.params
+        ell, c = strand_count(m), strand_count(x)
+        length = 2 * c * ell + c * (c + 1) // 2
         if length > MAX_WORD_LETTERS:
             raise _too_long(length)
-        before.extend(after)
-        return before
-    if isinstance(f, PhiMor):
-        c = strand_count(domain(f.inner))
-        return [(c - i, e) for i, e in kids[0]]
-    if not isinstance(f, (TensorMor, ActMor)):
-        unexpected(f)
-    # The right factor's strands follow the left factor's; typing keeps the
-    # module-typed factor (the only one with pole windings) on the left.
-    left, right = kids
-    length = len(left) + len(right)
+        return _cable_kappa(ell, c)
+    return []
+
+
+def _joined(first: list[Letter], second: list[Letter], shift: int = 0) -> list[Letter]:
+    length = len(first) + len(second)
     if length > MAX_WORD_LETTERS:
         raise _too_long(length)
-    shift = strand_count(domain(f.children()[0]))
-    left.extend((i + shift, e) for i, e in right)
-    return left
+    first.extend(((i + shift, e) for i, e in second) if shift else second)
+    return first
+
+
+def _mirrored(f: PhiMor, kids: list) -> list[Letter]:
+    c = strand_count(domain(f))
+    return [(c - i, e) for i, e in kids[0]]
+
+
+# The letter rule of each node kind: its word (strands from 0) from the node
+# and its children's words.  No word is shorter than a child's, so checking
+# each against MAX_WORD_LETTERS before building it bounds the whole word.  A
+# product's right factor's strands follow its left factor's; typing keeps
+# the module-typed factor (the only one with pole windings) on the left.
+LETTER_RULES = {
+    Id: lambda f, kids: [],
+    Gen: _gen_letters,
+    Inv: lambda f, kids: [(i, -e) for i, e in reversed(kids[0])],
+    Vert: lambda f, kids: _joined(kids[1], kids[0]),
+    TensorMor: lambda f, kids: _joined(*kids, strand_count(domain(f.left))),
+    ActMor: lambda f, kids: _joined(*kids, strand_count(domain(f.module))),
+    PhiMor: _mirrored,
+}
 
 
 def extract_braid(f: MorExpr) -> BraidWord | CylBraidWord:
@@ -139,7 +137,7 @@ def extract_braid(f: MorExpr) -> BraidWord | CylBraidWord:
     """
     dom = domain(f)
     n = max(1, strand_count(dom))
-    letters = tuple(fold(f, _letters))
+    letters = tuple(fold(f, lambda g, kids: LETTER_RULES.get(type(g), unexpected)(g, kids)))
     if is_module(dom):
         return CylBraidWord(n, letters)
     return BraidWord(n, letters)
@@ -197,16 +195,19 @@ def check(lhs: MorExpr, rhs: MorExpr, flavor: str) -> Verdict:
 
     wl = extract_braid(lhs)
     wr = extract_braid(rhs)
-    nf_l = garside_nf(wl)
-    nf_r = garside_nf(wr)
     if flavor == "braided":
         # Garside normal forms are canonical, so they decide equality.
+        nf_l, nf_r = garside_nf(wl), garside_nf(wr)
         return Verdict(COMMUTES if nf_l == nf_r else NOT_COMMUTES, wl, wr, nf_l, nf_r)
-    # symmetric: signed symmetric group invariant
+    # symmetric: the signed permutations decide; the normal forms are evidence only
     ends_l, winding_l = strand_ends(wl)
     ends_r, winding_r = strand_ends(wr)
     equal = ends_l == ends_r and [x % 2 for x in winding_l] == [x % 2 for x in winding_r]
-    return Verdict(COMMUTES if equal else NOT_COMMUTES, wl, wr, nf_l, nf_r)
+    status = COMMUTES if equal else NOT_COMMUTES
+    try:
+        return Verdict(status, wl, wr, garside_nf(wl), garside_nf(wr))
+    except SizeCapError as exc:
+        return Verdict(status, wl, wr, detail=f"normal forms not shown: {exc}")
 
 
 def braid_of_signed_path(start: SignedOp, word: CylBraidWord | BraidWord) -> SignedOp:

@@ -3,8 +3,8 @@
 Generator leaves are instantiated at explicit object parameters; vertical
 composition demands syntactic equality at the seam (users insert explicit
 associators).  Each generator's domain and codomain are written once, as
-shapes over tensor, action, Phi and the unit (``GENERATORS``); the same
-shapes type an instance and build the functor image used in whiskering.
+programs over tensor, action, Phi and the unit (``GENERATORS``); the same
+programs type an instance and build the functor image used in whiskering.
 
 Horizontal composition ``horiz(outer; inners)`` whiskers morphisms into the
 parameter slots of a generator instance.  It is surface syntax only, with no
@@ -16,28 +16,59 @@ expansion).
 Every pass over a tree is a post-order ``fold`` on an explicit stack, so
 the depth of a tree is not limited by the interpreter's recursion limit.
 
-Typing is one rule, ``_types``, that builds every domain and codomain
-through one ``share`` table (see ``objects``): objects are shared within
-one call, so the two sides of a vertical seam are the same node whenever
-they are equal, and no object is built or sort-checked twice.  Each node
-keeps its (domain, codomain) in ``_types``.  ``parse_mor`` applies the
-rule to each node as the parser closes it (``typed``), through the table
-it parses with; ``validate`` folds it over a tree built by hand, through
-a table of its own.
+Nodes are immutable ``__slots__`` objects, each keeping its (domain,
+codomain) in ``_types``.  Typing is one rule per node kind (``TYPE_RULES``)
+on the children's ``_types``, building every domain and codomain through
+one ``share`` table (see ``objects``): objects are shared within one call,
+so the two sides of a vertical seam are the same node whenever they are
+equal, and no object is built or sort-checked twice.  The parser builds
+each node typed, its fields and ``_types`` written once (``build``);
+``validate`` folds the same rules over a tree built by hand.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import partial
 
 from ..errors import TypingError
 from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, fold, is_module, obj_text, same, share
 
+_set = object.__setattr__  # writes a slot past the __setattr__ that refuses every caller
+
 
 class MorExpr:
-    _types = None  # (domain, codomain) once typed
+    """An immutable node: its fields (``__match_args__``) and ``_types`` are
+    slots; equality, hashing and repr go by the fields."""
+
+    __slots__ = ("_types",)  # (domain, codomain) once typed, else None
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__match_args__, values, strict=True):
+            _set(self, name, value)
+        _set(self, "_types", None)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        return self.fields() == other.fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.fields())
+
+    def __reduce__(self):  # copy and pickle rebuild a node through __init__, untyped
+        return type(self), self.fields()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
 
     def children(self) -> tuple[MorExpr, ...]:
         return ()
@@ -49,55 +80,44 @@ class MorExpr:
         return type(self)(*kids)
 
 
-@dataclass(frozen=True)
 class Id(MorExpr):
-    obj: ObjectExpr
+    __slots__ = __match_args__ = ("obj",)
 
 
-@dataclass(frozen=True)
 class Gen(MorExpr):
-    name: str
-    params: tuple[ObjectExpr, ...]
+    __slots__ = __match_args__ = ("name", "params")
 
 
-@dataclass(frozen=True)
 class Inv(MorExpr):
-    inner: MorExpr
+    __slots__ = __match_args__ = ("inner",)
 
     def children(self):
         return (self.inner,)
 
 
-@dataclass(frozen=True)
 class Vert(MorExpr):
-    after: MorExpr
-    before: MorExpr  # applied first
+    __slots__ = __match_args__ = ("after", "before")  # before is applied first
 
     def children(self):
         return (self.after, self.before)
 
 
-@dataclass(frozen=True)
 class TensorMor(MorExpr):
-    left: MorExpr
-    right: MorExpr
+    __slots__ = __match_args__ = ("left", "right")
 
     def children(self):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
 class ActMor(MorExpr):
-    module: MorExpr
-    algebra: MorExpr
+    __slots__ = __match_args__ = ("module", "algebra")
 
     def children(self):
         return (self.module, self.algebra)
 
 
-@dataclass(frozen=True)
 class PhiMor(MorExpr):
-    inner: MorExpr
+    __slots__ = __match_args__ = ("inner",)
 
     def children(self):
         return (self.inner,)
@@ -108,46 +128,50 @@ KEYWORDS = {"inv": Inv, "vert": Vert, "tens": TensorMor, "act": ActMor, "phi": P
 _KEYWORD_OF = {node: word for word, node in KEYWORDS.items()}
 
 
-def unexpected(f: MorExpr):
+def unexpected(f: MorExpr, *_):  # takes a rule's other arguments, to stand in for it
     raise TypingError(f"no rule for a {type(f).__name__} node")
 
 
 ONE = AUnit()
 
-# Parameter sorts, domain shape and codomain shape of each generator.  A
-# shape is a parameter index, ONE (the tensor unit) or (Tensor | Act | Phi,
-# *shapes).
-GENERATORS: dict[str, tuple[str, object, object]] = {
-    "alpha": ("AAA", (Tensor, (Tensor, 0, 1), 2), (Tensor, 0, (Tensor, 1, 2))),
-    "lambda": ("A", (Tensor, ONE, 0), 0),
-    "rho": ("A", (Tensor, 0, ONE), 0),
-    "a": ("MAA", (Act, (Act, 0, 1), 2), (Act, 0, (Tensor, 1, 2))),
-    "r": ("M", (Act, 0, ONE), 0),
-    "sigma": ("AA", (Tensor, 0, 1), (Tensor, 1, 0)),
-    "kappa": ("MA", (Act, 0, 1), (Act, 0, (Phi, 1))),
-    "phi2": ("AA", (Tensor, (Phi, 0), (Phi, 1)), (Phi, (Tensor, 1, 0))),
-    "phi0": ("", (Phi, ONE), ONE),
-    "t": ("A", (Phi, (Phi, 0)), 0),
+# Parameter sorts, domain and codomain of each generator, each end as a
+# postfix program: a parameter index or ONE (the tensor unit) pushes an
+# object; Tensor and Act take the two objects on top, Phi the one on top.
+GENERATORS: dict[str, tuple[str, tuple, tuple]] = {
+    "alpha": ("AAA", (0, 1, Tensor, 2, Tensor), (0, 1, 2, Tensor, Tensor)),
+    "lambda": ("A", (ONE, 0, Tensor), (0,)),
+    "rho": ("A", (0, ONE, Tensor), (0,)),
+    "a": ("MAA", (0, 1, Act, 2, Act), (0, 1, 2, Tensor, Act)),
+    "r": ("M", (0, ONE, Act), (0,)),
+    "sigma": ("AA", (0, 1, Tensor), (1, 0, Tensor)),
+    "kappa": ("MA", (0, 1, Act), (0, 1, Phi, Act)),
+    "phi2": ("AA", (0, Phi, 1, Phi, Tensor), (1, 0, Tensor, Phi)),
+    "phi0": ("", (ONE, Phi), (ONE,)),
+    "t": ("A", (0, Phi, Phi), (0,)),
 }
 
-_OBJ_OF_MOR = {TensorMor: Tensor, ActMor: Act, PhiMor: Phi}
-_MOR_OF_OBJ = {obj: mor for mor, obj in _OBJ_OF_MOR.items()}
+_MOR_OF_OBJ = {Tensor: TensorMor, Act: ActMor, Phi: PhiMor}
 
 
-def _fill(shape, slots: tuple, table: dict, on_morphisms: bool = False):
-    """A shape at objects, built through table, or at morphisms (the functor
-    image, for whiskering)."""
-    if type(shape) is int:
-        return slots[shape]
-    if shape is ONE:
-        one = share(table, AUnit)
-        return Id(one) if on_morphisms else one
-    node, *args = shape
-    args = [_fill(a, slots, table, on_morphisms) for a in args]
-    return _MOR_OF_OBJ[node](*args) if on_morphisms else share(table, node, *args)
+def _fill(program: tuple, slots: tuple, table: dict, on_morphisms: bool = False):
+    """A generator's end at objects, built through table, or at morphisms
+    (the functor image, for whiskering)."""
+    values = []
+    for op in program:
+        if type(op) is int:
+            values.append(slots[op])
+        elif op is ONE:
+            one = share(table, AUnit)
+            values.append(Id(one) if on_morphisms else one)
+        elif op is Phi:
+            values[-1] = PhiMor(values[-1]) if on_morphisms else share(table, Phi, values[-1])
+        else:
+            b = values.pop()
+            values[-1] = _MOR_OF_OBJ[op](values[-1], b) if on_morphisms else share(table, op, values[-1], b)
+    return values[0]
 
 
-def _check_gen(name: str, params: tuple[ObjectExpr, ...]) -> tuple[str, object, object]:
+def _check_gen(name: str, params: tuple[ObjectExpr, ...]) -> tuple[str, tuple, tuple]:
     entry = GENERATORS.get(name)
     if entry is None:
         raise TypingError(f"unknown generator {name!r}")
@@ -165,8 +189,7 @@ def desugar_horiz(outer: MorExpr, inners, table: dict | None = None) -> MorExpr:
 
     The inners are typed through table (a table of its own if None).
     """
-    if table is None:
-        table = {}
+    table = {} if table is None else table
     inverted = isinstance(outer, Inv) and isinstance(outer.inner, Gen)
     gen = outer.inner if inverted else outer
     if isinstance(gen, Id):
@@ -174,7 +197,7 @@ def desugar_horiz(outer: MorExpr, inners, table: dict | None = None) -> MorExpr:
         if len(inners) != 1:
             raise TypingError("identity whiskering takes exactly one inner morphism")
     elif isinstance(gen, Gen):
-        _, dom_shape, cod_shape = _check_gen(gen.name, gen.params)
+        _, dom_program, cod_program = _check_gen(gen.name, gen.params)
         slots = gen.params
         if len(inners) != len(slots):
             raise TypingError(f"{gen.name} has {len(slots)} slots, got {len(inners)} inner morphisms")
@@ -190,47 +213,61 @@ def desugar_horiz(outer: MorExpr, inners, table: dict | None = None) -> MorExpr:
         return outer
     new_gen = Gen(gen.name, tuple(codomain(inner) for inner in inners))
     if inverted:
-        return Vert(Inv(new_gen), _fill(cod_shape, inners, table, on_morphisms=True))
-    return Vert(new_gen, _fill(dom_shape, inners, table, on_morphisms=True))
+        return Vert(Inv(new_gen), _fill(cod_program, inners, table, on_morphisms=True))
+    return Vert(new_gen, _fill(dom_program, inners, table, on_morphisms=True))
 
 
-def _types(table: dict, f: MorExpr, kids: list) -> tuple[ObjectExpr, ObjectExpr]:
-    kind = type(f)
-    if kind is Id:
-        return f.obj, f.obj
-    if kind is Gen:
-        _, dom_shape, cod_shape = _check_gen(f.name, f.params)
-        return _fill(dom_shape, f.params, table), _fill(cod_shape, f.params, table)
-    if kind is Inv:
-        dom, cod = kids[0]
-        return cod, dom
-    if kind is Vert:
-        (need, cod), (dom, seam) = kids
-        if seam is not need and not same(seam, need):
-            raise TypingError(
-                f"vertical seam mismatch: first factor ends at {obj_text(seam)}, "
-                f"second starts at {obj_text(need)}"
-            )
-        return dom, cod
-    node = _OBJ_OF_MOR.get(kind)
-    if node is None:
-        unexpected(f)
+def _gen_types(table: dict, name: str, params: tuple) -> tuple[ObjectExpr, ObjectExpr]:
+    _, dom_program, cod_program = _check_gen(name, params)
+    return _fill(dom_program, params, table), _fill(cod_program, params, table)
+
+
+def _vert_types(table: dict, after: MorExpr, before: MorExpr) -> tuple[ObjectExpr, ObjectExpr]:
+    need, cod = after._types
+    dom, seam = before._types
+    if seam is not need and not same(seam, need):
+        raise TypingError(
+            f"vertical seam mismatch: first factor ends at {obj_text(seam)}, second starts at {obj_text(need)}"
+        )
+    return dom, cod
+
+
+def _image_types(node: type, table: dict, *kids: MorExpr) -> tuple[ObjectExpr, ObjectExpr]:
+    """Both ends of a TensorMor, ActMor or PhiMor: node over its children's."""
     if len(kids) == 1:
-        ((dom, cod),) = kids
+        dom, cod = kids[0]._types
         return share(table, node, dom), share(table, node, cod)
-    (dom, cod), (dom2, cod2) = kids
+    (dom, cod), (dom2, cod2) = kids[0]._types, kids[1]._types
     return share(table, node, dom, dom2), share(table, node, cod, cod2)
 
 
-def typed(f: MorExpr, table: dict, held: list) -> MorExpr:
-    """f, its children typed, with its types cached, unless held has a typing
-    error: then f stays untyped, and the first error f raises is held.  The
-    parser closes nodes in ``validate``'s post-order, so the same error."""
+# The typing rule of each node kind: (domain, codomain) from the node's
+# fields, through table; a child's types are read from its _types.
+TYPE_RULES = {
+    Id: lambda table, obj: (obj, obj),
+    Gen: _gen_types,
+    Inv: lambda table, inner: inner._types[::-1],
+    Vert: _vert_types,
+    TensorMor: partial(_image_types, Tensor),
+    ActMor: partial(_image_types, Act),
+    PhiMor: partial(_image_types, Phi),
+}
+
+
+def build(kind: type, args, table: dict, held: list) -> MorExpr:
+    """``kind(*args)``, typed by its rule through table, unless held has a
+    typing error: then untyped, and the first error a rule raises is held.
+    The parser builds in ``validate``'s post-order, so it holds its error."""
+    f = object.__new__(kind)
+    for name, value in zip(kind.__match_args__, args):
+        _set(f, name, value)
+    types = None
     if not held:
         try:
-            object.__setattr__(f, "_types", _types(table, f, [kid._types for kid in f.children()]))
+            types = TYPE_RULES[kind](table, *args)
         except TypingError as exc:
             held.append(exc)
+    _set(f, "_types", types)
     return f
 
 
@@ -239,10 +276,17 @@ def validate(f: MorExpr, table: dict | None = None) -> tuple[ObjectExpr, ObjectE
 
     Objects are built through table, a table of this call's own if None.
     """
-    types = f._types
-    if types is not None:
-        return types
-    return fold(f, partial(_types, {} if table is None else table), "_types")
+    if f._types is not None:
+        return f._types
+    table = {} if table is None else table
+
+    def types_of(g: MorExpr, _) -> tuple[ObjectExpr, ObjectExpr]:
+        rule = TYPE_RULES.get(type(g))
+        if rule is None:
+            unexpected(g)
+        return rule(table, *g.fields())
+
+    return fold(f, types_of, "_types")
 
 
 def domain(f: MorExpr) -> ObjectExpr:

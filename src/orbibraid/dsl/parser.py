@@ -14,15 +14,17 @@ Object parameters of a generator may be separated by ',' or ';'.  Each
 An expression nested inside ``MAX_DEPTH`` others is a ParseError, whoever
 calls.  Diagram files bind ``lhs``, ``rhs`` and ``flavor`` with ``=``.
 
-Tokens are plain strings, found by one regular expression.  A token's
-line and column are worked out only when a ParseError names it, by
-scanning the text again up to that token.  ``_parse`` reads both sorts in
-one loop over the tokens, from their head-word tables
-(``objects.OBJECT_WORDS``, ``morphisms.KEYWORDS``), and keeps the
-expressions still open on a stack of its own.  Objects are built through
-one ``share`` table per call, and each morphism is typed through it as
-it closes (``morphisms.typed``), so the tree comes out typed in one pass.
-The first typing error is held and raised by ``parse_mor`` only once the
+Tokens are plain strings: past the stray-character check, a text's
+``_TOKEN`` matches are its words once each separator is spaced out, and
+``str.split`` finds them faster.  A token's line and column are worked out
+only when a ParseError names it, by scanning the text again up to that
+token.  ``_parse`` reads both sorts in one loop over the tokens, from their
+head-word tables (``objects.OBJECT_WORDS``, ``morphisms.KEYWORDS``), and
+keeps the expressions still open on a stack of its own.  Objects are
+shared through one table per call (keyed as ``objects.share`` keys them),
+and each morphism node is built typed by its kind's rule, through that
+table, as it closes (``morphisms.build``): the tree comes out typed in
+one pass.  The first typing error is held and raised by ``parse_mor`` only once the
 whole text has parsed, so a syntax error is reported first (an ill-sorted
 object, and the inners of a ``horiz``, are still refused as they are
 read).  The ``lhs`` and ``rhs`` of a diagram file are parsed in place, so
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from ..errors import ParseError
-from .morphisms import GENERATORS, KEYWORDS, Gen, Id, MorExpr, desugar_horiz, typed, validate
+from .morphisms import GENERATORS, KEYWORDS, Gen, Id, MorExpr, build, desugar_horiz, validate
 from .objects import OBJECT_WORDS, ObjectExpr, share, share_leaf
 
 _TOKEN = re.compile(r"[(),;]|\w+")  # \w is exactly str.isalnum() or '_'
@@ -95,31 +97,34 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
     The loop reads one head word: a leaf is a value at once, a head with
     arguments opens a frame.  A value goes to the frames it completes,
     innermost first, until one wants another argument.  Each morphism is
-    typed as it closes, until held takes a typing error.
+    built typed as it closes, until held takes a typing error.
     """
     pos = 0
     stack: list[tuple] = []
+    heads = _HEADS[is_mor]
+    get = table.get
     while True:
-        if len(stack) >= MAX_DEPTH:
-            raise _Error("expression nested too deeply", pos)
         word = tokens[pos]
-        if word is None:
-            raise _Error(f"expected {_WHAT[is_mor]}, found end of input", pos)
         pos += 1
-        head = _HEADS[is_mor].get(word)
+        head = heads.get(word)
         if head is not None:
             node, arity, of_mor = head
-            if arity == 0:
-                value = share(table, node)
-            else:
+            if arity != 0:
                 if tokens[pos] != "(":
                     raise _Error(f"expected '(', found {_found(tokens[pos])}", pos)
                 pos += 1
                 stack.append((node, arity, of_mor, []))
-                is_mor = of_mor
+                if len(stack) >= MAX_DEPTH:
+                    raise _Error("expression nested too deeply", pos)
+                heads = _HEADS[of_mor]
                 continue
-        elif not is_mor:
-            value = table.get(word)  # a label read before, under its own spelling
+            value = get(word)  # a unit read before, under its own spelling
+            if value is None:
+                value = table[word] = share(table, node)
+        elif word is None:
+            raise _Error(f"expected {_WHAT[heads is _HEADS[True]]}, found end of input", pos - 1)
+        elif heads is _HEADS[False]:
+            value = get(word)  # a label read before, under its own spelling
             if value is None:
                 if word[0] != "X" or not word[1:].isdecimal():
                     raise _Error(f"unknown object {word!r}", pos - 1)
@@ -129,10 +134,12 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
                 if tokens[pos + 1] != ")":
                     pos += 1
                     stack.append((word, None, False, []))
-                    is_mor = False
+                    if len(stack) >= MAX_DEPTH:
+                        raise _Error("expression nested too deeply", pos)
+                    heads = _HEADS[False]
                     continue
                 pos += 2
-            value = typed(Gen(word, ()), table, held)
+            value = build(Gen, (word, ()), table, held)
         else:
             raise _Error(f"unknown generator {word!r}", pos - 1)
 
@@ -145,13 +152,19 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
                     if sep != ",":
                         raise _Error(f"expected ',', found {_found(sep)}", pos)
                     pos += 1
-                    is_mor = of_mor
+                    heads = _HEADS[of_mor]
                     break
                 if sep != ")":
                     raise _Error(f"expected ')', found {_found(sep)}", pos)
                 pos += 1
                 stack.pop()
-                value = share(table, node, *args) if node in _OBJECT_NODES else typed(node(*args), table, held)
+                if node not in _OBJECT_NODES:
+                    value = build(node, args, table, held)
+                    continue
+                key = (node, id(args[0]), id(args[1] if arity == 2 else None))  # as share keys it
+                value = get(key)
+                if value is None:
+                    value = table[key] = node(*args)
                 continue
             # A horiz or a generator's parameter list: a separator or ')'.
             if node == "horiz":
@@ -166,7 +179,7 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
             if sep == ")":
                 stack.pop()
                 if node != "horiz":
-                    value = typed(Gen(node, tuple(args)), table, held)
+                    value = build(Gen, (node, tuple(args)), table, held)
                     continue
                 value = desugar_horiz(args[0], args[1:], table)
                 if not held:
@@ -174,7 +187,7 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
                 continue
             if not ok:
                 raise _Error(f"expected {wrong}, found {sep!r}", pos - 1)
-            is_mor = of_mor
+            heads = _HEADS[of_mor]
             break
         else:
             if tokens[pos] is not None:
@@ -190,12 +203,13 @@ def _run(text: str, is_mor: bool, held: list | None = None):
     stray = _STRAY.search(text)
     if stray:
         raise ParseError(f"unexpected character {stray[0]!r}", *_position(text, stray.start()))
-    tokens = _TOKEN.findall(text)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace(";", " ; ").split()
+    tokens.append(None)
     try:
-        return _parse([*tokens, None], is_mor, {}, [] if held is None else held)
+        return _parse(tokens, is_mor, {}, [] if held is None else held)
     except _Error as exc:
         message, k = exc.args
-        raise ParseError(message, *_where(text, tokens, k)) from None
+        raise ParseError(message, *_where(text, tokens[:-1], k)) from None
 
 
 def parse_obj(text: str) -> ObjectExpr:

@@ -714,6 +714,33 @@ def test_two_letters_on_twelve_thousand_strands_exit_two_within_seconds(tmp_path
     }
 
 
+def test_two_letters_on_twelve_thousand_strands_decide_symmetric_without_normal_forms(capsys, tmp_path):
+    # The signed permutations decide the symmetric flavor; the normal forms
+    # are only evidence, left out when one would pass the work cap.
+    r = balanced_tensor_text(3, 12000)
+    f = tmp_path / "wide_symmetric.diag"
+    f.write_text(
+        "flavor = symmetric\n"
+        f"lhs = vert(tens(inv(sigma(X1, X2)), id({r})), tens(sigma(X1, X2), id({r})))\n"
+        f"rhs = id(tensor(tensor(X1, X2), {r}))\n"
+    )
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "coherence", "check", str(f))
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert doc["payload"] == {
+        "braid_words": {"lhs": "s1 S1", "rhs": ""},
+        "detail": (
+            "normal forms not shown: normal form on 12002 strands would pass the work cap of "
+            f"{MAX_NF_WORK} (4800800 units counted)"
+        ),
+        "flavor": "symmetric",
+        "lhs_nf": None,
+        "rhs_nf": None,
+        "status": "COMMUTES",
+    }
+
+
 def test_two_positive_runs_on_six_thousand_strands_decide(capsys, tmp_path):
     # The double braiding is s1 s1 on 6,002 strands: two runs and a pair that
     # moves nothing, about 400 n units, so the pair is not charged n(n-1)/2.

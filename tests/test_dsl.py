@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +33,9 @@ from orbibraid.dsl import (
     strand_count,
     validate,
 )
-from orbibraid.dsl.morphisms import ActMor, PhiMor
+from orbibraid.coherence import LETTER_RULES, extract_braid
+from orbibraid.dsl.morphisms import TYPE_RULES, ActMor, MorExpr, PhiMor
+from orbibraid.dsl.objects import same
 from orbibraid.dsl.parser import _run
 from orbibraid.errors import ParseError, TypingError
 
@@ -307,3 +312,54 @@ def test_strand_count_is_the_signature_length_however_the_object_was_built():
             assert strand_count(o) == len(signature(o).strands)
     assert strand_count(chain) == 1 and signature(chain).strands == ((7, 1),)
     assert strand_count(objects[-2]) == 1201
+
+
+NODE_KINDS = (Id, Gen, Inv, Vert, TensorMor, ActMor, PhiMor)
+
+
+def test_parsed_nodes_and_objects_refuse_every_assignment():
+    f = parse_mor("vert(inv(act(id(M), inv(lambda(Phi(tensor(X2, X1)))))), act(id(M), tens(phi0, phi(sigma(X1, X2)))))")
+    seen = set()
+    for g in fold_nodes(f):
+        seen.add(type(g))
+        for name in (*g.__match_args__, "_types"):
+            kept = getattr(g, name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(g, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(g, name)
+            assert getattr(g, name) is kept
+    assert seen == set(NODE_KINDS)
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and validate(copied) == validate(f)
+    for o in object_nodes(f):
+        for name in (*o.__match_args__, "n_strands"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(o, name, None)
+
+
+def test_every_node_kind_has_a_typing_rule_and_a_letter_rule():
+    kinds = {kind for kind in MorExpr.__subclasses__() if kind.__module__ == "orbibraid.dsl.morphisms"}
+    assert kinds == set(NODE_KINDS)
+    assert set(TYPE_RULES) == set(LETTER_RULES) == kinds
+
+    class Unknown(MorExpr):
+        __slots__ = ()
+
+    for call in (validate, extract_braid):
+        with pytest.raises(TypingError, match="no rule for a Unknown node"):
+            call(Vert(Unknown(), Id(ALeaf(1))))
+
+
+def test_parsed_types_are_the_types_validate_gives_a_rebuilt_copy():
+    rng = seeded_rng(14)
+    for _ in range(300):
+        f = parse_mor(mor_text(random_mor(rng, m_typed=bool(rng.random() < 0.5))))
+        hand = unshared(f)
+        assert hand._types is None
+        validate(hand)
+        pairs = [(f, hand)]
+        while pairs:
+            g, h = pairs.pop()
+            assert type(g) is type(h) and all(map(same, g._types, h._types)), mor_text(f)
+            pairs.extend(zip(g.children(), h.children()))
