@@ -34,6 +34,7 @@ their errors give lines and columns in the file.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from itertools import islice
 
@@ -44,6 +45,9 @@ from .objects import OBJECT_WORDS, ObjectExpr, share, share_leaf
 _TOKEN = re.compile(r"[(),;]|\w+")  # \w is exactly str.isalnum() or '_'
 _COMMENT = re.compile(r"#.*")
 _STRAY = re.compile(r"[^\w(),; \t\r\n]")
+# The ASCII characters _STRAY allows, for str.translate to delete: ASCII
+# text with nothing left has no stray character and needs no regex search.
+_ALLOWED_ASCII = str.maketrans("", "", string.ascii_letters + string.digits + "_(),; \t\r\n")
 
 # Nesting levels an expression may have around it: 991 keeps the refusal
 # of 1,500 nested ``inv`` at the token where the recursive parser this one
@@ -200,9 +204,10 @@ def _run(text: str, is_mor: bool, held: list | None = None):
     ParseError; the first typing error, if any, is left in held."""
     # A comment runs to the end of its line, so dropping it moves no other character.
     text = _COMMENT.sub("", text)
-    stray = _STRAY.search(text)
-    if stray:
-        raise ParseError(f"unexpected character {stray[0]!r}", *_position(text, stray.start()))
+    if not text.isascii() or text.translate(_ALLOWED_ASCII):
+        stray = _STRAY.search(text)
+        if stray:
+            raise ParseError(f"unexpected character {stray[0]!r}", *_position(text, stray.start()))
     tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace(";", " ; ").split()
     tokens.append(None)
     try:

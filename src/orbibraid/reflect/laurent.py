@@ -147,9 +147,9 @@ class LaurentScalar:
         return not self.num
 
     def __add__(self, other: LaurentScalar) -> LaurentScalar:
-        if self.is_zero:
+        if not self.num:
             return other
-        if other.is_zero:
+        if not other.num:
             return self
         if self.den == other.den == (1,):
             # Polynomials: add the aligned runs; with the zeros at both ends stripped the sum is canonical.
@@ -182,8 +182,14 @@ class LaurentScalar:
         return self + (-other)
 
     def __mul__(self, other: LaurentScalar) -> LaurentScalar:
-        if self.is_zero or other.is_zero:
+        if not self.num or not other.num:
             return ZERO
+        if other.num in _UNITS and other.den == (1,):
+            self, other = other, self
+        if self.num in _UNITS and self.den == (1,):
+            # A factor +-q^k shifts the other and signs it: a canonical form stays canonical.
+            num = other.num if self.num[0] == 1 else tuple([-x for x in other.num])
+            return LaurentScalar(self.num_low + other.num_low, num, other.den)
         if self.den == other.den == (1,):
             # Polynomials with nonzero end coefficients: the product is canonical as it stands.
             return LaurentScalar(self.num_low + other.num_low, _pmul(self.num, other.num), (1,))
@@ -240,6 +246,7 @@ class LaurentScalar:
 
 ZERO = LaurentScalar(0, (), (1,))
 ONE = LaurentScalar(0, (1,), (1,))
+_UNITS = ((1,), (-1,))  # the numerators of +-q^k over the denominator (1,)
 
 MAX_SCALAR_SPAN = 1_000  # widest exponent range a parsed scalar may write: its coefficient run is dense
 _TERM = re.compile(r"^(?P<sign>[+-])?(?:(?P<coeff>\d+)\*?)?(?P<q>q(?:\^(?P<exp>-?\d+))?)?$")

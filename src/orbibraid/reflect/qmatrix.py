@@ -1,23 +1,32 @@
 """Matrices over the rational-function field Q(q), exact throughout.
 
-Storage is dense: ``entries`` is a tuple of row tuples.  Products and
-eliminations skip zero entries: a product walks the nonzero entries of
-each row and multiplies each one into the nonzero entries of the matching
-row of the right factor.  Structural matrices cost no scalar arithmetic
-at all: ``placed`` writes I (x) A (x) I by index, and ``permuted``
+``entries`` is a tuple of row tuples, every zero included.  Each matrix
+also lists its nonzero entries, row by row as (column, entry) pairs; the
+list is built on first use and kept, outside equality, hashing and repr.
+A product is row-wise over these lists on both sides (Gustavson, "Two
+fast algorithms for sparse matrices", ACM TOMS 1978): each nonzero a_ik
+of the left factor is multiplied into the nonzeros of row k of the right
+one.  The generators of a cylinder representation have one or two
+nonzeros a row, and most of them are +-q^k, which ``LaurentScalar``
+multiplies by a shift.  Structural matrices cost no scalar arithmetic at
+all: ``placed`` writes I (x) A (x) I by index, and ``permuted``
 conjugates by a permutation of tensor legs (Van Loan, "The ubiquitous
 Kronecker product", 2000) by reindexing entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import DimensionError, SingularMatrixError
 from .laurent import ONE, ZERO, LaurentScalar, parse_scalar
 
 Row = tuple[LaurentScalar, ...]
+Terms = tuple[tuple[int, LaurentScalar], ...]
+
+# The nonzero rows are written with object.__setattr__, as the frozen dataclass refuses a plain setattr.
+_set = object.__setattr__
 
 
 def leg_swap(left: int, d: int) -> tuple[int, ...]:
@@ -31,6 +40,7 @@ class QMatrix:
     rows: int
     cols: int
     entries: tuple[Row, ...]
+    _nonzero: tuple[Terms, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -51,32 +61,28 @@ class QMatrix:
     def identity(n: int) -> QMatrix:
         return QMatrix(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def flip(d1: int, d2: int) -> QMatrix:
-        """Permutation matrix of v (x) w -> w (x) v."""
-        n = d1 * d2
-        rows = [[ZERO] * n for _ in range(n)]
-        for i in range(d1):
-            for j in range(d2):
-                rows[j * d1 + i][i * d2 + j] = ONE
-        return QMatrix.from_rows(rows)
-
     def __mul__(self, other: QMatrix) -> QMatrix:
         if not isinstance(other, QMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        support = [[(j, b) for j, b in enumerate(row) if not b.is_zero] for row in other.entries]
+        right = other._nonzero_rows()
         out = []
-        for r in self.entries:
+        for terms in self._nonzero_rows():
             row = [ZERO] * other.cols
-            for a, terms in zip(r, support):
-                if a.is_zero:
-                    continue
-                for j, b in terms:
+            for k, a in terms:
+                for j, b in right[k]:
                     row[j] = row[j] + a * b
             out.append(tuple(row))
         return QMatrix(self.rows, other.cols, tuple(out))
+
+    def _nonzero_rows(self) -> tuple[Terms, ...]:
+        """Each row's nonzero entries as (column, entry) pairs, built once and kept."""
+        rows = self._nonzero
+        if rows is None:
+            rows = tuple(tuple([(j, x) for j, x in enumerate(row) if x.num]) for row in self.entries)
+            _set(self, "_nonzero", rows)
+        return rows
 
     def placed(self, left: int, right: int) -> QMatrix:
         """I_left (x) A (x) I_right of a square A, by index: entry a_ij lands at row
@@ -86,7 +92,7 @@ class QMatrix:
             raise DimensionError("only a square matrix is placed on tensor legs")
         n = self.rows
         dim = left * n * right
-        support = [[(j * right, a) for j, a in enumerate(row) if not a.is_zero] for row in self.entries]
+        support = [[(j * right, a) for j, a in terms] for terms in self._nonzero_rows()]
         zeros = [ZERO] * dim
         out = []
         for base in range(0, dim, n * right):

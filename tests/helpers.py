@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded RNG, random well-typed morphisms, word sampling and rewriting, normal-form invariants."""
+"""Shared test utilities: seeded RNG, random well-typed morphisms, word sampling and rewriting, normal-form invariants,
+and the flip matrix that index-based leg swaps are checked against."""
 
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from orbibraid.dsl import (
     is_module,
     strand_count,
 )
+from orbibraid.reflect import ONE, ZERO, QMatrix
 
 
 def stdout_under_python_O(script: str) -> str:
@@ -36,6 +38,16 @@ def stdout_under_python_O(script: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True, env=env)
     return run.stdout
+
+
+def flip_matrix(d1: int, d2: int) -> QMatrix:
+    """Permutation matrix of v (x) w -> w (x) v, built entry by entry."""
+    n = d1 * d2
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(d1):
+        for j in range(d2):
+            rows[j * d1 + i][i * d2 + j] = ONE
+    return QMatrix.from_rows(rows)
 
 
 def seeded_rng(salt: int = 0) -> random.Random:

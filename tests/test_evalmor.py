@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from helpers import flip_matrix
 from orbibraid.dsl import parse_diagram, parse_mor
 from orbibraid.errors import DimensionError, UnsupportedGeneratorError
 from orbibraid.reflect import QMatrix, RepData, eval_mor
@@ -36,7 +37,7 @@ def test_domain_past_the_dimension_cap_is_refused_before_any_matrix(sl2_data):
 
 def test_sigma_is_flip_compose_R(sl2_data):
     got = eval_mor(sl2_data, parse_mor("sigma(X1, X2)"))
-    assert got == QMatrix.flip(2, 2) * sl2_R()
+    assert got == flip_matrix(2, 2) * sl2_R()
 
 
 def test_winding_and_hexagon_routes_evaluate_equal(sl2_data, diagram_dir):

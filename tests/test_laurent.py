@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import seeded_rng, stdout_under_python_O
 from orbibraid.reflect import ONE, ZERO, LaurentScalar, QMatrix, parse_scalar, specialize
+from orbibraid.reflect.laurent import _pmul
 
 
 def random_scalar(rng, nonzero=False) -> LaurentScalar:
@@ -274,6 +275,21 @@ def test_polynomial_sum_equals_make_of_the_same_sum():
         assert fields(a - b) == fields(by_make(a, -b)), (a, b)
     assert (pairs[1][0] + pairs[1][1]) is ZERO
     assert fields(pairs[0][0] + pairs[0][1]) == (0, (4,), (1,))
+
+
+def test_product_by_a_signed_power_of_q_is_make_of_the_general_product():
+    """x * (+-q^k), on either side, is field for field make of the _pmul products of the
+    numerators and of the denominators, for polynomials, fractions, zero and units."""
+    rng = seeded_rng(47)
+    units = [ONE, -ONE] + [LaurentScalar.make(k, [sign]) for k in range(-4, 5) for sign in (1, -1)]
+    others = [ZERO, ONE, -ONE] + units + [random_scalar(rng) for _ in range(200)]
+    others += [LaurentScalar.make(rng.randint(-3, 3), [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]) for _ in range(100)]
+    assert all(len(u.num) == 1 and u.den == (1,) for u in units)
+    for u in units:
+        for x in others:
+            want = LaurentScalar.make(u.num_low + x.num_low, _pmul(u.num, x.num), 0, _pmul(u.den, x.den))
+            assert fields(u * x) == fields(want), (u, x)
+            assert fields(x * u) == fields(want), (u, x)
 
 
 def test_parse_scalar_sums_terms_once():

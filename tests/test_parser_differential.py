@@ -407,3 +407,21 @@ def test_texts_of_odd_characters_tokenize_and_fail_alike():
         assert outcome(parse_obj, text) == outcome(seed_parse_obj, text), repr(text)
         mor = "vert(id(X1), id(" + text + "))"
         assert outcome(parse_mor, mor) == outcome(seed_parse_mor, mor), repr(mor)
+
+
+def test_injected_stray_characters_fail_alike():
+    # The one-loop parser skips the stray-character regex for ASCII text that
+    # holds nothing but allowed characters.  Random texts, spread over lines,
+    # with one '=', '\x0b', '\xa0' or 'é' injected (or a comment holding them)
+    # are refused, at the same line and column, or read as by the regex alone.
+    rng = seeded_rng(37)
+    refused = 0
+    for text in random_texts(rng):
+        text = "".join(c if c != " " or rng.random() < 0.7 else "\n" for c in text)
+        for ch in ("", "=", "\x0b", "\xa0", "é", "# = \xa0 é\n"):
+            i = rng.randrange(len(text) + 1)
+            injected = text[:i] + ch + text[i:]
+            want = outcome(seed_parse_mor, injected)
+            assert outcome(parse_mor, injected) == want, repr(injected)
+            refused += type(want) is tuple and want[1].startswith("unexpected character")
+    assert refused >= 3 * 50, refused

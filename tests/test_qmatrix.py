@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from helpers import seeded_rng
+from helpers import flip_matrix, seeded_rng
 from orbibraid.errors import DimensionError, SingularMatrixError
 from orbibraid.reflect import ONE, ZERO, LaurentScalar, QMatrix
 from orbibraid.reflect.checks import rhat
@@ -12,18 +14,23 @@ def random_matrix(rng, n):
     return QMatrix.from_rows([[random_scalar(rng) for _ in range(n)] for _ in range(n)])
 
 
-def sparse_matrix(rng, n):
-    """An n x n matrix whose entries are zero, polynomial or rational, a third each."""
+def sparse_matrix(rng, n, cols=None):
+    """An n x n (or n x cols) matrix whose entries are zero, 1, +-q^k, polynomial or rational,
+    a fifth each: every path of the scalar product."""
 
     def entry():
-        kind = rng.randrange(3)
+        kind = rng.randrange(5)
         if kind == 0:
             return ZERO
         if kind == 1:
+            return ONE
+        if kind == 2:
+            return LaurentScalar.make(rng.randint(-3, 3), [rng.choice((1, -1))])
+        if kind == 3:
             return LaurentScalar.make(rng.randint(-3, 3), [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
         return random_scalar(rng)
 
-    return QMatrix.from_rows([[entry() for _ in range(n)] for _ in range(n)])
+    return QMatrix.from_rows([[entry() for _ in range(n if cols is None else cols)] for _ in range(n)])
 
 
 def test_placed_equals_kron_with_identities():
@@ -41,7 +48,7 @@ def test_placed_equals_kron_with_identities():
 def test_leg_swaps_equal_products_with_flip_matrices():
     rng = seeded_rng(42)
     for d in (1, 2, 3):
-        flip = QMatrix.flip(d, d)
+        flip = flip_matrix(d, d)
         for left in (1, 2, 3):
             p = QMatrix.identity(left).kron(flip)
             swap = leg_swap(left, d)
@@ -53,7 +60,7 @@ def test_leg_swaps_equal_products_with_flip_matrices():
         assert rhat(r, d) == flip * r
     # The swaps of the cylinder checks: legs 2 and 3 of V (x) V (x) V, and V_1 V_2 over M.
     r12 = sparse_matrix(rng, 4).placed(1, 2)
-    flip23 = QMatrix.identity(2).kron(QMatrix.flip(2, 2))
+    flip23 = QMatrix.identity(2).kron(flip_matrix(2, 2))
     assert r12.permuted(leg_swap(2, 2), leg_swap(2, 2)) == flip23 * r12 * flip23
 
 
@@ -77,7 +84,7 @@ def test_is_identity_scans_like_a_comparison_with_the_identity():
 
 def test_flip_is_an_involution():
     for d in (2, 3):
-        p = QMatrix.flip(d, d)
+        p = flip_matrix(d, d)
         assert (p * p).is_identity
 
 
@@ -85,8 +92,8 @@ def test_kron_shapes_and_mixed_flip():
     a = QMatrix.identity(2)
     b = QMatrix.identity(3)
     assert a.kron(b).rows == 6
-    p = QMatrix.flip(2, 3)
-    q = QMatrix.flip(3, 2)
+    p = flip_matrix(2, 3)
+    q = flip_matrix(3, 2)
     assert (q * p).is_identity
 
 
@@ -121,3 +128,83 @@ def test_singular_and_shape_errors():
 def test_specialize_zero_matrix():
     z = QMatrix.from_strings([["0", "0"], ["0", "0"]])
     assert z.specialize(5) == ((0, 0), (0, 0))
+
+
+# ---------------------------------------------------------------------------
+# The sparse product against an independent oracle: specialisation at rational q0.
+
+SPECIAL_Q = (Fraction(3, 2), Fraction(-5, 7), Fraction(11, 3))
+
+
+def constructed(rng, rows, cols):
+    """A rows x cols matrix from a constructor picked at random among those that give that shape."""
+
+    def placed():
+        left, right = rng.choice([(x, y) for x in (1, 2, 4) for y in (1, 2, 4) if rows % (x * y) == 0])
+        n = rows // (left * right)
+        return sparse_matrix(rng, n).placed(left, right)
+
+    def picks(count):
+        return [rng.randrange(3) for _ in range(count)]
+
+    makers = [
+        lambda: sparse_matrix(rng, rows, cols),
+        lambda: sparse_matrix(rng, 3).permuted(picks(rows), picks(cols)),
+        lambda: sparse_matrix(rng, 3, cols).permuted(picks(rows)),
+    ]
+    if rows == cols:
+        makers += [lambda: QMatrix.identity(rows), lambda: invertible(rng, rows).inverse(), placed]
+    if rows % 2 == 0 and cols % 2 == 0:
+        makers.append(lambda: sparse_matrix(rng, 2, 2).kron(sparse_matrix(rng, rows // 2, cols // 2)))
+    return rng.choice(makers)()
+
+
+def invertible(rng, n):
+    while True:
+        m = sparse_matrix(rng, n)
+        if not m.det().is_zero:
+            return m
+
+
+def specialized(m: QMatrix, q0: Fraction):
+    """The entries of m at q0, or None where a denominator vanishes there."""
+    try:
+        return m.specialize(q0)
+    except ZeroDivisionError:
+        return None
+
+
+def fraction_product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def test_sparse_product_equals_the_product_of_specialisations():
+    rng = seeded_rng(45)
+    checked = 0
+    for _ in range(150):
+        n, k, m = rng.choice(((4, 4, 4), (2, 4, 3), (4, 2, 4), (3, 4, 2), (1, 4, 1), (4, 1, 4)))
+        a, b, c = constructed(rng, n, k), constructed(rng, k, m), constructed(rng, m, rng.choice((1, 2, 4)))
+        ab = a * b
+        assert (ab.rows, ab.cols) == (n, m)
+        for q0 in SPECIAL_Q:
+            sa, sb, sc = specialized(a, q0), specialized(b, q0), specialized(c, q0)
+            if sa is None or sb is None or sc is None:
+                continue
+            # ab * c walks the nonzero rows of a product, as eval_braid does.
+            assert ab.specialize(q0) == fraction_product(sa, sb)
+            assert (ab * c).specialize(q0) == fraction_product(fraction_product(sa, sb), sc)
+            checked += 1
+    assert checked > 300
+
+
+def test_kept_nonzero_rows_change_no_comparison():
+    rng = seeded_rng(46)
+    for _ in range(60):
+        n = rng.choice((1, 2, 4))
+        a = constructed(rng, n, n)
+        fresh = QMatrix(a.rows, a.cols, a.entries)
+        kept = a._nonzero_rows()
+        assert fresh._nonzero is None and a._nonzero is kept
+        assert kept == tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero) for row in a.entries)
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        assert {a: 1}[fresh] == 1

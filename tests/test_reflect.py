@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import data_path
-from helpers import random_cyl_word, seeded_rng
+from helpers import flip_matrix, random_cyl_word, seeded_rng
 from orbibraid.braid import BraidWord, CylBraidWord, cyl_braid_eq
 from orbibraid.cli import main
 from orbibraid.errors import DimensionError, RelationError, SingularMatrixError
@@ -15,6 +15,7 @@ from orbibraid.reflect import (
     reflection_check,
     yang_baxter_check,
 )
+from orbibraid.reflect import laurent
 
 SL2_R = [["q", "0", "0", "0"], ["0", "1", "q - q^-1", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "q"]]
 
@@ -62,11 +63,11 @@ def yang_baxter_indexed_oracle(R: QMatrix) -> bool:
 
 def test_yang_baxter_examples_and_oracle_agreement():
     assert yang_baxter_check(QMatrix.identity(4))
-    assert yang_baxter_check(QMatrix.flip(2, 2))
+    assert yang_baxter_check(flip_matrix(2, 2))
     assert yang_baxter_check(sl2_R())
     bad = QMatrix.from_strings([["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]])
     assert not yang_baxter_check(bad)
-    for R in (QMatrix.identity(4), QMatrix.flip(2, 2), sl2_R(), bad):
+    for R in (QMatrix.identity(4), flip_matrix(2, 2), sl2_R(), bad):
         assert yang_baxter_check(R) == yang_baxter_indexed_oracle(R)
     with pytest.raises(DimensionError):
         yang_baxter_check(QMatrix.identity(3))
@@ -195,7 +196,7 @@ def kron_generators(data: RepData, n: int):
     """sigma_1..sigma_(n-1), kappa and their inverses, built with the flip matrix and padded
     by kron with identities; each inverse is placed from one small inverse."""
     d, m = data.d, data.m
-    rhat = QMatrix.flip(d, d) * data.R
+    rhat = flip_matrix(d, d) * data.R
     core = QMatrix.identity(m).kron(data.T.inverse()) * data.K
 
     def place(mat: QMatrix, i: int) -> QMatrix:
@@ -276,24 +277,42 @@ def test_placed_generators_equal_kron_built_ones(sl2_data, twisted, n):
     assert rep.kappa == kappa and rep.kappa_inv == kappa_inv
 
 
-def test_rep_verify_work_counts(capsys, monkeypatch):
+@pytest.fixture
+def work_counts(monkeypatch) -> dict[str, int]:
+    """Counts of exact products from here on: matrix products, krons, scalar products, and the
+    polynomial products (``_pmul``) under those; a product by +-q^k is a shift and runs none."""
+    counts = {"QMatrix.__mul__": 0, "QMatrix.kron": 0, "LaurentScalar.__mul__": 0, "_pmul": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(QMatrix, "__mul__", "QMatrix.__mul__")
+    counted(QMatrix, "kron", "QMatrix.kron")
+    counted(LaurentScalar, "__mul__", "LaurentScalar.__mul__")
+    counted(laurent, "_pmul", "_pmul")
+    return counts
+
+
+def test_rep_verify_work_counts(capsys, work_counts):
     """Exact products of one `rep verify` of the bundled sl2 data.  Every leg is placed and
     every flip applied by index, so no kron runs; building a leg by kron or a flip product
     changes these counts, and a deliberate change records the new ones."""
-    counts = {"QMatrix.__mul__": 0, "QMatrix.kron": 0, "LaurentScalar.__mul__": 0}
-
-    def counted(cls, name):
-        original = getattr(cls, name)
-
-        def wrapper(*args):
-            counts[f"{cls.__name__}.{name}"] += 1
-            return original(*args)
-
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counted(QMatrix, "__mul__")
-    counted(QMatrix, "kron")
-    counted(LaurentScalar, "__mul__")
     assert main(["rep", "verify", str(data_path("sl2.rep.json"))]) == 0
     capsys.readouterr()
-    assert counts == {"QMatrix.__mul__": 15, "QMatrix.kron": 0, "LaurentScalar.__mul__": 169}
+    assert work_counts == {"QMatrix.__mul__": 15, "QMatrix.kron": 0, "LaurentScalar.__mul__": 169, "_pmul": 14}
+
+
+def test_rep_eval_work_counts(capsys, work_counts):
+    """Exact products of one `rep eval -n 4 --cyl` of the bundled sl2 data: the relation
+    checks' products and one per letter after the first, with polynomial products only where
+    neither scalar factor is +-q^k.  A deliberate change records the new counts."""
+    word = "k s1 s2 S3 K s1 s3 S2 k s1"
+    assert main(["rep", "eval", str(data_path("sl2.rep.json")), "-n", "4", "--cyl", word]) == 0
+    capsys.readouterr()
+    assert work_counts == {"QMatrix.__mul__": 18, "QMatrix.kron": 0, "LaurentScalar.__mul__": 728, "_pmul": 103}
