@@ -14,7 +14,8 @@ Subpackages:
 - ``reflect``: exact rational-function linear algebra, Yang-Baxter and
   (twisted) reflection verification, matrix semantics of the DSL.
 
-All values are immutable and all operations are pure functions.
+All values are immutable records (``record.Record``: slotted, frozen,
+compared and hashed by their fields) and all operations are pure functions.
 """
 
 __version__ = "0.1.0"

@@ -34,9 +34,8 @@ stored factors are conjugated once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ArityError, SizeCapError
+from ..record import Record, set_slot
 from .words import BraidWord, CylBraidWord, embed_cyl
 
 Perm = tuple[int, ...]
@@ -112,26 +111,26 @@ def _weight_pair(a: list[int], a_inv: list[int], b: list[int], b_inv: list[int])
     return moved
 
 
-@dataclass(frozen=True)
-class GarsideNF:
+class GarsideNF(Record):
     """Canonical form Delta^power x_1 ... x_l of an element of B_n.
 
     Factors are permutation braids given by their permutations; none is the
     identity or Delta, and consecutive factors are left-weighted.
     """
 
-    n: int
-    power: int
-    factors: tuple[Perm, ...]
+    __slots__ = __match_args__ = ("n", "power", "factors")
 
-    def __post_init__(self):
-        ends = (tuple(range(self.n)), omega_perm(self.n))  # the identity and Delta
-        for k, f in enumerate(self.factors):
+    def __init__(self, n: int, power: int, factors: tuple[Perm, ...]):
+        ends = (tuple(range(n)), omega_perm(n))  # the identity and Delta
+        for k, f in enumerate(factors):
             if f in ends:
                 raise ValueError(f"factor {k} is not a proper permutation braid")
-        for k in range(1, len(self.factors)):
-            if not starting_set(self.factors[k]) <= finishing_set(self.factors[k - 1]):
+        for k in range(1, len(factors)):
+            if not starting_set(factors[k]) <= finishing_set(factors[k - 1]):
                 raise ValueError(f"factor {k} is not left-weighted against factor {k - 1}")
+        set_slot(self, "n", n)
+        set_slot(self, "power", power)
+        set_slot(self, "factors", factors)
 
     def to_word(self) -> BraidWord:
         """Rebuild a braid word (Delta^power, then the factors)."""

@@ -12,10 +12,8 @@ inverse), e.g. ``"k s1 K s1"``.  The strand count is given separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 from ..errors import ArityError, MalformedWordError
+from ..record import Record, set_slot
 
 KAPPA = 0
 
@@ -58,17 +56,16 @@ def _letters_text(letters: tuple[Letter, ...]) -> str:
     return " ".join(out)
 
 
-@dataclass(frozen=True)
-class _Word:
-    n: int
-    letters: tuple[Letter, ...] = ()
+class _Word(Record):
+    __slots__ = __match_args__ = ("n", "letters")
+    allow_kappa = False
 
-    allow_kappa: ClassVar[bool] = False
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, letters: tuple[Letter, ...] = ()):
+        if n < 1:
             raise MalformedWordError("strand count must be positive")
-        _check_letters(self.n, self.letters, self.allow_kappa)
+        _check_letters(n, letters, self.allow_kappa)
+        set_slot(self, "n", n)
+        set_slot(self, "letters", letters)
 
     @classmethod
     def from_text(cls, n: int, text: str):
@@ -91,10 +88,13 @@ class _Word:
 class BraidWord(_Word):
     """A word in the Artin generators of B_n; the empty word is the identity."""
 
+    __slots__ = ()
+
 
 class CylBraidWord(_Word):
     """A word in the generators sigma_1..sigma_{n-1}, kappa of B^cyl_n."""
 
+    __slots__ = ()
     allow_kappa = True
 
 

@@ -14,22 +14,18 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .braid import BraidWord, CylBraidWord, braid_eq, garside_nf
 from .coherence import COMMUTES, check
 from .dsl import parse_diagram
 from .errors import OrbibraidError, RelationError
 from .operad import compose, classify, parse_color, parse_signed_op
+from .record import Record
 from .reflect import RepData, build_cyl_rep, cyl_relations, eval_braid, reflection_check, yang_baxter_check
 
 
-@dataclass
-class Report:
-    command: str
-    status: str  # ok | fail | error
-    payload: dict
-    elapsed_ms: float
+class Report(Record):
+    __slots__ = __match_args__ = ("command", "status", "payload", "elapsed_ms")  # status: ok | fail | error
 
     @property
     def exit_code(self) -> int:

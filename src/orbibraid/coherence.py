@@ -21,9 +21,7 @@ Z2-symmetric pair whenever the underlying signed permutations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .braid.garside import GarsideNF, garside_nf
+from .braid.garside import garside_nf
 from .braid.words import KAPPA, BraidWord, CylBraidWord, Letter, strand_ends
 from .dsl.morphisms import (
     ActMor,
@@ -43,6 +41,7 @@ from .dsl.morphisms import (
 from .dsl.objects import SignedSignature, is_module, signature, strand_count
 from .errors import ArityError, FlavorError, SizeCapError, TypingError
 from .operad import Color, SignedOp
+from .record import Record
 
 # Longest underlying word extract_braid builds: a kappa cabled over a
 # 1,200-strand block has 720,600 letters.
@@ -143,16 +142,14 @@ def extract_braid(f: MorExpr) -> BraidWord | CylBraidWord:
     return BraidWord(n, letters)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a diagram check with the evidence that decided it."""
+class Verdict(Record):
+    """Outcome of a diagram check with the evidence that decided it: the
+    underlying words and their ``GarsideNF``s, each None when not shown."""
 
-    status: str
-    lhs_word: BraidWord | CylBraidWord | None = None
-    rhs_word: BraidWord | CylBraidWord | None = None
-    lhs_nf: GarsideNF | None = None
-    rhs_nf: GarsideNF | None = None
-    detail: str = ""
+    __slots__ = __match_args__ = ("status", "lhs_word", "rhs_word", "lhs_nf", "rhs_nf", "detail")
+
+    def __init__(self, status: str, lhs_word=None, rhs_word=None, lhs_nf=None, rhs_nf=None, detail: str = ""):
+        super().__init__(status, lhs_word, rhs_word, lhs_nf, rhs_nf, detail)
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,7 +16,7 @@ expansion).
 Every pass over a tree is a post-order ``fold`` on an explicit stack, so
 the depth of a tree is not limited by the interpreter's recursion limit.
 
-Nodes are immutable ``__slots__`` objects, each keeping its (domain,
+Nodes are records (``record.Record``), each keeping its (domain,
 codomain) in ``_types``.  Typing is one rule per node kind (``TYPE_RULES``)
 on the children's ``_types``, building every domain and codomain through
 one ``share`` table (see ``objects``): objects are shared within one call,
@@ -29,46 +29,22 @@ each node typed, its fields and ``_types`` written once (``build``);
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError
 from functools import partial
 
 from ..errors import TypingError
+from ..record import Record, set_slot
 from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, fold, is_module, obj_text, same, share
 
-_set = object.__setattr__  # writes a slot past the __setattr__ that refuses every caller
 
+class MorExpr(Record):
+    """A morphism node: a record whose ``_types`` slot, outside its fields,
+    keeps its (domain, codomain) once typed, else None."""
 
-class MorExpr:
-    """An immutable node: its fields (``__match_args__``) and ``_types`` are
-    slots; equality, hashing and repr go by the fields."""
-
-    __slots__ = ("_types",)  # (domain, codomain) once typed, else None
-    __match_args__: tuple[str, ...] = ()
+    __slots__ = ("_types",)
 
     def __init__(self, *values):
-        for name, value in zip(self.__match_args__, values, strict=True):
-            _set(self, name, value)
-        _set(self, "_types", None)
-
-    def __setattr__(self, name, value=None):
-        raise FrozenInstanceError(f"cannot change field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__match_args__))
-
-    def __eq__(self, other):
-        return self.fields() == other.fields() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.fields())
-
-    def __reduce__(self):  # copy and pickle rebuild a node through __init__, untyped
-        return type(self), self.fields()
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+        super().__init__(*values)
+        set_slot(self, "_types", None)
 
     def children(self) -> tuple[MorExpr, ...]:
         return ()
@@ -260,14 +236,14 @@ def build(kind: type, args, table: dict, held: list) -> MorExpr:
     The parser builds in ``validate``'s post-order, so it holds its error."""
     f = object.__new__(kind)
     for name, value in zip(kind.__match_args__, args):
-        _set(f, name, value)
+        set_slot(f, name, value)
     types = None
     if not held:
         try:
             types = TYPE_RULES[kind](table, *args)
         except TypingError as exc:
             held.append(exc)
-    _set(f, "_types", types)
+    set_slot(f, "_types", types)
     return f
 
 

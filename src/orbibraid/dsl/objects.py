@@ -23,95 +23,94 @@ deep comb would hold quadratically many strands).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import TypingError
-
-# Caches are written with object.__setattr__: frozen dataclasses refuse a
-# plain setattr, and reaching for a node's __dict__ would build one.
-_set = object.__setattr__
+from ..record import Record, set_slot
 
 
-class ObjectExpr:
-    """Base class for object trees."""
+class ObjectExpr(Record):
+    """Base class for object trees; the nullary nodes build through its constructor."""
 
-    n_strands = 0
-    _strand_cache = None
+    __slots__ = ("n_strands", "_strand_cache")  # the strand count, and the strands once a signature needs them
+
+    def __init__(self):
+        set_slot(self, "n_strands", 0)
+        set_slot(self, "_strand_cache", None)
 
     def children(self) -> tuple[ObjectExpr, ...]:
         return ()
 
 
-@dataclass(frozen=True)
 class ALeaf(ObjectExpr):
-    index: int
-    n_strands = 1
+    __slots__ = __match_args__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 1:
+    def __init__(self, index: int):
+        if index < 1:
             raise TypingError("generator labels are positive integers")
+        set_slot(self, "index", index)
+        set_slot(self, "n_strands", 1)
+        set_slot(self, "_strand_cache", None)
 
 
-@dataclass(frozen=True)
 class AUnit(ObjectExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class MLeaf(ObjectExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class MUnit(ObjectExpr):
-    pass
+    __slots__ = ()
 
 
 def is_module(o: ObjectExpr) -> bool:
     return type(o) in _MODULE_NODES
 
 
-@dataclass(frozen=True)
 class Tensor(ObjectExpr):
-    left: ObjectExpr
-    right: ObjectExpr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: ObjectExpr, right: ObjectExpr):
+        set_slot(self, "left", left)
+        set_slot(self, "right", right)
+        if is_module(left) or is_module(right):
+            raise TypingError(f"tensor factors must be A-typed in {obj_text(self)}")
+        set_slot(self, "n_strands", left.n_strands + right.n_strands)
+        set_slot(self, "_strand_cache", None)
 
     def children(self):
         return (self.left, self.right)
 
-    def __post_init__(self):
-        if is_module(self.left) or is_module(self.right):
-            raise TypingError(f"tensor factors must be A-typed in {obj_text(self)}")
-        _set(self, "n_strands", self.left.n_strands + self.right.n_strands)
 
-
-@dataclass(frozen=True)
 class Phi(ObjectExpr):
-    child: ObjectExpr
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: ObjectExpr):
+        set_slot(self, "child", child)
+        if is_module(child):
+            raise TypingError(f"the involution applies to A-typed objects only in {obj_text(self)}")
+        set_slot(self, "n_strands", child.n_strands)
+        set_slot(self, "_strand_cache", None)
 
     def children(self):
         return (self.child,)
 
-    def __post_init__(self):
-        if is_module(self.child):
-            raise TypingError(f"the involution applies to A-typed objects only in {obj_text(self)}")
-        _set(self, "n_strands", self.child.n_strands)
 
-
-@dataclass(frozen=True)
 class Act(ObjectExpr):
-    module: ObjectExpr
-    algebra: ObjectExpr
+    __slots__ = __match_args__ = ("module", "algebra")
+
+    def __init__(self, module: ObjectExpr, algebra: ObjectExpr):
+        set_slot(self, "module", module)
+        set_slot(self, "algebra", algebra)
+        if not is_module(module):
+            raise TypingError(f"action expects an M-typed left argument in {obj_text(self)}")
+        if is_module(algebra):
+            raise TypingError(f"action expects an A-typed right argument in {obj_text(self)}")
+        set_slot(self, "n_strands", module.n_strands + algebra.n_strands)
+        set_slot(self, "_strand_cache", None)
 
     def children(self):
         return (self.module, self.algebra)
-
-    def __post_init__(self):
-        if not is_module(self.module):
-            raise TypingError(f"action expects an M-typed left argument in {obj_text(self)}")
-        if is_module(self.algebra):
-            raise TypingError(f"action expects an A-typed right argument in {obj_text(self)}")
-        _set(self, "n_strands", self.module.n_strands + self.algebra.n_strands)
 
 
 # Head word of every object node but the labelled generators X<i>, shared by
@@ -149,7 +148,7 @@ def fold(f, rule, slot: str | None = None):
                 continue
             value = rule(node, kids)
         if slot is not None:
-            _set(node, slot, value)
+            set_slot(node, slot, value)
         values.append(value)
     return values[0]
 
@@ -190,12 +189,10 @@ def same(a: ObjectExpr, b: ObjectExpr) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SignedSignature:
+class SignedSignature(Record):
     """Module marker (None for A-typed objects) plus the strand sequence."""
 
-    module: str | None
-    strands: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("module", "strands")
 
 
 def _strand_rule(o: ObjectExpr, kids: list) -> tuple[tuple[int, int], ...]:

@@ -34,11 +34,10 @@ their errors give lines and columns in the file.
 from __future__ import annotations
 
 import re
-import string
-from dataclasses import dataclass
 from itertools import islice
 
 from ..errors import ParseError
+from ..record import Record
 from .morphisms import GENERATORS, KEYWORDS, Gen, Id, MorExpr, build, desugar_horiz, validate
 from .objects import OBJECT_WORDS, ObjectExpr, share, share_leaf
 
@@ -47,7 +46,7 @@ _COMMENT = re.compile(r"#.*")
 _STRAY = re.compile(r"[^\w(),; \t\r\n]")
 # The ASCII characters _STRAY allows, for str.translate to delete: ASCII
 # text with nothing left has no stray character and needs no regex search.
-_ALLOWED_ASCII = str.maketrans("", "", string.ascii_letters + string.digits + "_(),; \t\r\n")
+_ALLOWED_ASCII = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_(),; \t\r\n")
 
 # Nesting levels an expression may have around it: 991 keeps the refusal
 # of 1,500 nested ``inv`` at the token where the recursive parser this one
@@ -231,11 +230,8 @@ def parse_mor(text: str) -> MorExpr:
     return mor
 
 
-@dataclass(frozen=True)
-class Diagram:
-    lhs: MorExpr
-    rhs: MorExpr
-    flavor: str
+class Diagram(Record):
+    __slots__ = __match_args__ = ("lhs", "rhs", "flavor")
 
 
 FLAVORS = ("monoidal", "braided", "symmetric")

@@ -18,12 +18,12 @@ is anti-monoidal, so a block in a mirrored slot comes out reversed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .dsl.objects import ALeaf, Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, SignedSignature, Tensor, signature
 from .errors import ArityError, GeometryError, TypingError
+from .record import Record, set_slot
 
 
 class Color(Enum):
@@ -46,8 +46,7 @@ Perm = tuple[int, ...]
 MAX_DISK_INPUTS = 7  # 2^7 7! = 645,120 classes, the largest listing classify builds
 
 
-@dataclass(frozen=True)
-class SignedOp:
+class SignedOp(Record):
     """pi_0 class of an operation: colors, sign tuple, and ranking permutation.
 
     ``eps`` and ``perm`` are indexed over the D inputs only (the module
@@ -55,26 +54,27 @@ class SignedOp:
     occupying rank r.
     """
 
-    inputs: tuple[Color, ...]
-    output: Color
-    eps: tuple[int, ...]
-    perm: Perm
+    __slots__ = __match_args__ = ("inputs", "output", "eps", "perm")
 
-    def __post_init__(self):
-        stars = [i for i, c in enumerate(self.inputs) if c is Color.DSTAR]
-        if self.output is Color.D and stars:
+    def __init__(self, inputs: tuple[Color, ...], output: Color, eps: tuple[int, ...], perm: Perm):
+        stars = [i for i, c in enumerate(inputs) if c is Color.DSTAR]
+        if output is Color.D and stars:
             raise TypingError("no operation targets the free double disk from a pole input")
-        if self.output is Color.DSTAR and len(stars) > 1:
+        if output is Color.DSTAR and len(stars) > 1:
             raise TypingError("at most one pole input is allowed")
         if stars and stars != [0]:
             raise TypingError("the pole input must come first in the canonical order")
-        d = sum(1 for c in self.inputs if c is Color.D)
-        if len(self.eps) != d or len(self.perm) != d:
+        d = sum(1 for c in inputs if c is Color.D)
+        if len(eps) != d or len(perm) != d:
             raise TypingError("eps and perm must be indexed by the D inputs")
-        if any(e not in (0, 1) for e in self.eps):
+        if any(e not in (0, 1) for e in eps):
             raise TypingError("eps entries must be 0 or 1")
-        if sorted(self.perm) != list(range(d)):
+        if sorted(perm) != list(range(d)):
             raise TypingError("perm is not a permutation")
+        set_slot(self, "inputs", inputs)
+        set_slot(self, "output", output)
+        set_slot(self, "eps", eps)
+        set_slot(self, "perm", perm)
 
     @property
     def arity(self) -> int:
@@ -225,8 +225,7 @@ def compose(g: SignedOp, fs, outer_perm: Perm | None = None) -> SignedOp:
 # One-dimensional interval model: the geometric oracle.
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Marked-half image of one disk input: a closed subinterval of (-1, 1).
 
     ``copy`` is "b" or "r" when the target is the free double disk, None
@@ -234,18 +233,19 @@ class Interval:
     that role).
     """
 
-    center: Fraction
-    radius: Fraction
-    copy: str | None = None
+    __slots__ = __match_args__ = ("center", "radius", "copy")
+
+    def __init__(self, center: Fraction, radius: Fraction, copy: str | None = None):
+        super().__init__(center, radius, copy)
 
 
-@dataclass(frozen=True)
-class IntervalConfig:
+class IntervalConfig(Record):
     """A concrete equivariant rectilinear embedding in dimension one."""
 
-    target: Color
-    intervals: tuple[Interval, ...]
-    module_radius: Fraction | None = None
+    __slots__ = __match_args__ = ("target", "intervals", "module_radius")
+
+    def __init__(self, target: Color, intervals: tuple[Interval, ...], module_radius: Fraction | None = None):
+        super().__init__(target, intervals, module_radius)
 
 
 def _rep_center(target: Color, iv: Interval) -> Fraction:

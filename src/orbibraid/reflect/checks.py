@@ -15,12 +15,12 @@ Every placement on legs and every conjugation by a flip is an index map
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..errors import DimensionError, RelationError
 from .qmatrix import QMatrix, leg_swap
 from .repdata import RepData
 from ..braid.words import KAPPA, BraidWord, CylBraidWord
+from ..record import Record
 
 MAX_REP_DIM = 256  # largest matrix built: m d^n at n = 8 for d = 2, n = 5 for d = 3
 
@@ -86,16 +86,10 @@ def reflection_check(data: RepData) -> bool:
     return k1 * rphi21 * k2 * r12 == rphiphi21 * k2 * rphi12 * k1
 
 
-@dataclass(frozen=True)
-class CylRep:
-    """Verified matrix representation of B^cyl_n on M (x) V^(x)n."""
+class CylRep(Record):
+    """Verified matrix representation of B^cyl_n on M (x) V^(x)n; sigma[i-1] is the matrix of sigma_i."""
 
-    data: RepData
-    n: int
-    sigma: tuple[QMatrix, ...]  # sigma[i-1] is the matrix of sigma_i
-    kappa: QMatrix
-    sigma_inv: tuple[QMatrix, ...]
-    kappa_inv: QMatrix
+    __slots__ = __match_args__ = ("data", "n", "sigma", "kappa", "sigma_inv", "kappa_inv")
 
     @property
     def dim(self) -> int:

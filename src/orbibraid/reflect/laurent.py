@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import SizeCapError
+from ..record import Record, set_slot
 
 Coeffs = tuple[int, ...]
 
@@ -112,13 +112,23 @@ def _pdiv_exact(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LaurentScalar:
+class LaurentScalar(Record):
     """Reduced fraction of integer Laurent polynomials in q."""
 
-    num_low: int
-    num: Coeffs
-    den: Coeffs
+    __slots__ = __match_args__ = ("num_low", "num", "den")
+
+    def __init__(self, num_low: int, num: Coeffs, den: Coeffs):
+        set_slot(self, "num_low", num_low)
+        set_slot(self, "num", num)
+        set_slot(self, "den", den)
+
+    def __eq__(self, other):
+        if type(other) is not LaurentScalar:
+            return NotImplemented
+        return self.num_low == other.num_low and self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num_low, self.num, self.den))
 
     @staticmethod
     def make(num_low: int, num, den_low: int = 0, den=(1,)) -> LaurentScalar:

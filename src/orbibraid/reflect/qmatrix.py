@@ -16,17 +16,14 @@ Kronecker product", 2000) by reindexing entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import DimensionError, SingularMatrixError
+from ..record import Record, set_slot
 from .laurent import ONE, ZERO, LaurentScalar, parse_scalar
 
 Row = tuple[LaurentScalar, ...]
 Terms = tuple[tuple[int, LaurentScalar], ...]
-
-# The nonzero rows are written with object.__setattr__, as the frozen dataclass refuses a plain setattr.
-_set = object.__setattr__
 
 
 def leg_swap(left: int, d: int) -> tuple[int, ...]:
@@ -35,18 +32,32 @@ def leg_swap(left: int, d: int) -> tuple[int, ...]:
     return tuple(x * dd + c * d + b for x in range(left) for b in range(d) for c in range(d))
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    rows: int
-    cols: int
-    entries: tuple[Row, ...]
-    _nonzero: tuple[Terms, ...] | None = field(default=None, init=False, repr=False, compare=False)
+def _shape(m, rows: int, cols: int, entries: tuple[Row, ...]):
+    """Write m's slots after checking its shape, all but the row lengths."""
+    if rows < 1 or cols < 1:
+        raise DimensionError("matrix dimensions must be positive")
+    if len(entries) != rows:
+        raise DimensionError("entry grid does not match the declared shape")
+    set_slot(m, "rows", rows)
+    set_slot(m, "cols", cols)
+    set_slot(m, "entries", entries)
+    set_slot(m, "_nonzero", None)
+    return m
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+
+class QMatrix(Record):
+    __slots__ = ("rows", "cols", "entries", "_nonzero")  # _nonzero: the nonzero rows once listed, else None
+    __match_args__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[Row, ...]):
+        _shape(self, rows, cols, entries)
+        if any(len(r) != cols for r in entries):
             raise DimensionError("entry grid does not match the declared shape")
+
+    @staticmethod
+    def _built(rows: int, cols: int, entries: tuple[Row, ...]) -> QMatrix:
+        """A matrix whose rows were built here with cols entries each: their lengths are not checked again."""
+        return _shape(object.__new__(QMatrix), rows, cols, entries)
 
     @staticmethod
     def from_rows(rows) -> QMatrix:
@@ -59,7 +70,7 @@ class QMatrix:
 
     @staticmethod
     def identity(n: int) -> QMatrix:
-        return QMatrix(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return QMatrix._built(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
 
     def __mul__(self, other: QMatrix) -> QMatrix:
         if not isinstance(other, QMatrix):
@@ -74,14 +85,14 @@ class QMatrix:
                 for j, b in right[k]:
                     row[j] = row[j] + a * b
             out.append(tuple(row))
-        return QMatrix(self.rows, other.cols, tuple(out))
+        return QMatrix._built(self.rows, other.cols, tuple(out))
 
     def _nonzero_rows(self) -> tuple[Terms, ...]:
         """Each row's nonzero entries as (column, entry) pairs, built once and kept."""
         rows = self._nonzero
         if rows is None:
             rows = tuple(tuple([(j, x) for j, x in enumerate(row) if x.num]) for row in self.entries)
-            _set(self, "_nonzero", rows)
+            set_slot(self, "_nonzero", rows)
         return rows
 
     def placed(self, left: int, right: int) -> QMatrix:
@@ -102,20 +113,20 @@ class QMatrix:
                     for col, a in terms:
                         row[col + r] = a
                     out.append(tuple(row))
-        return QMatrix(dim, dim, tuple(out))
+        return QMatrix._built(dim, dim, tuple(out))
 
     def permuted(self, rows, cols=None) -> QMatrix:
         """The entries A[rows[i]][cols[j]], reindexed with no arithmetic.  For the permutation
         matrix P with P[i][pi(i)] = 1, rows = cols = pi gives P A P^-1, and cols None gives P A."""
         e = self.entries
         if cols is None:
-            return QMatrix(len(rows), self.cols, tuple(e[i] for i in rows))
-        return QMatrix(len(rows), len(cols), tuple(tuple([e[i][j] for j in cols]) for i in rows))
+            return QMatrix._built(len(rows), self.cols, tuple(e[i] for i in rows))
+        return QMatrix._built(len(rows), len(cols), tuple(tuple([e[i][j] for j in cols]) for i in rows))
 
     def __add__(self, other: QMatrix) -> QMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("shape mismatch in matrix sum")
-        return QMatrix(
+        return QMatrix._built(
             self.rows,
             self.cols,
             tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
@@ -126,7 +137,7 @@ class QMatrix:
         for r1 in self.entries:
             for r2 in other.entries:
                 rows.append(tuple(a * b for a in r1 for b in r2))
-        return QMatrix(self.rows * other.rows, self.cols * other.cols, tuple(rows))
+        return QMatrix._built(self.rows * other.rows, self.cols * other.cols, tuple(rows))
 
     @property
     def is_identity(self) -> bool:
@@ -179,7 +190,7 @@ class QMatrix:
                     continue
                 factor = a[r][col]
                 a[r] = [x if y.is_zero else x - factor * y for x, y in zip(a[r], a[col])]
-        return QMatrix(n, n, tuple(tuple(row[n:]) for row in a))
+        return QMatrix._built(n, n, tuple(tuple(row[n:]) for row in a))
 
     def specialize(self, q0: Fraction) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(x.specialize(q0) for x in r) for r in self.entries)

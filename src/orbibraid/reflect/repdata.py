@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from ..errors import DimensionError, ParseError, SingularMatrixError
+from ..record import Record
 from .qmatrix import QMatrix
 
 MAX_JSON_DEPTH = 32  # the format nests 3 deep; json.loads recurses once per level
@@ -42,16 +42,11 @@ def _check_depth(text: str) -> None:
             depth -= 1
 
 
-@dataclass(frozen=True)
-class RepData:
-    d: int
-    m: int
-    R: QMatrix
-    K: QMatrix
-    T: QMatrix
-    Rphi: QMatrix
-    Rphiphi: QMatrix
-    balancing: QMatrix | None = None
+class RepData(Record):
+    __slots__ = __match_args__ = ("d", "m", "R", "K", "T", "Rphi", "Rphiphi", "balancing")
+
+    def __init__(self, d, m, R, K, T, Rphi, Rphiphi, balancing=None):
+        super().__init__(d, m, R, K, T, Rphi, Rphiphi, balancing)
 
     @staticmethod
     def build(

@@ -624,6 +624,40 @@ def test_classify_reports_are_byte_identical_to_the_original(capsys, key, as_jso
     assert hashlib.sha256(out.encode()).hexdigest() == digests[as_json]
 
 
+# sha256 of the --json listing of `operad classify` for every arity k <= 6
+# and every color mix with classes, keyed (k, output, inputs), as printed
+# before any change to how the listing is built.
+PINNED_CLASSIFY_LISTINGS = {
+    (0, "D", ""): "e428844e2a45545fa5f2dc7f6a20bb1907459a0d414f916037aa203076714e48",
+    (0, "Dstar", ""): "6e693bbc2311192c033319dae0b805cc7fc206bdc80dc3a0807cfcd0aaf344e0",
+    (1, "D", "D"): "b0d1643237b3115022adf9a68f8edf014ce6ac15d36f8909740ee3976aba42d2",
+    (1, "Dstar", "D"): "47bf350e4e801c87f5b858911c9c887d5774164ce6c97c11730ae4d5fa77ae42",
+    (1, "Dstar", "Dstar"): "481c3ecde4fbfd5d67079f35f7631d914f9ff5f79313dd4a070e900fa46b811a",
+    (2, "D", "D,D"): "20b78859f30e700e54cda5fc25a5c886d45ad3c51a2516344fd8b54fd35ce6db",
+    (2, "Dstar", "D,D"): "690d7cf99fea2abf834e22c65938c4ef463f458ad655f02a4295198afb0976e3",
+    (2, "Dstar", "Dstar,D"): "e39a579bed4a8a3cfb6f4f6309a78dfa3a8587a2a9fad6418b67b8d6a39c0620",
+    (3, "D", "D,D,D"): "7c5c3a635933d3740bfee09a3dc9fed1de20ab5fe775330051334a129903f75e",
+    (3, "Dstar", "D,D,D"): "bcfb019dc7b0323c1d929f20742007a3743e810e4e5bce03c8a7d6cbaa40c8bc",
+    (3, "Dstar", "Dstar,D,D"): "72f413c9f5cda459817c038092200f5252d62a07133578a57579996331d1e8f9",
+    (4, "D", "D,D,D,D"): "950a02775141c795aad0a467ad0cbc7a2760b0f1233108d0c69fb171d06322af",
+    (4, "Dstar", "D,D,D,D"): "a09b9941b36356f7d398f79e2b811f995cc8c42961afb6e9df029108401dc3ea",
+    (4, "Dstar", "Dstar,D,D,D"): "2c3d215cd81caa7e11af5848caef66ad39f7f1fb63d3342513140ac52240af15",
+    (5, "D", "D,D,D,D,D"): "d91b3bb2c382a5471a2d8b8ba084a15fa09b17823899ccf9fc41dd0d64f0d4bf",
+    (5, "Dstar", "D,D,D,D,D"): "b2e5a964f01c737472cc695982b92288a910d2fb45a3ab5a4b141f70fcce86e5",
+    (5, "Dstar", "Dstar,D,D,D,D"): "3bd34472049130521e8e1171aded6772a9af7b94b4c92a299dbfad2694ab9d26",
+    (6, "D", "D,D,D,D,D,D"): "4bf46aa5636580093d5e015495dac6f17f592db5f8fe3825a43d46ac9177fd55",
+    (6, "Dstar", "D,D,D,D,D,D"): "b29003ff5f0244e1dda79a026eda61f6c967b0449baac7bb3b4b178564086423",
+    (6, "Dstar", "Dstar,D,D,D,D,D"): "0a7484c7ffc23f44a1c62f11cdf03d458818e63e81275dcad605d54a2781320b",
+}
+
+
+def test_every_classify_listing_up_to_six_inputs_is_byte_identical_to_the_original(capsys):
+    for (k, output, inputs), digest in PINNED_CLASSIFY_LISTINGS.items():
+        code, out = run(capsys, "operad", "classify", "-k", str(k), "--output", output, "--inputs", inputs, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (k, output, inputs)
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

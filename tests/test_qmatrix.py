@@ -125,6 +125,21 @@ def test_singular_and_shape_errors():
         QMatrix.from_rows([[ONE], [ONE]]).det()
 
 
+def test_a_ragged_or_misshapen_grid_is_refused():
+    # Products, placements, permutations and inverses build their rows to
+    # length and skip the row check; the public constructors keep it.
+    for build in (lambda: QMatrix(2, 2, ((ONE, ZERO), (ONE,))), lambda: QMatrix.from_rows([[ONE, ZERO], [ONE]])):
+        with pytest.raises(DimensionError, match="entry grid does not match the declared shape"):
+            build()
+    with pytest.raises(DimensionError, match="entry grid does not match the declared shape"):
+        QMatrix(3, 1, ((ONE,), (ONE,)))
+    for build in (lambda: QMatrix.from_rows([]), lambda: QMatrix.from_rows([[], [ONE]]), lambda: QMatrix.identity(0)):
+        with pytest.raises(DimensionError, match="matrix dimensions must be positive"):
+            build()
+    with pytest.raises(DimensionError, match="matrix dimensions must be positive"):
+        QMatrix.identity(2).permuted(())
+
+
 def test_specialize_zero_matrix():
     z = QMatrix.from_strings([["0", "0"], ["0", "0"]])
     assert z.specialize(5) == ((0, 0), (0, 0))

@@ -1,0 +1,157 @@
+"""Every value class is a record (orbibraid.record): frozen, slotted, and
+equal, hashed and shown as the frozen dataclass with the same fields would
+be.  The constructors' checks are raised errors, so this file also runs
+under ``python -O``."""
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from conftest import data_path
+from orbibraid.braid import BraidWord, CylBraidWord, garside_nf
+from orbibraid.braid.garside import GarsideNF
+from orbibraid.cli import Report
+from orbibraid.coherence import check
+from orbibraid.dsl import parse_diagram, parse_mor
+from orbibraid.dsl.morphisms import MorExpr
+from orbibraid.dsl.objects import ALeaf, Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor, signature
+from orbibraid.errors import MalformedWordError, TypingError
+from orbibraid.operad import Color, Interval, IntervalConfig, SignedOp
+from orbibraid.record import Record
+from orbibraid.reflect import LaurentScalar, RepData, build_cyl_rep, parse_scalar
+
+
+def records() -> list:
+    """One instance of every record class, its caches filled where it has any:
+    the copy and dataclass-twin tests then also show that no comparison reads them."""
+    diagram = parse_diagram(data_path("diagrams/winding_module_pair.diag").read_text())
+    data = RepData.load(data_path("sl2.rep.json"))
+    rep = build_cyl_rep(data, 2)
+    nf = garside_nf(BraidWord.from_text(3, "s1 s2 S1 s2 s2"))
+    matrix = rep.sigma[0] * rep.kappa
+    matrix._nonzero_rows()
+    tensor = Tensor(Phi(ALeaf(2)), ALeaf(1))
+    signature(tensor)  # fills the strand cache
+    mor = parse_mor("vert(inv(act(id(M), inv(lambda(Phi(tensor(X2, X1)))))), act(id(M), tens(phi0, phi(sigma(X1, X2)))))")
+    nodes = {}
+    stack = [mor]
+    while stack:
+        node = stack.pop()
+        nodes.setdefault(type(node), node)
+        stack.extend(node.children())
+    return [
+        ALeaf(3),
+        AUnit(),
+        MLeaf(),
+        MUnit(),
+        tensor,
+        tensor.left,
+        Act(Act(MUnit(), ALeaf(1)), tensor),
+        signature(tensor),
+        diagram,
+        *nodes.values(),
+        BraidWord(3),
+        CylBraidWord.from_text(2, "k s1 K s1"),
+        nf,
+        SignedOp((Color.DSTAR, Color.D, Color.D), Color.DSTAR, (1, 0), (1, 0)),
+        Interval(Fraction(1, 2), Fraction(1, 8), "b"),
+        IntervalConfig(Color.DSTAR, (Interval(Fraction(1, 2), Fraction(1, 8)),), Fraction(1, 4)),
+        check(diagram.lhs, diagram.rhs, diagram.flavor),
+        parse_scalar("q - q^-1"),
+        matrix,
+        data,
+        rep,
+        Report("orbibraid braid eq", "ok", {"equal": True}, 0.25),
+    ]
+
+
+RECORDS = records()
+
+
+def test_every_record_class_has_an_instance():
+    bases = {Record, ObjectExpr, MorExpr, BraidWord.__base__}
+    classes, stack = set(), [Record]
+    while stack:
+        kind = stack.pop()
+        stack.extend(kind.__subclasses__())
+        if kind.__module__.startswith("orbibraid.") and kind not in bases:
+            classes.add(kind)
+    assert len(classes) == 28
+    assert {type(r) for r in RECORDS} == classes
+
+
+def slots(r) -> list[str]:
+    return [name for kind in type(r).__mro__ for name in vars(kind).get("__slots__", ())]
+
+
+def as_dataclass(r):
+    """The frozen dataclass of r's class name and fields, holding r's field values."""
+    return dataclasses.make_dataclass(type(r).__name__, r.__match_args__, frozen=True)(*r.fields())
+
+
+@pytest.mark.parametrize("r", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_every_field_and_cache_slot_refuses_assignment_and_deletion(r):
+    assert not hasattr(r, "__dict__")
+    names = slots(r)
+    assert set(r.__match_args__) <= set(names)
+    for name in names:
+        kept = getattr(r, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, name)
+        assert getattr(r, name) is kept
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.not_a_field = 1
+
+
+@pytest.mark.parametrize("r", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_copy_deepcopy_and_pickle_round_trip(r):
+    hashable = type(r) is not Report  # a report's payload is a dict
+    for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(copied) is type(r) and copied == r and not copied != r
+        assert all(getattr(copied, name) is None for name in ("_nonzero", "_types", "_strand_cache") if name in slots(r))
+        if hashable:
+            assert hash(copied) == hash(r)
+
+
+@pytest.mark.parametrize("r", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_repr_equality_and_hash_are_those_of_a_frozen_dataclass(r):
+    twin = as_dataclass(r)
+    assert repr(r) == repr(twin)
+    if type(r) is not Report:
+        assert hash(r) == hash(twin)
+    assert (r == twin) is False  # another class is never equal, as between two dataclasses
+
+
+def test_records_of_different_classes_or_fields_differ():
+    assert BraidWord(2, ((1, 1),)) != CylBraidWord(2, ((1, 1),))
+    assert ALeaf(1) != ALeaf(2) and ALeaf(1) == ALeaf(1) and AUnit() != MUnit()
+    assert parse_scalar("q") != parse_scalar("q^2") and parse_scalar("q") == LaurentScalar(1, (1,), (1,))
+    assert (parse_scalar("q") == 1) is False
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ALeaf(0), TypingError, "generator labels are positive integers"),
+        (lambda: Tensor(MLeaf(), ALeaf(1)), TypingError, "tensor factors must be A-typed in tensor"),
+        (lambda: Phi(MUnit()), TypingError, "the involution applies to A-typed objects only in Phi"),
+        (lambda: Act(ALeaf(1), ALeaf(2)), TypingError, "action expects an M-typed left argument"),
+        (lambda: Act(MLeaf(), MUnit()), TypingError, "action expects an A-typed right argument"),
+        (lambda: BraidWord(0), MalformedWordError, "strand count must be positive"),
+        (lambda: BraidWord(2, ((0, 1),)), MalformedWordError, "sigma index 0 out of range for 2 strands"),
+        (lambda: CylBraidWord(2, ((1, 2),)), MalformedWordError, "letter exponent must be"),
+        (lambda: GarsideNF(3, 0, ((0, 1, 2),)), ValueError, "factor 0 is not a proper permutation braid"),
+        (lambda: GarsideNF(3, 0, ((1, 0, 2), (0, 2, 1))), ValueError, "factor 1 is not left-weighted"),
+        (lambda: SignedOp((Color.DSTAR,), Color.D, (), ()), TypingError, "no operation targets"),
+        (lambda: SignedOp((Color.D,), Color.D, (2,), (0,)), TypingError, "eps entries must be 0 or 1"),
+        (lambda: SignedOp((Color.D, Color.D), Color.D, (0, 0), (1, 1)), TypingError, "perm is not a permutation"),
+    ],
+)
+def test_constructor_checks_are_raised_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -2,9 +2,13 @@
 depth is bounded by explicit caps, never by the recursion limit; a module
 outside a package's __init__ uses every name it imports; a package's __all__
 lists exactly what its __init__ imports relatively or defines; each layer
-imports only from the layers below it; no code reads an object's __dict__."""
+imports only from the layers below it; no code reads an object's __dict__;
+values are records, not dataclasses, and importing the CLI loads neither
+dataclasses nor the modules it pulls in."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -104,13 +108,15 @@ def test_package_all_lists_exactly_its_relative_imports_and_definitions():
 
 # The layers each top-level module of orbibraid may import from, besides its
 # own package; cli may import any.  The order is acyclic by construction.
+# record, the base of every value class, is a bottom layer every layer may import.
 LAYERS = {
     "errors": set(),
-    "braid": {"errors"},
-    "dsl": {"errors"},
-    "operad": {"errors", "dsl"},
-    "reflect": {"errors", "braid", "dsl"},
-    "coherence": {"errors", "braid", "dsl", "operad"},
+    "record": set(),
+    "braid": {"errors", "record"},
+    "dsl": {"errors", "record"},
+    "operad": {"errors", "record", "dsl"},
+    "reflect": {"errors", "record", "braid", "dsl"},
+    "coherence": {"errors", "record", "braid", "dsl", "operad"},
     "__init__": set(),
 }
 
@@ -144,3 +150,36 @@ def test_each_layer_imports_only_the_layers_below_it():
                 found.append(f"{path.relative_to(SRC)}:{lineno} imports {layer}")
     assert checked >= 15
     assert found == []
+
+
+def test_no_dataclass_in_src():
+    # Every value class is a record (orbibraid.record).  Only Record's refusal
+    # of a write imports dataclasses, for FrozenInstanceError, and only then.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        at_top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno} import dataclasses")
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                names = [a.name for a in node.names]
+                if id(node) in at_top or names != ["FrozenInstanceError"]:
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno} from dataclasses import {names}")
+            elif isinstance(node, ast.ClassDef):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if "dataclass" in ast.unparse(target):
+                        found.append(f"{path.relative_to(SRC)}:{node.lineno} @{ast.unparse(target)}")
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_string():
+    # dataclasses (with inspect, ast, dis and tokenize under it) and string
+    # cost a fresh orbibraid process about 10 ms of its start-up.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import orbibraid.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'string') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
