@@ -1,14 +1,24 @@
-"""Matrix-level verification: Yang-Baxter, (twisted) reflection, cylinder reps.
+"""Matrix-level verification: Yang-Baxter, twisted reflection, cylinder reps.
 
 Leg conventions: tensor factors are ordered M (x) V_1 (x) ... (x) V_n;
-numeric subscripts refer to the V legs.  K_1 acts on M (x) V_1; K_2 is
-K_1 conjugated through the flip of V_1 and V_2.  R_21 is R conjugated by
-the flip.  The braiding operator is Rhat = flip . R, so words in the
-cylinder braid group act by genuine matrix products, with the pole
-winding represented by the T-straightened K-action (1 (x) T^-1) K on the
-M (x) V_1 legs.  Each cylinder-braid relation is checked once, on its own
-legs: A (x) I = B (x) I exactly when A = B, and disjoint legs commute.
-Every placement on legs and every conjugation by a flip is an index map
+numeric subscripts refer to the V legs.  The braiding operator is
+Rhat = flip . R, so words in the cylinder braid group act by genuine
+matrix products, with the pole winding represented by the T-straightened
+K-action kappa = (1 (x) T^-1) K on the M (x) V_1 legs.
+
+The twisted reflection equation is decided in its braid form, the kappa
+relation (sigma_1 kappa)^2 = (kappa sigma_1)^2 on M (x) V_1 (x) V_2.
+That is the equation ``eval_mor`` decides: the two routes of
+``reflection_twisted.diag`` evaluate to T_1 T_2 sigma_1 kappa sigma_1 kappa and
+T_1 T_2 kappa sigma_1 kappa sigma_1, as the twists of strands in state 1
+cancel between neighbouring letters.  Expanded, it reads
+K_1 R^phi_21 K_2 R_12 = R^{phi,phi}_21 K_2 R^phi_12 K_1 with
+R^phi = (T (x) 1) R (T (x) 1)^-1 and R^{phi,phi} = (T (x) T) R (T (x) T)^-1,
+Kolb-Balagovic's (phi (x) id)(R) and (phi (x) phi)(R).
+
+Each cylinder-braid relation is checked once, on its own legs:
+A (x) I = B (x) I exactly when A = B, and disjoint legs commute.  Every
+placement on legs and every conjugation by a flip is an index map
 (``QMatrix.placed``, ``QMatrix.permuted``); only the equations multiply.
 """
 
@@ -23,6 +33,8 @@ from ..braid.words import KAPPA, BraidWord, CylBraidWord
 from ..record import Record
 
 MAX_REP_DIM = 256  # largest matrix built: m d^n at n = 8 for d = 2, n = 5 for d = 3
+BRAID_RELATION = "sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2"
+KAPPA_RELATION = "sigma_1 kappa sigma_1 kappa = kappa sigma_1 kappa sigma_1"
 
 
 def _check_dim(m: int, d: int, n: int) -> None:
@@ -61,29 +73,25 @@ def rhat(R: QMatrix, d: int) -> QMatrix:
     return R.permuted(leg_swap(1, d))
 
 
-def _legs(data: RepData):
-    """K_1, K_2, R_12, R^phi_12, R^phi_21 and R^phiphi_21 on M (x) V_1 (x) V_2, the 21 legs
-    and K_2 by swapping V_1 and V_2 over M."""
-    d, m = data.d, data.m
-    swap = leg_swap(m, d)
-    k1 = data.K.placed(1, d)
-    r12 = data.R.placed(m, 1)
-    rphi12 = data.Rphi.placed(m, 1)
-    k2 = k1.permuted(swap, swap)
-    rphi21 = rphi12.permuted(swap, swap)
-    rphiphi21 = data.Rphiphi.placed(m, 1).permuted(swap, swap)
-    return k1, k2, r12, rphi12, rphi21, rphiphi21
+def _kappa_core(data: RepData) -> QMatrix:
+    """(1 (x) T^-1) K on M (x) V, with no inverse taken of an identity T."""
+    if data.T.is_identity:
+        return data.K
+    return data.T.inverse().placed(data.m, 1) * data.K
 
 
 def reflection_check(data: RepData) -> bool:
-    """The phi-twisted reflection equation K1 R21^phi K2 R12 = R21^{phi,phi} K2 R12^phi K1.
+    """The twisted reflection equation, as the kappa relation (sigma_1 kappa)^2 = (kappa sigma_1)^2
+    on M (x) V_1 (x) V_2 with sigma_1 = Rhat and kappa = (1 (x) T^-1) K.
 
-    With Rphi = Rphiphi = R and T the identity this is the untwisted
-    reflection equation.
+    With T the identity this is the untwisted reflection equation
+    K_1 R_21 K_2 R_12 = R_21 K_2 R_12 K_1.
     """
     _check_dim(data.m, data.d, 2)
-    k1, k2, r12, rphi12, rphi21, rphiphi21 = _legs(data)
-    return k1 * rphi21 * k2 * r12 == rphiphi21 * k2 * rphi12 * k1
+    s1 = rhat(data.R, data.d).placed(data.m, 1)
+    k = _kappa_core(data).placed(1, data.d)
+    s1k, ks1 = s1 * k, k * s1
+    return s1k * s1k == ks1 * ks1
 
 
 class CylRep(Record):
@@ -102,34 +110,26 @@ class CylRep(Record):
         return self.sigma[i - 1] if e == 1 else self.sigma_inv[i - 1]
 
 
-def cyl_relations(data: RepData, n: int, yang_baxter: bool | None = None) -> tuple[QMatrix, QMatrix]:
+def cyl_relations(data: RepData, n: int) -> tuple[QMatrix, QMatrix]:
     """Check the defining relations of B^cyl_n.
 
     As A (x) I = B (x) I exactly when A = B, each relation is checked once,
     on its own legs, in the order and under the names of the full-size
     checks: every braid relation is the braid form of the Yang-Baxter
-    equation of R on V^(x)3 (``yang_baxter``, if given, is its known
-    outcome), the kappa relation one identity on M (x) V^(x)2.  The far
-    commutations and sigma_i kappa = kappa sigma_i (i >= 2) hold as
-    operators on disjoint legs commute.  A failing relation raises a
-    RelationError naming it.  The kappa relation is checked as
-    (sigma_1 kappa)^2 = (kappa sigma_1)^2.  Returns Rhat and (1 (x) T^-1) K.
+    equation of R on V^(x)3 (``yang_baxter_check``, for n >= 3), the kappa
+    relation the twisted reflection equation on M (x) V^(x)2
+    (``reflection_check``, for n >= 2).  The far commutations and
+    sigma_i kappa = kappa sigma_i (i >= 2) hold as operators on disjoint
+    legs commute.  A failing relation raises a RelationError naming it.
+    Returns Rhat and (1 (x) T^-1) K.
     """
     if n < 1:
         raise DimensionError("strand count must be positive")
-    d, m = data.d, data.m
-    braiding = rhat(data.R, d)
-    core = data.T.inverse().placed(m, 1) * data.K
-    if n >= 3 and not (yang_baxter_check(data.R) if yang_baxter is None else yang_baxter):
-        raise RelationError("sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2")
-    if n >= 2:
-        _check_dim(m, d, 2)
-        s1 = braiding.placed(m, 1)
-        k = core.placed(1, d)
-        s1k, ks1 = s1 * k, k * s1
-        if s1k * s1k != ks1 * ks1:
-            raise RelationError("sigma_1 kappa sigma_1 kappa = kappa sigma_1 kappa sigma_1")
-    return braiding, core
+    if n >= 3 and not yang_baxter_check(data.R):
+        raise RelationError(BRAID_RELATION)
+    if n >= 2 and not reflection_check(data):
+        raise RelationError(KAPPA_RELATION)
+    return rhat(data.R, data.d), _kappa_core(data)
 
 
 def build_cyl_rep(data: RepData, n: int) -> CylRep:

@@ -2,15 +2,15 @@
 
 A RepData bundle fixes a d-dimensional object V and an m-dimensional
 module object M, the braiding matrix R on V (x) V, the K-matrix on
-M (x) V, and the matrix T realising the involution on V.  The twisted
-matrices default to conjugation by T on the twisted legs (and to R itself
-for the doubly twisted one); R, K, T and any twisted matrix given
-explicitly are checked invertible by exact determinant.
+M (x) V, and the matrix T realising the involution on V.  R, K and T are
+checked invertible by exact determinant.
 
 File format: a JSON document with integer fields ``d`` and ``m`` and the
 matrices as nested arrays of strings in the scalar grammar, e.g.
-``"q - q^-1"``.  Optional keys: ``T``, ``Rphi``, ``Rphiphi``,
-``balancing``.
+``"q - q^-1"``.  Optional keys: ``T``, ``balancing``.  The twisted
+R-matrices are conjugates of R by T (x) 1 and T (x) T, never data (see
+``checks``): a file with the key ``Rphi`` or ``Rphiphi`` is refused with a
+ParseError, as ignoring it would decide another equation than the file's.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ def _check_depth(text: str) -> None:
 
 
 class RepData(Record):
-    __slots__ = __match_args__ = ("d", "m", "R", "K", "T", "Rphi", "Rphiphi", "balancing")
+    __slots__ = __match_args__ = ("d", "m", "R", "K", "T", "balancing")
 
-    def __init__(self, d, m, R, K, T, Rphi, Rphiphi, balancing=None):
-        super().__init__(d, m, R, K, T, Rphi, Rphiphi, balancing)
+    def __init__(self, d, m, R, K, T, balancing=None):
+        super().__init__(d, m, R, K, T, balancing)
 
     @staticmethod
     def build(
@@ -55,8 +55,6 @@ class RepData(Record):
         R: QMatrix,
         K: QMatrix,
         T: QMatrix | None = None,
-        Rphi: QMatrix | None = None,
-        Rphiphi: QMatrix | None = None,
         balancing: QMatrix | None = None,
     ) -> RepData:
         if T is None:
@@ -67,23 +65,20 @@ class RepData(Record):
             raise DimensionError(f"K must be {m * d}x{m * d}")
         if T.rows != d or T.cols != d:
             raise DimensionError(f"T must be {d}x{d}")
-        # Derived twists are R or a conjugate of it, so det R covers them.
-        explicit = [(name, mat) for name, mat in (("Rphi", Rphi), ("Rphiphi", Rphiphi)) if mat is not None]
-        if Rphi is None:
-            Rphi = R if T.is_identity else T.placed(1, d) * R * T.inverse().placed(1, d)
-        if Rphiphi is None:
-            Rphiphi = R
-        for name, mat in (("R", R), ("K", K), ("T", T), *explicit):
+        for name, mat in (("R", R), ("K", K), ("T", T)):
             if mat.det().is_zero:
                 raise SingularMatrixError(f"{name} must be invertible")
         if balancing is not None and (balancing.rows != d or balancing.cols != d):
             raise DimensionError(f"balancing must be {d}x{d}")
-        return RepData(d, m, R, K, T, Rphi, Rphiphi, balancing)
+        return RepData(d, m, R, K, T, balancing)
 
     @staticmethod
     def from_json_dict(doc: dict) -> RepData:
         if not isinstance(doc, dict):
             raise ParseError("representation data must be a JSON object", 1, 1)
+        for key in ("Rphi", "Rphiphi"):
+            if key in doc:
+                raise ParseError(f"representation data: {key} is refused; the twisted R-matrices are conjugates of R by T", 1, 1)
         for key in ("d", "m", "R", "K"):
             if key not in doc:
                 raise ParseError(f"representation data is missing {key}", 1, 1)
@@ -103,16 +98,7 @@ class RepData(Record):
                 raise ParseError(f"representation data: {key} must be an array of arrays of strings", 1, 1)
             return QMatrix.from_strings(rows)
 
-        return RepData.build(
-            size("d"),
-            size("m"),
-            mat("R"),
-            mat("K"),
-            T=mat("T"),
-            Rphi=mat("Rphi"),
-            Rphiphi=mat("Rphiphi"),
-            balancing=mat("balancing"),
-        )
+        return RepData.build(size("d"), size("m"), mat("R"), mat("K"), mat("T"), mat("balancing"))
 
     @staticmethod
     def load(path) -> RepData:

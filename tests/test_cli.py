@@ -25,7 +25,7 @@ from orbibraid.braid.garside import MAX_NF_WORK
 from orbibraid.cli import build_parser, main
 from orbibraid.coherence import MAX_WORD_LETTERS
 from orbibraid.dsl import parse_diagram
-from orbibraid.reflect import RepData, checks, yang_baxter_check
+from orbibraid.reflect import RepData, checks, reflection_check, yang_baxter_check
 
 
 def run(capsys, *argv):
@@ -115,21 +115,31 @@ def test_rep_verify_singular_k_exits_two(capsys, tmp_path):
 
 def test_rep_verify_checks_yang_baxter_once_and_builds_no_representation(capsys, monkeypatch):
     calls = []
+    reflections = []
 
     def counted(R):
         calls.append(R)
         return yang_baxter_check(R)
 
+    def counted_reflection(data):
+        reflections.append(data)
+        return reflection_check(data)
+
     def refuse(*args):
-        raise AssertionError("rep verify built a representation")
+        raise AssertionError("rep verify built a representation or checked its relations")
 
     monkeypatch.setattr(cli, "yang_baxter_check", counted)
+    monkeypatch.setattr(cli, "reflection_check", counted_reflection)
     monkeypatch.setattr(cli, "build_cyl_rep", refuse)
     monkeypatch.setattr(checks, "yang_baxter_check", counted)
+    monkeypatch.setattr(checks, "reflection_check", counted_reflection)
+    monkeypatch.setattr(checks, "cyl_relations", refuse)
+    monkeypatch.setattr(cli, "cyl_relations", refuse, raising=False)
     code, doc = run_json(capsys, "rep", "verify", str(data_path("sl2.rep.json")))
     assert code == 0
     assert doc["payload"] == {"yang_baxter": True, "reflection": True, "cylinder_rep_n3": True}
     assert len(calls) == 1
+    assert len(reflections) == 1
 
 
 def identity_text(k: int) -> list[list[str]]:

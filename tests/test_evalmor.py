@@ -1,12 +1,15 @@
+import json
 import time
 
 import pytest
 
-from helpers import flip_matrix
+from helpers import flip_matrix, seeded_rng
+from orbibraid.coherence import COMMUTES, check
 from orbibraid.dsl import parse_diagram, parse_mor
-from orbibraid.errors import DimensionError, UnsupportedGeneratorError
+from orbibraid.errors import DimensionError, SingularMatrixError, UnsupportedGeneratorError
 from orbibraid.reflect import QMatrix, RepData, eval_mor
-from test_reflect import make_data, sl2_R
+from test_cli import run_json
+from test_reflect import ANTIDIAGONAL_T, SL2_R, make_data, sl2_R
 
 
 def test_identity_and_structural_generators(sl2_data):
@@ -55,6 +58,62 @@ def test_twisted_reflection_routes_evaluate_equal(diagram_dir):
     diag = parse_diagram((diagram_dir / "reflection_twisted.diag").read_text())
     data = make_data([["0", "1"], ["1", "0"]], T_rows=[["1", "0"], ["0", "-1"]])
     assert eval_mor(data, diag.lhs) == eval_mor(data, diag.rhs)
+
+
+K_GRID = ("0", "1", "-1", "q", "-q", "q^-1", "q - q^-1")
+# One K per T that passes `rep verify`, so every sample holds both verdicts.
+TWISTS = {
+    "identity": (None, [["q - q^-1", "1"], ["1", "0"]]),
+    "sign": ([["1", "0"], ["0", "-1"]], [["0", "1"], ["1", "0"]]),
+    "antidiagonal": (ANTIDIAGONAL_T, [["1", "0"], ["1", "1"]]),
+    "diag-1-q": ([["1", "0"], ["0", "q"]], [["q^-1", "-1"], ["-q", "0"]]),
+}
+
+
+def rep_doc(K_rows, T_rows=None, **extra) -> dict:
+    return {"d": 2, "m": 1, "R": SL2_R, "K": K_rows, **({"T": T_rows} if T_rows else {}), **extra}
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+def test_rep_verify_agrees_with_the_twisted_reflection_routes(capsys, tmp_path, diagram_dir, twist):
+    # Differential: on a seeded sample of invertible K, rep verify's reflection and
+    # cylinder_rep_n3 verdicts equal the eval_mor equality of the two routes of the
+    # twisted reflection diagram, which coherence check decides COMMUTES.
+    diag = parse_diagram((diagram_dir / "reflection_twisted.diag").read_text())
+    T_rows, passing = TWISTS[twist]
+    rng = seeded_rng(21)
+    f = tmp_path / "rep.json"
+    verdicts, K, checked = set(), passing, 0
+    while checked < 80:
+        if checked:
+            K = [[rng.choice(K_GRID) for _ in range(2)] for _ in range(2)]
+        doc = rep_doc(K, T_rows)
+        try:
+            data = RepData.from_json_dict(doc)
+        except SingularMatrixError:
+            continue
+        checked += 1
+        routes_equal = eval_mor(data, diag.lhs) == eval_mor(data, diag.rhs)
+        f.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "rep", "verify", str(f))
+        payload = report["payload"]
+        assert payload["yang_baxter"] is True
+        assert payload["reflection"] is payload["cylinder_rep_n3"] is routes_equal, K
+        assert code == (0 if routes_equal else 1)
+        verdicts.add(routes_equal)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("twist", ["antidiagonal", "diag-1-q"])
+def test_check_commutes_exactly_when_twisted_routes_evaluate_equal(diagram_dir, twist):
+    # With T not the identity and a K that passes rep verify, on every bundled diagram.  The
+    # balancing is the identity, so t evaluates although T = diag(1, q) squares to no identity.
+    T_rows, K_rows = TWISTS[twist]
+    data = RepData.from_json_dict(rep_doc(K_rows, T_rows, balancing=[["1", "0"], ["0", "1"]]))
+    for path in sorted(diagram_dir.glob("*.diag")):
+        diag = parse_diagram(path.read_text())
+        commutes = check(diag.lhs, diag.rhs, diag.flavor).status == COMMUTES
+        assert commutes == (eval_mor(data, diag.lhs) == eval_mor(data, diag.rhs)), path.name
 
 
 def test_double_braiding_not_identity(sl2_data, diagram_dir):

@@ -24,6 +24,9 @@ def sl2_R() -> QMatrix:
     return QMatrix.from_strings(SL2_R)
 
 
+ANTIDIAGONAL_T = [["0", "1"], ["1", "0"]]
+
+
 def make_data(K_rows, T_rows=None, m=1) -> RepData:
     T = QMatrix.from_strings(T_rows) if T_rows else None
     return RepData.build(2, m, sl2_R(), QMatrix.from_strings(K_rows), T=T)
@@ -73,21 +76,33 @@ def test_yang_baxter_examples_and_oracle_agreement():
         yang_baxter_check(QMatrix.identity(3))
 
 
-def test_reflection_solutions_from_elimination_script():
-    # Independent oracle: solve the sixteen entrywise equations for the four
-    # unknown K entries symbolically, then feed solution members back.
-    sympy = pytest.importorskip("sympy")
-    sp = sympy
+def elimination_solutions(T_rows):
+    """Solve the sixteen entrywise equations of the expanded twisted reflection equation
+    K_1 R^phi_21 K_2 R_12 = R^{phi,phi}_21 K_2 R^phi_12 K_1, with R^phi = (T (x) 1) R (T (x) 1)^-1
+    and R^{phi,phi} = (T (x) T) R (T (x) T)^-1, for the four unknown K entries in sympy."""
+    sp = pytest.importorskip("sympy")
     q = sp.symbols("q")
     a, b, c, d = sp.symbols("a b c d")
     R = sp.Matrix([[q, 0, 0, 0], [0, 1, q - 1 / q, 0], [0, 0, 1, 0], [0, 0, 0, q]])
     P = sp.Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    T = sp.Matrix(T_rows)
+    T1 = sp.Matrix(sp.kronecker_product(T, sp.eye(2)))
+    TT = sp.Matrix(sp.kronecker_product(T, T))
+    Rphi = T1 * R * T1.inv()
+    Rphiphi = TT * R * TT.inv()
     K = sp.Matrix([[a, b], [c, d]])
     K1 = sp.Matrix(sp.kronecker_product(K, sp.eye(2)))
     K2 = P * K1 * P
-    R21 = P * R * P
-    eqs = [sp.expand(e * q**3) for e in (K1 * R21 * K2 * R - R21 * K2 * R * K1) if e != 0]
-    sols = sp.solve(eqs, [a, b, c, d], dict=True)
+    sides = K1 * (P * Rphi * P) * K2 * R - (P * Rphiphi * P) * K2 * Rphi * K1
+    eqs = [sp.expand(e * q**3) for e in sides if e != 0]
+    return (a, b, c, d), sp.solve(eqs, [a, b, c, d], dict=True)
+
+
+def test_reflection_solutions_from_elimination_script():
+    # Independent oracle: solve the entrywise equations symbolically, then
+    # feed solution members back.
+    sp = pytest.importorskip("sympy")
+    (a, b, c, d), sols = elimination_solutions([[1, 0], [0, 1]])
     # The invertible families: d = 0 with free (a, b, c), and scalars a = d.
     assert {d: sp.Integer(0)} in sols
     assert {a: d, b: sp.Integer(0), c: sp.Integer(0)} in sols
@@ -99,6 +114,27 @@ def test_reflection_solutions_from_elimination_script():
     ]
     for rows in members:
         assert reflection_check(make_data(rows))
+
+
+def test_antidiagonal_twist_solutions_from_elimination_script():
+    # The same oracle with T = [[0, 1], [1, 0]], where (T (x) T) R (T (x) T)^-1 = R_21 is not R,
+    # so the verdicts show which doubly twisted R the equation uses.  reflection_check builds
+    # neither twisted R, so sympy's expanded equation stays an independent oracle.
+    sp = pytest.importorskip("sympy")
+    (a, b, c, d), sols = elimination_solutions([[0, 1], [1, 0]])
+    # The invertible families: lower triangular K, and K = [[0, b], [b, 0]].
+    assert {b: sp.Integer(0)} in sols
+    assert {a: sp.Integer(0), c: b, d: sp.Integer(0)} in sols
+    members = [
+        [["1", "0"], ["1", "1"]],
+        [["q", "0"], ["q - q^-1", "-1"]],
+        [["0", "1"], ["1", "0"]],
+        [["0", "q^-1"], ["q^-1", "0"]],
+    ]
+    for rows in members:
+        assert reflection_check(make_data(rows, T_rows=ANTIDIAGONAL_T))
+    for rows in ([["1", "1"], ["0", "1"]], [["0", "1"], ["2", "0"]]):
+        assert not reflection_check(make_data(rows, T_rows=ANTIDIAGONAL_T))
 
 
 def test_reflection_check_rejects_non_solutions():
@@ -237,7 +273,8 @@ NON_YANG_BAXTER_R = [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1",
 
 
 def relation_cases(sl2_data) -> dict[str, RepData]:
-    """sl2, the four reflection-equation families of the report pins, and a non-Yang-Baxter R with two K."""
+    """sl2, the four reflection-equation families of the report pins, a non-Yang-Baxter R with two K,
+    and two K under the antidiagonal T, where T (x) T does not commute with R."""
     from test_rep_reports import REP_FILES  # imported late: that module imports this one
 
     cases = {"sl2": sl2_data}
@@ -245,6 +282,8 @@ def relation_cases(sl2_data) -> dict[str, RepData]:
         cases[name] = RepData.from_json_dict({"d": 2, "m": 1, "R": SL2_R, **doc})
     for name, K in (("non-yb-identity-K", [["1", "0"], ["0", "1"]]), ("non-yb-unipotent-K", [["1", "2"], ["0", "1"]])):
         cases[name] = RepData.from_json_dict({"d": 2, "m": 1, "R": NON_YANG_BAXTER_R, "K": K})
+    for name, K in (("antidiagonal-T", [["1", "0"], ["1", "1"]]), ("antidiagonal-T-unipotent-K", [["1", "1"], ["0", "1"]])):
+        cases[name] = make_data(K, T_rows=ANTIDIAGONAL_T)
     return cases
 
 
@@ -260,9 +299,10 @@ def test_local_relation_checks_agree_with_full_size_oracle(sl2_data, n):
         assert raised == full_size_violation(data, n), name
         outcomes[name] = raised
     # Every check is exercised: a passing case, the kappa relation and the braid relation.
-    assert outcomes["sl2"] is None and outcomes["twisted_flip.json"] is None
+    assert outcomes["sl2"] is None and outcomes["twisted_flip.json"] is None and outcomes["antidiagonal-T"] is None
     if n >= 2:
         assert "kappa" in outcomes["unipotent.json"] and "kappa" in outcomes["twisted_identity.json"]
+        assert "kappa" in outcomes["antidiagonal-T-unipotent-K"]
     if n >= 3:
         assert outcomes["non-yb-identity-K"] == "sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2"
 
@@ -300,12 +340,13 @@ def work_counts(monkeypatch) -> dict[str, int]:
 
 
 def test_rep_verify_work_counts(capsys, work_counts):
-    """Exact products of one `rep verify` of the bundled sl2 data.  Every leg is placed and
-    every flip applied by index, so no kron runs; building a leg by kron or a flip product
-    changes these counts, and a deliberate change records the new ones."""
+    """Exact products of one `rep verify` of the bundled sl2 data: four for the Yang-Baxter
+    equation and four for the kappa relation, with no product by an identity T.  Every leg is
+    placed and every flip applied by index, so no kron runs; building a leg by kron or a flip
+    product changes these counts, and a deliberate change records the new ones."""
     assert main(["rep", "verify", str(data_path("sl2.rep.json"))]) == 0
     capsys.readouterr()
-    assert work_counts == {"QMatrix.__mul__": 15, "QMatrix.kron": 0, "LaurentScalar.__mul__": 169, "_pmul": 14}
+    assert work_counts == {"QMatrix.__mul__": 8, "QMatrix.kron": 0, "LaurentScalar.__mul__": 103, "_pmul": 10}
 
 
 def test_rep_eval_work_counts(capsys, work_counts):
@@ -315,4 +356,4 @@ def test_rep_eval_work_counts(capsys, work_counts):
     word = "k s1 s2 S3 K s1 s3 S2 k s1"
     assert main(["rep", "eval", str(data_path("sl2.rep.json")), "-n", "4", "--cyl", word]) == 0
     capsys.readouterr()
-    assert work_counts == {"QMatrix.__mul__": 18, "QMatrix.kron": 0, "LaurentScalar.__mul__": 728, "_pmul": 103}
+    assert work_counts == {"QMatrix.__mul__": 17, "QMatrix.kron": 0, "LaurentScalar.__mul__": 717, "_pmul": 103}

@@ -14,7 +14,7 @@ from conftest import data_path
 from orbibraid.dsl import parse_diagram
 from orbibraid.reflect import eval_mor
 from test_cli import run
-from test_reflect import NON_YANG_BAXTER_R, SL2_R
+from test_reflect import ANTIDIAGONAL_T, NON_YANG_BAXTER_R, SL2_R
 
 SIGN_T = [["1", "0"], ["0", "-1"]]
 P_TWIST = "-q^-2 + 2*q^-1 + 3 - q"
@@ -137,20 +137,19 @@ def test_eval_mor_matrices_are_byte_identical_to_the_original(sl2_data, diagram_
 
 SINGULAR = [["1", "1"], ["1", "1"]]
 SINGULAR4 = [["1"] * 4 for _ in range(4)]
-IDENTITY4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+REFUSED_KEY = "ParseError: representation data: {} is refused; the twisted R-matrices are conjugates of R by T (line 1, column 1)"
 
-# The error each singular input is reported with, in the order the checks
-# run: a singular T fails while Rphi is derived from it, before any
-# determinant is taken, unless the file gives Rphi explicitly.
+# The error each input refused at load is reported with.  The determinants
+# are taken in the order R, K, T.  The twisted R-matrices are conjugates of
+# R by T, never data: a file that gives one is refused before any
+# determinant, whatever its value.
 SINGULAR_DATA_REPORTS = {
     "R": ({"R": SINGULAR4}, "SingularMatrixError: R must be invertible"),
     "K": ({"K": SINGULAR}, "SingularMatrixError: K must be invertible"),
-    "T": ({"T": SINGULAR}, "SingularMatrixError: matrix is singular"),
-    "T-and-R": ({"T": SINGULAR, "R": SINGULAR4}, "SingularMatrixError: matrix is singular"),
-    "T-with-explicit-Rphi": ({"T": SINGULAR, "Rphi": IDENTITY4}, "SingularMatrixError: T must be invertible"),
-    "Rphi": ({"Rphi": SINGULAR4}, "SingularMatrixError: Rphi must be invertible"),
-    "Rphiphi": ({"Rphiphi": SINGULAR4}, "SingularMatrixError: Rphiphi must be invertible"),
-    "R-and-Rphi": ({"R": SINGULAR4, "Rphi": SINGULAR4}, "SingularMatrixError: R must be invertible"),
+    "T": ({"T": SINGULAR}, "SingularMatrixError: T must be invertible"),
+    "T-and-R": ({"T": SINGULAR, "R": SINGULAR4}, "SingularMatrixError: R must be invertible"),
+    "Rphi": ({"Rphi": SINGULAR4}, REFUSED_KEY.format("Rphi")),
+    "Rphiphi": ({"Rphiphi": SINGULAR4}, REFUSED_KEY.format("Rphiphi")),
 }
 
 
@@ -184,3 +183,13 @@ def test_non_yang_baxter_verify_report_names_the_braid_relation(capsys, monkeypa
     violated = json.loads(out)["payload"]["violated"] if as_json else out
     assert "sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2" in violated
     assert hashlib.sha256(out.encode()).hexdigest() == digests[as_json], out
+
+
+def test_antidiagonal_twist_verifies(capsys, tmp_path):
+    # For T = [[0, 1], [1, 0]], T (x) T does not commute with R: (T (x) T) R (T (x) T)^-1 = R_21,
+    # so this verdict depends on which doubly twisted R the reflection equation uses.
+    f = tmp_path / "antidiagonal.json"
+    f.write_text(json.dumps({"d": 2, "m": 1, "R": SL2_R, "K": [["0", "1"], ["1", "0"]], "T": ANTIDIAGONAL_T}))
+    code, out = run(capsys, "rep", "verify", str(f), "--json")
+    assert code == 0
+    assert json.loads(out)["payload"] == {"yang_baxter": True, "reflection": True, "cylinder_rep_n3": True}
