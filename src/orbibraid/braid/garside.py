@@ -66,19 +66,6 @@ def finishing_set(p: Perm) -> set[int]:
     return starting_set(inverse_perm(p))
 
 
-def perm_to_letters(p: Perm) -> tuple[tuple[int, int], ...]:
-    """A minimal positive word for a permutation braid (letters 1-based)."""
-    letters, q, j = [], list(p), 0
-    while j < len(q) - 1:  # swap the first descent; the next one is no further left than j - 1
-        if q[j] > q[j + 1]:
-            letters.append((j + 1, 1))
-            q[j], q[j + 1] = q[j + 1], q[j]
-            j = max(j - 1, 0)
-        else:
-            j += 1
-    return tuple(letters)
-
-
 def _weight_pair(a: list[int], a_inv: list[int], b: list[int], b_inv: list[int]) -> int:
     """Move b ^ da, the meet of b and the complement of a, from b into a, in place.
 
@@ -131,16 +118,6 @@ class GarsideNF(Record):
         set_slot(self, "n", n)
         set_slot(self, "power", power)
         set_slot(self, "factors", factors)
-
-    def to_word(self) -> BraidWord:
-        """Rebuild a braid word (Delta^power, then the factors)."""
-        delta = perm_to_letters(omega_perm(self.n))
-        if self.power < 0:
-            delta = tuple((i, -e) for i, e in reversed(delta))
-        letters = list(delta * abs(self.power))
-        for f in self.factors:
-            letters.extend(perm_to_letters(f))
-        return BraidWord(self.n, tuple(letters))
 
     def describe(self) -> str:
         facs = " ".join("(" + " ".join(str(v + 1) for v in f) + ")" for f in self.factors)

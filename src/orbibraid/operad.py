@@ -123,12 +123,6 @@ def parse_signed_op(text: str) -> SignedOp:
     return SignedOp(inputs, output, eps, perm)
 
 
-def identity_op(color: Color) -> SignedOp:
-    if color is Color.D:
-        return SignedOp((Color.D,), Color.D, (0,), (0,))
-    return SignedOp((Color.DSTAR,), Color.DSTAR, (), ())
-
-
 def classify(k: int, output: Color, input_colors) -> list[SignedOp]:
     """All 2^d d! classes with the given colors; empty when the space is empty.
 

@@ -4,7 +4,8 @@ Leg conventions: tensor factors are ordered M (x) V_1 (x) ... (x) V_n;
 numeric subscripts refer to the V legs.  The braiding operator is
 Rhat = flip . R, so words in the cylinder braid group act by genuine
 matrix products, with the pole winding represented by the T-straightened
-K-action kappa = (1 (x) T^-1) K on the M (x) V_1 legs.
+K-action kappa = (1 (x) T^-1) K on the M (x) V_1 legs.  Both come from
+``RepData`` (``braiding``, ``kappa``), which took T^-1 at load.
 
 The twisted reflection equation is decided in its braid form, the kappa
 relation (sigma_1 kappa)^2 = (kappa sigma_1)^2 on M (x) V_1 (x) V_2.
@@ -68,18 +69,6 @@ def yang_baxter_check(R: QMatrix) -> bool:
     return r12 * r13 * r23 == r23 * r13 * r12
 
 
-def rhat(R: QMatrix, d: int) -> QMatrix:
-    """The braiding operator flip . R on V (x) V: the rows of R, reindexed."""
-    return R.permuted(leg_swap(1, d))
-
-
-def _kappa_core(data: RepData) -> QMatrix:
-    """(1 (x) T^-1) K on M (x) V, with no inverse taken of an identity T."""
-    if data.T.is_identity:
-        return data.K
-    return data.T.inverse().placed(data.m, 1) * data.K
-
-
 def reflection_check(data: RepData) -> bool:
     """The twisted reflection equation, as the kappa relation (sigma_1 kappa)^2 = (kappa sigma_1)^2
     on M (x) V_1 (x) V_2 with sigma_1 = Rhat and kappa = (1 (x) T^-1) K.
@@ -88,8 +77,8 @@ def reflection_check(data: RepData) -> bool:
     K_1 R_21 K_2 R_12 = R_21 K_2 R_12 K_1.
     """
     _check_dim(data.m, data.d, 2)
-    s1 = rhat(data.R, data.d).placed(data.m, 1)
-    k = _kappa_core(data).placed(1, data.d)
+    s1 = data.braiding().placed(data.m, 1)
+    k = data.kappa().placed(1, data.d)
     s1k, ks1 = s1 * k, k * s1
     return s1k * s1k == ks1 * ks1
 
@@ -110,31 +99,16 @@ class CylRep(Record):
         return self.sigma[i - 1] if e == 1 else self.sigma_inv[i - 1]
 
 
-def cyl_relations(data: RepData, n: int) -> tuple[QMatrix, QMatrix]:
-    """Check the defining relations of B^cyl_n.
-
-    As A (x) I = B (x) I exactly when A = B, each relation is checked once,
-    on its own legs, in the order and under the names of the full-size
-    checks: every braid relation is the braid form of the Yang-Baxter
-    equation of R on V^(x)3 (``yang_baxter_check``, for n >= 3), the kappa
-    relation the twisted reflection equation on M (x) V^(x)2
-    (``reflection_check``, for n >= 2).  The far commutations and
-    sigma_i kappa = kappa sigma_i (i >= 2) hold as operators on disjoint
-    legs commute.  A failing relation raises a RelationError naming it.
-    Returns Rhat and (1 (x) T^-1) K.
-    """
-    if n < 1:
-        raise DimensionError("strand count must be positive")
-    if n >= 3 and not yang_baxter_check(data.R):
-        raise RelationError(BRAID_RELATION)
-    if n >= 2 and not reflection_check(data):
-        raise RelationError(KAPPA_RELATION)
-    return rhat(data.R, data.d), _kappa_core(data)
-
-
 def build_cyl_rep(data: RepData, n: int) -> CylRep:
-    """Refuse m d^n past MAX_REP_DIM, verify the defining relations
-    (``cyl_relations``), then assemble the generator matrices.
+    """Refuse m d^n past MAX_REP_DIM, verify the defining relations of B^cyl_n, then assemble
+    the generator matrices.
+
+    As A (x) I = B (x) I exactly when A = B, each relation is checked once, on its own legs,
+    in the order and under the names of the full-size checks: every braid relation is the
+    braid form of the Yang-Baxter equation of R on V^(x)3 (``yang_baxter_check``, for n >= 3),
+    the kappa relation the twisted reflection equation on M (x) V^(x)2 (``reflection_check``,
+    for n >= 2).  The far commutations and sigma_i kappa = kappa sigma_i (i >= 2) hold as
+    operators on disjoint legs commute.  A failing relation raises a RelationError naming it.
 
     sigma_i is I_(m d^(i-1)) (x) Rhat (x) I_(d^(n-i-1)) and kappa is
     (1 (x) T^-1) K (x) I_(d^(n-1)).  As (A (x) B)^-1 = A^-1 (x) B^-1, only
@@ -142,7 +116,13 @@ def build_cyl_rep(data: RepData, n: int) -> CylRep:
     """
     d, m = data.d, data.m
     _check_dim(m, d, n)
-    braiding, core = cyl_relations(data, n)
+    if n < 1:
+        raise DimensionError("strand count must be positive")
+    if n >= 3 and not yang_baxter_check(data.R):
+        raise RelationError(BRAID_RELATION)
+    if n >= 2 and not reflection_check(data):
+        raise RelationError(KAPPA_RELATION)
+    braiding, core = data.braiding(), data.kappa()
     braiding_inv = braiding.inverse()
     legs = [(m * d ** (i - 1), d ** (n - i - 1)) for i in range(1, n)]  # V_i (x) V_(i+1)
     sigma = tuple(braiding.placed(left, right) for left, right in legs)

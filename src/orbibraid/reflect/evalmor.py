@@ -2,11 +2,11 @@
 
 Single-object semantics: every A-leaf denotes the object V of the bundled
 representation data, the M-leaf denotes the module object.  The strand
-state recorded in an object's signature twists the elementary matrices:
-a braiding of strands in states (e, f) acts by flip . (T^e (x) T^f) R
-(T^e (x) T^f)^-1, the pole winding of a strand in state e by
-(1 (x) T^e) K (1 (x) T^e)^-1, and the double-involution retyping t by the
-balancing, extended to tensor factors through the ribbon rule
+state recorded in an object's signature twists the elementary matrices,
+which ``RepData`` builds: a braiding of strands in states (e, f) acts by
+flip . (T^e (x) T^f) R (T^e (x) T^f)^-1, the pole winding of a strand in
+state e by (1 (x) T^e) K (1 (x) T^e)^-1, and the double-involution
+retyping t by the balancing, extended to tensor factors through the ribbon rule
 theta_{X (x) Y} = sigma_{Y,X} (theta_Y (x) theta_X) sigma_{X,Y}.  All the
 purely structural generators are identity reindexings.  Morphisms are
 normalised first so braidings act one strand at a time.
@@ -42,16 +42,23 @@ from ..dsl.objects import (
     strand_count,
 )
 from ..errors import TypingError, UnsupportedGeneratorError
-from .checks import _check_dim, rhat
+from .checks import _check_dim
 from .qmatrix import QMatrix
 from .repdata import RepData
+
+
+def _state(o: ObjectExpr) -> int:
+    """The state of the one strand of o."""
+    strands = signature(o).strands
+    if len(strands) != 1:
+        raise TypingError(f"expected a single-strand object, got {obj_text(o)}")
+    return strands[0][1]
 
 
 class _Evaluator:
     def __init__(self, data: RepData):
         self.data = data
         self._theta_leaf: QMatrix | None = None
-        self._t_inverse: QMatrix | None = None  # T^-1, inverted once per evaluation
 
     # -- objects -----------------------------------------------------------
     def dim(self, o: ObjectExpr) -> int:
@@ -59,18 +66,6 @@ class _Evaluator:
         if sig.module == "oneM":
             raise UnsupportedGeneratorError("the module pointing has no matrix semantics")
         return (self.data.m if sig.module else 1) * self.data.d ** len(sig.strands)
-
-    # -- elementary matrices -------------------------------------------------
-    def _twist(self, o: ObjectExpr) -> tuple[QMatrix, QMatrix] | None:
-        """T^e and T^-e on the one strand of o, in state e; None where T^e is the identity."""
-        strands = signature(o).strands
-        if len(strands) != 1:
-            raise TypingError(f"expected a single-strand object, got {obj_text(o)}")
-        if strands[0][1] % 2 == 0 or self.data.T.is_identity:
-            return None
-        if self._t_inverse is None:
-            self._t_inverse = self.data.T.inverse()
-        return self.data.T, self._t_inverse
 
     def theta(self, o: ObjectExpr) -> QMatrix:
         """Balancing component at an A-typed object, by the ribbon rule."""
@@ -87,7 +82,7 @@ class _Evaluator:
             if self._theta_leaf is None:
                 if self.data.balancing is not None:
                     self._theta_leaf = self.data.balancing
-                elif (self.data.T * self.data.T).is_identity:
+                elif self.data.T == self.data.T_inv:  # T^2 = I
                     self._theta_leaf = QMatrix.identity(self.data.d)
                 else:
                     raise UnsupportedGeneratorError(
@@ -127,22 +122,14 @@ class _Evaluator:
             return QMatrix.identity(self.dim(domain(f)))
         if name == "sigma":
             x, y = f.params
-            R, tx, ty = self.data.R, self._twist(x), self._twist(y)
-            if tx or ty:
-                eye = QMatrix.identity(self.data.d)
-                (a, a_inv), (b, b_inv) = tx or (eye, eye), ty or (eye, eye)
-                R = a.kron(b) * R * a_inv.kron(b_inv)
-            return rhat(R, self.data.d)
+            return self.data.braiding(_state(x), _state(y))
         if name == "kappa":
             m, x = f.params
             if isinstance(m, MUnit):
                 raise UnsupportedGeneratorError("the module pointing has no K-matrix")
             if not isinstance(m, MLeaf):
                 raise TypingError("normalisation should have peeled the module argument")
-            twist = self._twist(x)
-            if twist is None:
-                return self.data.K
-            return twist[0].placed(self.data.m, 1) * self.data.K * twist[1].placed(self.data.m, 1)
+            return self.data.winding(_state(x))
         if name == "phi2":
             x, y = f.params
             return self.eval(Gen("sigma", (Phi(x), Phi(y))))

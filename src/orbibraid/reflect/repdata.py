@@ -2,8 +2,11 @@
 
 A RepData bundle fixes a d-dimensional object V and an m-dimensional
 module object M, the braiding matrix R on V (x) V, the K-matrix on
-M (x) V, and the matrix T realising the involution on V.  R, K and T are
-checked invertible by exact determinant.
+M (x) V, and the matrix T realising the involution on V.  R and K are
+checked invertible by exact determinant; T by taking T^-1, once, at load
+(an identity T is its own inverse).  The bundle is the one place that
+knows how T acts: it builds every T-twisted one-strand matrix from T and
+that T^-1 (``braiding``, ``winding``, ``kappa``).
 
 File format: a JSON document with integer fields ``d`` and ``m`` and the
 matrices as nested arrays of strings in the scalar grammar, e.g.
@@ -20,7 +23,7 @@ import re
 
 from ..errors import DimensionError, ParseError, SingularMatrixError
 from ..record import Record
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, leg_swap
 
 MAX_JSON_DEPTH = 32  # the format nests 3 deep; json.loads recurses once per level
 # A string literal, skipped whole (to the end of the text if unterminated, so the scan stays linear), or a bracket.
@@ -43,10 +46,10 @@ def _check_depth(text: str) -> None:
 
 
 class RepData(Record):
-    __slots__ = __match_args__ = ("d", "m", "R", "K", "T", "balancing")
+    __slots__ = __match_args__ = ("d", "m", "R", "K", "T", "T_inv", "balancing")
 
-    def __init__(self, d, m, R, K, T, balancing=None):
-        super().__init__(d, m, R, K, T, balancing)
+    def __init__(self, d, m, R, K, T, T_inv, balancing=None):
+        super().__init__(d, m, R, K, T, T_inv, balancing)
 
     @staticmethod
     def build(
@@ -65,12 +68,16 @@ class RepData(Record):
             raise DimensionError(f"K must be {m * d}x{m * d}")
         if T.rows != d or T.cols != d:
             raise DimensionError(f"T must be {d}x{d}")
-        for name, mat in (("R", R), ("K", K), ("T", T)):
+        for name, mat in (("R", R), ("K", K)):
             if mat.det().is_zero:
                 raise SingularMatrixError(f"{name} must be invertible")
+        try:
+            T_inv = T if T.is_identity else T.inverse()
+        except SingularMatrixError:
+            raise SingularMatrixError("T must be invertible") from None
         if balancing is not None and (balancing.rows != d or balancing.cols != d):
             raise DimensionError(f"balancing must be {d}x{d}")
-        return RepData(d, m, R, K, T, balancing)
+        return RepData(d, m, R, K, T, T_inv, balancing)
 
     @staticmethod
     def from_json_dict(doc: dict) -> RepData:
@@ -106,3 +113,26 @@ class RepData(Record):
             text = fh.read()
         _check_depth(text)
         return RepData.from_json_dict(json.loads(text))
+
+    def braiding(self, e: int = 0, f: int = 0) -> QMatrix:
+        """flip . (T^e (x) T^f) R (T^e (x) T^f)^-1 on V (x) V: the braiding of strands in states
+        e and f, twisted by T on each strand in an odd state.  Rhat = flip . R at (0, 0)."""
+        R = self.R
+        if (e % 2 or f % 2) and not self.T.is_identity:
+            eye = QMatrix.identity(self.d)
+            a, a_inv = (self.T, self.T_inv) if e % 2 else (eye, eye)
+            b, b_inv = (self.T, self.T_inv) if f % 2 else (eye, eye)
+            R = a.kron(b) * R * a_inv.kron(b_inv)
+        return R.permuted(leg_swap(1, self.d))
+
+    def winding(self, e: int) -> QMatrix:
+        """(1 (x) T^e) K (1 (x) T^e)^-1 on M (x) V: the pole winding of a strand in state e."""
+        if e % 2 == 0 or self.T.is_identity:
+            return self.K
+        return self.T.placed(self.m, 1) * self.K * self.T_inv.placed(self.m, 1)
+
+    def kappa(self) -> QMatrix:
+        """(1 (x) T^-1) K on M (x) V: the K-action straightened by T^-1, the pole winding of B^cyl_n."""
+        if self.T.is_identity:
+            return self.K
+        return self.T_inv.placed(self.m, 1) * self.K

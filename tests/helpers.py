@@ -1,5 +1,6 @@
 """Shared test utilities: seeded RNG, random well-typed morphisms, word sampling and rewriting, normal-form invariants,
-and the flip matrix that index-based leg swaps are checked against."""
+the flip matrix that index-based leg swaps are checked against, and the oracles the library does not run: the word of
+a normal form, and the identity operation."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from orbibraid.braid import KAPPA, BraidWord, CylBraidWord
+from orbibraid.braid import KAPPA, BraidWord, CylBraidWord, GarsideNF
+from orbibraid.braid.garside import Perm, omega_perm
 from orbibraid.dsl import (
     ActMor,
     ALeaf,
@@ -30,6 +32,7 @@ from orbibraid.dsl import (
     is_module,
     strand_count,
 )
+from orbibraid.operad import Color, SignedOp
 from orbibraid.reflect import ONE, ZERO, QMatrix
 
 
@@ -48,6 +51,36 @@ def flip_matrix(d1: int, d2: int) -> QMatrix:
         for j in range(d2):
             rows[j * d1 + i][i * d2 + j] = ONE
     return QMatrix.from_rows(rows)
+
+
+def perm_to_letters(p: Perm) -> tuple[tuple[int, int], ...]:
+    """A minimal positive word for a permutation braid (letters 1-based)."""
+    letters, q, j = [], list(p), 0
+    while j < len(q) - 1:  # swap the first descent; the next one is no further left than j - 1
+        if q[j] > q[j + 1]:
+            letters.append((j + 1, 1))
+            q[j], q[j + 1] = q[j + 1], q[j]
+            j = max(j - 1, 0)
+        else:
+            j += 1
+    return tuple(letters)
+
+
+def nf_to_word(nf: GarsideNF) -> BraidWord:
+    """Rebuild a braid word (Delta^power, then the factors)."""
+    delta = perm_to_letters(omega_perm(nf.n))
+    if nf.power < 0:
+        delta = tuple((i, -e) for i, e in reversed(delta))
+    letters = list(delta * abs(nf.power))
+    for f in nf.factors:
+        letters.extend(perm_to_letters(f))
+    return BraidWord(nf.n, tuple(letters))
+
+
+def identity_op(color: Color) -> SignedOp:
+    if color is Color.D:
+        return SignedOp((Color.D,), Color.D, (0,), (0,))
+    return SignedOp((Color.DSTAR,), Color.DSTAR, (), ())
 
 
 def seeded_rng(salt: int = 0) -> random.Random:

@@ -6,7 +6,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines; the
 
 import itertools
 
-from helpers import random_braid_word, random_mor, seeded_rng
+from helpers import identity_op, random_braid_word, random_mor, seeded_rng
 from orbibraid.braid import CylBraidWord, braid_eq, cyl_braid_eq, lk_matrix, strand_ends
 from orbibraid.coherence import COMMUTES, NOT_COMMUTES, check, extract_braid
 from orbibraid.dsl import codomain, domain, normalize_presentation, parse_diagram, signature
@@ -16,7 +16,6 @@ from orbibraid.operad import (
     classify,
     compose,
     compose_intervals,
-    identity_op,
     realize_intervals,
 )
 from orbibraid.reflect import build_cyl_rep, eval_mor, reflection_check, yang_baxter_check

@@ -133,8 +133,6 @@ def test_rep_verify_checks_yang_baxter_once_and_builds_no_representation(capsys,
     monkeypatch.setattr(cli, "build_cyl_rep", refuse)
     monkeypatch.setattr(checks, "yang_baxter_check", counted)
     monkeypatch.setattr(checks, "reflection_check", counted_reflection)
-    monkeypatch.setattr(checks, "cyl_relations", refuse)
-    monkeypatch.setattr(cli, "cyl_relations", refuse, raising=False)
     code, doc = run_json(capsys, "rep", "verify", str(data_path("sl2.rep.json")))
     assert code == 0
     assert doc["payload"] == {"yang_baxter": True, "reflection": True, "cylinder_rep_n3": True}

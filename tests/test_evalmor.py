@@ -144,10 +144,10 @@ def test_no_inverse_of_an_identity(sl2_data, diagram_dir, monkeypatch):
         eval_mor(sl2_data, diag.lhs)
         eval_mor(sl2_data, diag.rhs)
     assert inverted == []
-    # A twisted strand inverts T once per evaluation, however many twists it meets.
+    # A twisted strand inverts nothing: T^-1 was taken when the data was built.
     diag = parse_diagram((diagram_dir / "reflection_twisted.diag").read_text())
     eval_mor(twisted, diag.lhs)
-    assert inverted == [twisted.T]
+    assert inverted == []
 
 
 def test_inverse_and_vert(sl2_data):
@@ -159,6 +159,9 @@ def test_unsupported_cases():
     data = make_data([["0", "1"], ["1", "0"]], T_rows=[["1", "1"], ["0", "1"]])
     with pytest.raises(UnsupportedGeneratorError):
         eval_mor(data, parse_mor("t(X1)"))
+    # T^2 = I, decided as T = T^-1: t needs no balancing.
+    involutive = make_data([["0", "1"], ["1", "0"]], T_rows=[["1", "0"], ["0", "-1"]])
+    assert eval_mor(involutive, parse_mor("t(X1)")).is_identity
     sl2 = make_data([["0", "1"], ["1", "0"]])
     with pytest.raises(UnsupportedGeneratorError):
         eval_mor(sl2, parse_mor("id(oneM)"))

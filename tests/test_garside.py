@@ -2,7 +2,15 @@ import hashlib
 
 import pytest
 
-from helpers import normal_form_violations, random_braid_word, random_cyl_word, seeded_rng, stdout_under_python_O
+from helpers import (
+    nf_to_word,
+    normal_form_violations,
+    perm_to_letters,
+    random_braid_word,
+    random_cyl_word,
+    seeded_rng,
+    stdout_under_python_O,
+)
 from orbibraid.braid import (
     BraidWord,
     CylBraidWord,
@@ -19,7 +27,6 @@ from orbibraid.braid.garside import (
     finishing_set,
     inverse_perm,
     omega_perm,
-    perm_to_letters,
     starting_set,
 )
 from orbibraid.coherence import _cable_kappa
@@ -107,7 +114,7 @@ def test_nf_classifier_idempotent():
         n = rng.randint(2, 5)
         w = random_braid_word(rng, n, rng.randint(0, 12))
         nf = garside_nf(w)
-        assert garside_nf(nf.to_word()) == nf
+        assert garside_nf(nf_to_word(nf)) == nf
 
 
 def test_nf_factors_left_weighted_and_proper():
@@ -333,7 +340,7 @@ def test_nf_invariants_on_long_words(n):
     w = random_braid_word(rng, n, 800)
     nf = garside_nf(w)
     assert normal_form_violations(w, nf.power, nf.factors) == []
-    assert garside_nf(nf.to_word()) == nf
+    assert garside_nf(nf_to_word(nf)) == nf
 
 
 def test_invalid_forms_raise_under_python_O():

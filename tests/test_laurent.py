@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import seeded_rng, stdout_under_python_O
-from orbibraid.reflect import ONE, ZERO, LaurentScalar, QMatrix, parse_scalar, specialize
+from orbibraid.reflect import ONE, ZERO, LaurentScalar, QMatrix, parse_scalar
 from orbibraid.reflect.laurent import _pmul
 
 
@@ -40,10 +40,11 @@ def test_specialize_examples():
         s.specialize(Fraction(1))
 
 
-def test_specialize_dispatcher():
-    assert specialize(parse_scalar("q - q^-1"), 2) == Fraction(3, 2)
+def test_specialize_converts_q0_for_scalars_and_matrices():
+    assert parse_scalar("q - q^-1").specialize(2) == Fraction(3, 2)
     m = QMatrix.from_strings([["q", "0"], ["0", "1"]])
-    assert specialize(m, Fraction(1, 2)) == ((Fraction(1, 2), 0), (0, 1))
+    assert m.specialize(2) == ((2, 0), (0, 1))
+    assert m.specialize(Fraction(1, 2)) == ((Fraction(1, 2), 0), (0, 1))
 
 
 def test_denominator_sign_normalised():

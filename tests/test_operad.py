@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import seeded_rng
+from helpers import identity_op, seeded_rng
 from orbibraid.dsl import Tensor, obj_text, signature
 from orbibraid.errors import ArityError, GeometryError, TypingError
 from orbibraid.operad import (
@@ -18,7 +18,6 @@ from orbibraid.operad import (
     classify,
     compose,
     compose_intervals,
-    identity_op,
     op_object,
     op_of_signature,
     parse_signed_op,

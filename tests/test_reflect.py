@@ -4,6 +4,7 @@ from conftest import data_path
 from helpers import flip_matrix, random_cyl_word, seeded_rng
 from orbibraid.braid import BraidWord, CylBraidWord, cyl_braid_eq
 from orbibraid.cli import main
+from orbibraid.dsl import parse_diagram
 from orbibraid.errors import DimensionError, RelationError, SingularMatrixError
 from orbibraid.reflect import (
     LaurentScalar,
@@ -12,6 +13,7 @@ from orbibraid.reflect import (
     ZERO,
     build_cyl_rep,
     eval_braid,
+    eval_mor,
     reflection_check,
     yang_baxter_check,
 )
@@ -346,7 +348,7 @@ def test_rep_verify_work_counts(capsys, work_counts):
     product changes these counts, and a deliberate change records the new ones."""
     assert main(["rep", "verify", str(data_path("sl2.rep.json"))]) == 0
     capsys.readouterr()
-    assert work_counts == {"QMatrix.__mul__": 8, "QMatrix.kron": 0, "LaurentScalar.__mul__": 103, "_pmul": 10}
+    assert work_counts == {"QMatrix.__mul__": 8, "QMatrix.kron": 0, "LaurentScalar.__mul__": 101, "_pmul": 10}
 
 
 def test_rep_eval_work_counts(capsys, work_counts):
@@ -356,4 +358,31 @@ def test_rep_eval_work_counts(capsys, work_counts):
     word = "k s1 s2 S3 K s1 s3 S2 k s1"
     assert main(["rep", "eval", str(data_path("sl2.rep.json")), "-n", "4", "--cyl", word]) == 0
     capsys.readouterr()
-    assert work_counts == {"QMatrix.__mul__": 17, "QMatrix.kron": 0, "LaurentScalar.__mul__": 717, "_pmul": 103}
+    assert work_counts == {"QMatrix.__mul__": 17, "QMatrix.kron": 0, "LaurentScalar.__mul__": 715, "_pmul": 103}
+
+
+def test_t_is_inverted_once_at_load(monkeypatch, diagram_dir):
+    """On the twisted-flip data, building it takes T^-1 and nothing later inverts T: build_cyl_rep
+    inverts Rhat and kappa only, and neither reflection_check nor eval_mor of the twisted
+    reflection diagram inverts anything."""
+    inverted = []
+    inverse = QMatrix.inverse
+
+    def counted(m):
+        inverted.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(QMatrix, "inverse", counted)
+    make_data(TWISTED_FLIP_K)  # an identity T is its own inverse
+    assert inverted == []
+    data = make_data(TWISTED_FLIP_K, T_rows=[["1", "0"], ["0", "-1"]])
+    assert inverted == [data.T]
+    inverted.clear()
+    build_cyl_rep(data, 3)
+    assert len(inverted) == 2 and data.T not in inverted
+    inverted.clear()
+    assert reflection_check(data)
+    diag = parse_diagram((diagram_dir / "reflection_twisted.diag").read_text())
+    eval_mor(data, diag.lhs)
+    eval_mor(data, diag.rhs)
+    assert inverted == []

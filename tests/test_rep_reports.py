@@ -12,8 +12,9 @@ import pytest
 
 from conftest import data_path
 from orbibraid.dsl import parse_diagram
-from orbibraid.reflect import eval_mor
+from orbibraid.reflect import RepData, eval_mor
 from test_cli import run
+from test_evalmor import TWISTS, rep_doc
 from test_reflect import ANTIDIAGONAL_T, NON_YANG_BAXTER_R, SL2_R
 
 SIGN_T = [["1", "0"], ["0", "-1"]]
@@ -29,6 +30,9 @@ REP_FILES = {
     "twisted_flip.json": {"K": [["0", P_TWIST], [P_TWIST, "0"]], "T": SIGN_T},
     "twisted_identity.json": {"K": [[P_TWIST, "0"], ["0", P_TWIST]], "T": SIGN_T},
 }
+# The pinned files: the benchmark's families and a K that passes under the antidiagonal T,
+# which does not commute with R.
+PIN_FILES = {**REP_FILES, "antidiagonal.json": {"K": TWISTS["antidiagonal"][1], "T": ANTIDIAGONAL_T}}
 
 # Exit code and sha256 of the text and the --json report of each command,
 # run from the data file's directory so the echoed command has no path.
@@ -81,6 +85,12 @@ PINNED_REP_REPORTS = {
         "d8bf856cc3134652ed6ed0cc89e86958b6970d01c07f88f20e053c6ec604811b",
         "748b223df92cf761f951a61066b4c2894f15097d0d9116f99252dd9fc554fb30",
     ),
+    "eval-antidiagonal-n3": (
+        ["rep", "eval", "antidiagonal.json", "-n", "3", "--cyl", "k s1 S2 K s2 s1 k S1"],
+        0,
+        "c9b00732bb07526780173bf2799914b6f231109e350457d74e6ff5458b6e7c69",
+        "407b4eed34f37b1c8758a10b9eb0b8248b8dfb23fc4ecc32f826e607ddcda062",
+    ),
     "eval-solution-n3": (
         ["rep", "eval", "solution.json", "-n", "3", "--cyl", "K s1 k S2 K s2"],
         0,
@@ -92,8 +102,8 @@ PINNED_REP_REPORTS = {
 
 def rep_report(capsys, monkeypatch, tmp_path, argv, as_json: bool) -> tuple[int, str]:
     name = argv[2]
-    if name in REP_FILES:
-        (tmp_path / name).write_text(json.dumps({"d": 2, "m": 1, "R": SL2_R, **REP_FILES[name]}))
+    if name in PIN_FILES:
+        (tmp_path / name).write_text(json.dumps({"d": 2, "m": 1, "R": SL2_R, **PIN_FILES[name]}))
         monkeypatch.chdir(tmp_path)
     else:
         monkeypatch.chdir(data_path(""))
@@ -133,6 +143,46 @@ def eval_mor_strings(data, diagram_dir, name: str) -> str:
 def test_eval_mor_matrices_are_byte_identical_to_the_original(sl2_data, diagram_dir, name):
     out = eval_mor_strings(sl2_data, diagram_dir, name)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_EVAL_MOR[name], out
+
+
+# The same digests under twisted data: the K of each twist that passes rep verify and the
+# identity balancing, as test_evalmor builds them.  A diagram with no strand in an odd state
+# reads as on the sl2 data.
+PINNED_TWISTED_EVAL_MOR = {
+    "antidiagonal": {
+        "hexagon1.diag": "395ec0723cbe84f641b14eb58088e08da5c86ff18f6cdb30465a8f6d3dd289db",
+        "hexagon2.diag": "3d8267cc2d9d77383d2ca8ff1aa1f01fc2a037fab1f8eb0b871b902666791fc1",
+        "kappa_squared.diag": "876982b7e19bd4d0edc4f7df9a0d55b1f750a3e3b06b322fe9150566fe673b72",
+        "pentagon.diag": "6cfba02f45c62762193f0eef43bbc93a0f041c093a80d08bcaea2cfcec26bc2e",
+        "reflection_twisted.diag": "9e807c243c274012e6851e5da65a8ad3dbbe9451002834221d3678cd4a5e1242",
+        "sigma_squared.diag": "c1855a1bf42c3e131024ece481f9df60cec909fd27e9c5dfb89026cd9570460d",
+        "triangle.diag": "78bb61731d1e38857ebf2228eb84e7bbf505f60f3e550a6f9dda3ccb15ad6d26",
+        "winding_module_pair.diag": "46cb9773d8904206b3c3bdb2b2f3207fcc07627d34911cd867e26bf9ca2c9b06",
+        "winding_tensor_pair.diag": "9e807c243c274012e6851e5da65a8ad3dbbe9451002834221d3678cd4a5e1242",
+        "yang_baxter.diag": "f6697f99d93c924f38541a14dcf9693bfb780d815911bccffb52f6147e344fd3",
+    },
+    "diag-1-q": {
+        "hexagon1.diag": "395ec0723cbe84f641b14eb58088e08da5c86ff18f6cdb30465a8f6d3dd289db",
+        "hexagon2.diag": "3d8267cc2d9d77383d2ca8ff1aa1f01fc2a037fab1f8eb0b871b902666791fc1",
+        "kappa_squared.diag": "ee9b17c0813ba28a4a16d513bc641e4c25295cbb210db7cf5d28fb718a30d9a0",
+        "pentagon.diag": "6cfba02f45c62762193f0eef43bbc93a0f041c093a80d08bcaea2cfcec26bc2e",
+        "reflection_twisted.diag": "94444b678cf770288d97a920ad433446da04052e17f76f5981c8f117298424a1",
+        "sigma_squared.diag": "c1855a1bf42c3e131024ece481f9df60cec909fd27e9c5dfb89026cd9570460d",
+        "triangle.diag": "78bb61731d1e38857ebf2228eb84e7bbf505f60f3e550a6f9dda3ccb15ad6d26",
+        "winding_module_pair.diag": "fe11560d93408f3fd841319a601e0bad313adf32736476d2820e1f1244943500",
+        "winding_tensor_pair.diag": "94444b678cf770288d97a920ad433446da04052e17f76f5981c8f117298424a1",
+        "yang_baxter.diag": "f6697f99d93c924f38541a14dcf9693bfb780d815911bccffb52f6147e344fd3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", PINNED_EVAL_MOR)
+@pytest.mark.parametrize("twist", PINNED_TWISTED_EVAL_MOR)
+def test_twisted_eval_mor_matrices_are_byte_identical_to_the_original(diagram_dir, twist, name):
+    T_rows, K_rows = TWISTS[twist]
+    data = RepData.from_json_dict(rep_doc(K_rows, T_rows, balancing=[["1", "0"], ["0", "1"]]))
+    out = eval_mor_strings(data, diagram_dir, name)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TWISTED_EVAL_MOR[twist][name], out
 
 
 SINGULAR = [["1", "1"], ["1", "1"]]
