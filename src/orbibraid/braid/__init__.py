@@ -1,11 +1,10 @@
 from .garside import GarsideNF, braid_eq, cyl_braid_eq, garside_nf
 from .lk import lk_matrix
-from .words import KAPPA, BraidWord, CylBraidWord, embed_cyl, strand_ends
+from .words import KAPPA, BraidWord, embed_cyl, strand_ends
 
 __all__ = [
     "KAPPA",
     "BraidWord",
-    "CylBraidWord",
     "GarsideNF",
     "braid_eq",
     "cyl_braid_eq",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from ..errors import ArityError, SizeCapError
 from ..record import Record, set_slot
-from .words import BraidWord, CylBraidWord, embed_cyl
+from .words import BraidWord, embed_cyl
 
 Perm = tuple[int, ...]
 
@@ -152,7 +152,7 @@ def _refusal(n: int, count: int) -> SizeCapError:
     return SizeCapError(f"normal form on {n} strands would pass the work cap of {MAX_NF_WORK} ({count} units counted)")
 
 
-def garside_nf(w: BraidWord | CylBraidWord) -> GarsideNF:
+def garside_nf(w: BraidWord) -> GarsideNF:
     """Left-greedy normal form; nf(u) == nf(v) iff u = v in B_n, or in B^cyl_n through embed_cyl.
 
     Counts n a run appended, n a pair visited and one a generator moved (100-370 ns a unit), and
@@ -160,7 +160,7 @@ def garside_nf(w: BraidWord | CylBraidWord) -> GarsideNF:
     built and printed from them.  Raises SizeCapError before a run (n + HELD_UNITS n) or a pair
     (n + its right factor's length, which bounds its moves) could take the count past MAX_NF_WORK.
     """
-    if isinstance(w, CylBraidWord):
+    if w.cyl:
         w = embed_cyl(w)
     n = w.n
     held = HELD_UNITS * n  # units a factor costs while it is held
@@ -219,13 +219,13 @@ def garside_nf(w: BraidWord | CylBraidWord) -> GarsideNF:
     return GarsideNF(n, power + lead, tuple([tuple(f) for f in tail]))
 
 
-def braid_eq(u: BraidWord | CylBraidWord, v: BraidWord | CylBraidWord) -> bool:
+def braid_eq(u: BraidWord, v: BraidWord) -> bool:
     """Decide u = v by comparing normal forms, each within garside_nf's work cap on its own."""
-    if type(u) is not type(v) or u.n != v.n:
-        raise ArityError(f"cannot compare a {type(u).__name__} on {u.n} strands with a {type(v).__name__} on {v.n}")
+    if u.cyl != v.cyl or u.n != v.n:
+        raise ArityError(f"cannot compare words of {u.group()} and {v.group()}")
     return garside_nf(u) == garside_nf(v)
 
 
-def cyl_braid_eq(u: CylBraidWord, v: CylBraidWord) -> bool:
+def cyl_braid_eq(u: BraidWord, v: BraidWord) -> bool:
     """Decide u = v in B^cyl_n: braid_eq, whose forms go through the annular embedding into B_{n+1}."""
     return braid_eq(u, v)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 
-from .words import BraidWord, CylBraidWord, embed_cyl
+from .words import BraidWord, embed_cyl
 
 Term = tuple[tuple[int, int], int]
 Poly = tuple[Term, ...]
@@ -112,14 +112,14 @@ def lk_generator(n: int, i: int, exponent: int) -> Table:
     return tuple(tuple((r, tuple(sorted(e.items()))) for r, e in enumerate(col) if e) for col in inverse)
 
 
-def lk_matrix(w: BraidWord | CylBraidWord) -> tuple[tuple[Poly, ...], ...]:
+def lk_matrix(w: BraidWord) -> tuple[tuple[Poly, ...], ...]:
     """Multiplicative image of a word under the Lawrence-Krammer representation.
 
     Rows of entries, each entry its sorted nonzero ((q exponent, t exponent),
-    coefficient) terms; two words of one kind on one strand count are equal
+    coefficient) terms; two words of one group on one strand count are equal
     exactly when these are ==.  A cylinder word is embedded by embed_cyl first.
     """
-    if isinstance(w, CylBraidWord):
+    if w.cyl:
         w = embed_cyl(w)
     m = w.n * (w.n - 1) // 2
     cols = _identity(m)

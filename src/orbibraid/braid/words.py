@@ -1,104 +1,79 @@
 """Words in the Artin braid groups B_n and the cylinder braid groups B^cyl_n.
 
-A letter is a pair (i, e): for ordinary words i is a generator index with
-1 <= i <= n-1 and e in {+1, -1}.  Cylinder words admit the additional
-letter (0, e), written ``k``/``K`` in text form, for the strand nearest the
-pole winding once around it.
+One record holds both: a word carries its strand count n and its group,
+``cyl`` set for B^cyl_n.  A letter is a pair (i, e): i is a generator index
+with 1 <= i <= n-1 and e in {+1, -1}.  A cylinder word admits the
+additional letter (0, e), written ``k``/``K`` in text form, for the strand
+nearest the pole winding once around it.
 
 Text syntax: whitespace-separated tokens ``s<i>`` (positive crossing),
 ``S<i>`` (inverse crossing), ``k`` and ``K`` (pole winding and its
-inverse), e.g. ``"k s1 K s1"``.  The strand count is given separately.
+inverse), e.g. ``"k s1 K s1"``.  The strand count and group are given
+separately.
 """
 
 from __future__ import annotations
 
 from ..errors import ArityError, MalformedWordError
-from ..record import Record, set_slot
+from ..record import Record
 
 KAPPA = 0
 
 Letter = tuple[int, int]
 
 
-def _check_letters(n: int, letters: tuple[Letter, ...], allow_kappa: bool) -> None:
-    low = 0 if allow_kappa else 1
-    for i, e in letters:
-        if e not in (1, -1):
-            raise MalformedWordError(f"letter exponent must be +1 or -1, got {e}")
-        if not (low <= i <= n - 1):
-            kind = "kappa/sigma" if allow_kappa else "sigma"
-            raise MalformedWordError(
-                f"{kind} index {i} out of range for {n} strands"
-            )
+class BraidWord(Record):
+    """A word of B_n or, with cyl set, of B^cyl_n; the empty word is the identity.
 
+    Words of different groups or strand counts neither multiply nor compare.
+    """
 
-def _parse_letters(text: str, allow_kappa: bool) -> tuple[Letter, ...]:
-    letters: list[Letter] = []
-    for tok in text.split():
-        if tok == "k" and allow_kappa:
-            letters.append((KAPPA, 1))
-        elif tok == "K" and allow_kappa:
-            letters.append((KAPPA, -1))
-        elif tok[:1] in ("s", "S") and tok[1:].isdigit():
-            letters.append((int(tok[1:]), 1 if tok[0] == "s" else -1))
-        else:
-            raise MalformedWordError(f"unrecognised braid token {tok!r}")
-    return tuple(letters)
+    __slots__ = __match_args__ = ("n", "letters", "cyl")
 
-
-def _letters_text(letters: tuple[Letter, ...]) -> str:
-    out = []
-    for i, e in letters:
-        if i == KAPPA:
-            out.append("k" if e == 1 else "K")
-        else:
-            out.append(f"s{i}" if e == 1 else f"S{i}")
-    return " ".join(out)
-
-
-class _Word(Record):
-    __slots__ = __match_args__ = ("n", "letters")
-    allow_kappa = False
-
-    def __init__(self, n: int, letters: tuple[Letter, ...] = ()):
+    def __init__(self, n: int, letters: tuple[Letter, ...] = (), cyl: bool = False):
         if n < 1:
             raise MalformedWordError("strand count must be positive")
-        _check_letters(n, letters, self.allow_kappa)
-        set_slot(self, "n", n)
-        set_slot(self, "letters", letters)
+        low = KAPPA if cyl else 1
+        for i, e in letters:
+            if e not in (1, -1):
+                raise MalformedWordError(f"letter exponent must be +1 or -1, got {e}")
+            if not (low <= i <= n - 1):
+                kind = "kappa/sigma" if cyl else "sigma"
+                raise MalformedWordError(f"{kind} index {i} out of range for {n} strands")
+        super().__init__(n, letters, cyl)
 
-    @classmethod
-    def from_text(cls, n: int, text: str):
-        return cls(n, _parse_letters(text, cls.allow_kappa))
+    @staticmethod
+    def from_text(n: int, text: str, cyl: bool = False) -> BraidWord:
+        letters: list[Letter] = []
+        for tok in text.split():
+            if tok in ("k", "K") and cyl:
+                letters.append((KAPPA, 1 if tok == "k" else -1))
+            elif tok[:1] in ("s", "S") and tok[1:].isdigit():
+                letters.append((int(tok[1:]), 1 if tok[0] == "s" else -1))
+            else:
+                raise MalformedWordError(f"unrecognised braid token {tok!r}")
+        return BraidWord(n, tuple(letters), cyl)
 
     def to_text(self) -> str:
-        return _letters_text(self.letters)
+        return " ".join(
+            [("k" if e == 1 else "K") if i == KAPPA else (f"s{i}" if e == 1 else f"S{i}") for i, e in self.letters]
+        )
+
+    def group(self) -> str:
+        return f"B^cyl_{self.n}" if self.cyl else f"B_{self.n}"
 
     def __mul__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not BraidWord:
             return NotImplemented
-        if self.n != other.n:
-            raise ArityError(f"cannot concatenate words on {self.n} and {other.n} strands")
-        return type(self)(self.n, self.letters + other.letters)
+        if self.cyl != other.cyl or self.n != other.n:
+            raise ArityError(f"cannot concatenate words of {self.group()} and {other.group()}")
+        return BraidWord(self.n, self.letters + other.letters, self.cyl)
 
-    def inverse(self):
-        return type(self)(self.n, tuple((i, -e) for i, e in reversed(self.letters)))
-
-
-class BraidWord(_Word):
-    """A word in the Artin generators of B_n; the empty word is the identity."""
-
-    __slots__ = ()
+    def inverse(self) -> BraidWord:
+        return BraidWord(self.n, tuple((i, -e) for i, e in reversed(self.letters)), self.cyl)
 
 
-class CylBraidWord(_Word):
-    """A word in the generators sigma_1..sigma_{n-1}, kappa of B^cyl_n."""
-
-    __slots__ = ()
-    allow_kappa = True
-
-
-def embed_cyl(w: CylBraidWord) -> BraidWord:
+def embed_cyl(w: BraidWord) -> BraidWord:
     """Embed B^cyl_n into B_{n+1}: kappa -> sigma_1^2 and sigma_i -> sigma_{i+1}.
 
     The pole becomes an ordinary strand in first position; the map is a group
@@ -113,7 +88,7 @@ def embed_cyl(w: CylBraidWord) -> BraidWord:
     return BraidWord(w.n + 1, tuple(letters))
 
 
-def strand_ends(w: CylBraidWord | BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def strand_ends(w: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Each strand's 1-based end position and signed pole winding, in starting-position order.
 
     The winding counts the kappa letters applied while the strand sits in

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from .braid import BraidWord, CylBraidWord, braid_eq, garside_nf
+from .braid import BraidWord, braid_eq, garside_nf
 from .coherence import COMMUTES, check
 from .dsl import parse_diagram
 from .errors import OrbibraidError
@@ -59,12 +59,6 @@ class Report(Record):
         return "\n".join(lines)
 
 
-def _parse_word(text: str, n: int, cylinder: bool):
-    if cylinder:
-        return CylBraidWord.from_text(n, text)
-    return BraidWord.from_text(n, text)
-
-
 def _nf_payload(nf) -> dict:
     return {
         "power": nf.power,
@@ -74,7 +68,7 @@ def _nf_payload(nf) -> dict:
 
 
 def _cmd_braid(args) -> tuple[str, dict]:
-    words = [_parse_word(text, args.strands, args.cyl) for text in args.words]
+    words = [BraidWord.from_text(args.strands, text, args.cyl) for text in args.words]
     if args.braid_cmd == "nf":
         payload = _nf_payload(garside_nf(words[0]))
         if args.cyl:
@@ -117,7 +111,7 @@ def _cmd_rep(args) -> tuple[str, dict]:
         if not ok:
             payload["violated"] = KAPPA_RELATION if yang_baxter else BRAID_RELATION
         return ("ok" if ok else "fail"), payload
-    w = _parse_word(args.word, args.strands, args.cyl)
+    w = BraidWord.from_text(args.strands, args.word, args.cyl)
     rep = build_cyl_rep(data, args.strands)
     matrix = eval_braid(rep, w)
     return "ok", {"matrix": matrix.to_strings()}

@@ -22,7 +22,7 @@ Z2-symmetric pair whenever the underlying signed permutations
 from __future__ import annotations
 
 from .braid.garside import garside_nf
-from .braid.words import KAPPA, BraidWord, CylBraidWord, Letter, strand_ends
+from .braid.words import KAPPA, BraidWord, Letter, strand_ends
 from .dsl.morphisms import (
     ActMor,
     Gen,
@@ -39,8 +39,7 @@ from .dsl.morphisms import (
     unexpected,
 )
 from .dsl.objects import SignedSignature, is_module, signature, strand_count
-from .errors import ArityError, FlavorError, SizeCapError, TypingError
-from .operad import Color, SignedOp
+from .errors import FlavorError, SizeCapError
 from .record import Record
 
 # Longest underlying word extract_braid builds: a kappa cabled over a
@@ -129,7 +128,7 @@ LETTER_RULES = {
 }
 
 
-def extract_braid(f: MorExpr) -> BraidWord | CylBraidWord:
+def extract_braid(f: MorExpr) -> BraidWord:
     """Underlying braid of a presentation; cylinder word iff f is M-typed.
 
     A word of more than MAX_WORD_LETTERS letters is refused with SizeCapError.
@@ -137,9 +136,7 @@ def extract_braid(f: MorExpr) -> BraidWord | CylBraidWord:
     dom = domain(f)
     n = max(1, strand_count(dom))
     letters = tuple(fold(f, lambda g, kids: LETTER_RULES.get(type(g), unexpected)(g, kids)))
-    if is_module(dom):
-        return CylBraidWord(n, letters)
-    return BraidWord(n, letters)
+    return BraidWord(n, letters, is_module(dom))
 
 
 class Verdict(Record):
@@ -205,23 +202,3 @@ def check(lhs: MorExpr, rhs: MorExpr, flavor: str) -> Verdict:
         return Verdict(status, wl, wr, garside_nf(wl), garside_nf(wr))
     except SizeCapError as exc:
         return Verdict(status, wl, wr, detail=f"normal forms not shown: {exc}")
-
-
-def braid_of_signed_path(start: SignedOp, word: CylBraidWord | BraidWord) -> SignedOp:
-    """Endpoint of the path over ``start`` determined by a (cylinder) braid.
-
-    Each strand carries its disk to the strand's end rank, and the disk's
-    sign flips once per pole winding; the result is the isotopy class at
-    the far end.
-    """
-    if word.n != start.d_arity:
-        raise ArityError(f"word on {word.n} strands cannot act on a {start.d_arity}-disk class")
-    has_kappa = any(i == KAPPA for i, _ in word.letters)
-    if has_kappa and start.output is not Color.DSTAR:
-        raise TypingError("pole windings require an operation targeting the pole disk")
-    eps = list(start.eps)
-    perm = [0] * word.n
-    for disk, end, winding in zip(start.perm, *strand_ends(word)):
-        perm[end - 1] = disk
-        eps[disk] ^= winding % 2
-    return SignedOp(start.inputs, start.output, tuple(eps), tuple(perm))

@@ -5,7 +5,7 @@ numeric subscripts refer to the V legs.  The braiding operator is
 Rhat = flip . R, so words in the cylinder braid group act by genuine
 matrix products, with the pole winding represented by the T-straightened
 K-action kappa = (1 (x) T^-1) K on the M (x) V_1 legs.  Both come from
-``RepData`` (``braiding``, ``kappa``), which took T^-1 at load.
+``RepData`` (``braiding``, and ``kappa``, which it formed at load).
 
 The twisted reflection equation is decided in its braid form, the kappa
 relation (sigma_1 kappa)^2 = (kappa sigma_1)^2 on M (x) V_1 (x) V_2.
@@ -30,7 +30,7 @@ import math
 from ..errors import DimensionError, RelationError
 from .qmatrix import QMatrix, leg_swap
 from .repdata import RepData
-from ..braid.words import KAPPA, BraidWord, CylBraidWord
+from ..braid.words import KAPPA, BraidWord
 from ..record import Record
 
 MAX_REP_DIM = 256  # largest matrix built: m d^n at n = 8 for d = 2, n = 5 for d = 3
@@ -78,7 +78,7 @@ def reflection_check(data: RepData) -> bool:
     """
     _check_dim(data.m, data.d, 2)
     s1 = data.braiding().placed(data.m, 1)
-    k = data.kappa().placed(1, data.d)
+    k = data.kappa.placed(1, data.d)
     s1k, ks1 = s1 * k, k * s1
     return s1k * s1k == ks1 * ks1
 
@@ -122,7 +122,7 @@ def build_cyl_rep(data: RepData, n: int) -> CylRep:
         raise RelationError(BRAID_RELATION)
     if n >= 2 and not reflection_check(data):
         raise RelationError(KAPPA_RELATION)
-    braiding, core = data.braiding(), data.kappa()
+    braiding, core = data.braiding(), data.kappa
     braiding_inv = braiding.inverse()
     legs = [(m * d ** (i - 1), d ** (n - i - 1)) for i in range(1, n)]  # V_i (x) V_(i+1)
     sigma = tuple(braiding.placed(left, right) for left, right in legs)
@@ -131,7 +131,7 @@ def build_cyl_rep(data: RepData, n: int) -> CylRep:
     return CylRep(data, n, sigma, core.placed(1, rest), sigma_inv, core.inverse().placed(1, rest))
 
 
-def eval_braid(rep: CylRep, w: CylBraidWord | BraidWord) -> QMatrix:
+def eval_braid(rep: CylRep, w: BraidWord) -> QMatrix:
     """Multiplicative evaluation of a word; the empty word maps to the identity."""
     if w.n != rep.n:
         raise DimensionError(f"word on {w.n} strands fed to a {rep.n}-strand representation")

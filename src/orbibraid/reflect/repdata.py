@@ -5,8 +5,10 @@ module object M, the braiding matrix R on V (x) V, the K-matrix on
 M (x) V, and the matrix T realising the involution on V.  R and K are
 checked invertible by exact determinant; T by taking T^-1, once, at load
 (an identity T is its own inverse).  The bundle is the one place that
-knows how T acts: it builds every T-twisted one-strand matrix from T and
-that T^-1 (``braiding``, ``winding``, ``kappa``).
+knows how T acts: it keeps the straightened pole winding
+``kappa`` = (1 (x) T^-1) K, formed at load, and builds every other
+T-twisted one-strand matrix from T and that T^-1 (``braiding``,
+``winding``).
 
 File format: a JSON document with integer fields ``d`` and ``m`` and the
 matrices as nested arrays of strings in the scalar grammar, e.g.
@@ -46,10 +48,10 @@ def _check_depth(text: str) -> None:
 
 
 class RepData(Record):
-    __slots__ = __match_args__ = ("d", "m", "R", "K", "T", "T_inv", "balancing")
+    __slots__ = __match_args__ = ("d", "m", "R", "K", "T", "T_inv", "kappa", "balancing")
 
-    def __init__(self, d, m, R, K, T, T_inv, balancing=None):
-        super().__init__(d, m, R, K, T, T_inv, balancing)
+    def __init__(self, d, m, R, K, T, T_inv, kappa, balancing=None):
+        super().__init__(d, m, R, K, T, T_inv, kappa, balancing)
 
     @staticmethod
     def build(
@@ -77,7 +79,9 @@ class RepData(Record):
             raise SingularMatrixError("T must be invertible") from None
         if balancing is not None and (balancing.rows != d or balancing.cols != d):
             raise DimensionError(f"balancing must be {d}x{d}")
-        return RepData(d, m, R, K, T, T_inv, balancing)
+        # (1 (x) T^-1) K on M (x) V: the K-action straightened by T^-1, the pole winding of B^cyl_n.
+        kappa = K if T.is_identity else T_inv.placed(m, 1) * K
+        return RepData(d, m, R, K, T, T_inv, kappa, balancing)
 
     @staticmethod
     def from_json_dict(doc: dict) -> RepData:
@@ -130,9 +134,3 @@ class RepData(Record):
         if e % 2 == 0 or self.T.is_identity:
             return self.K
         return self.T.placed(self.m, 1) * self.K * self.T_inv.placed(self.m, 1)
-
-    def kappa(self) -> QMatrix:
-        """(1 (x) T^-1) K on M (x) V: the K-action straightened by T^-1, the pole winding of B^cyl_n."""
-        if self.T.is_identity:
-            return self.K
-        return self.T_inv.placed(self.m, 1) * self.K

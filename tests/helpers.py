@@ -1,6 +1,6 @@
 """Shared test utilities: seeded RNG, random well-typed morphisms, word sampling and rewriting, normal-form invariants,
 the flip matrix that index-based leg swaps are checked against, and the oracles the library does not run: the word of
-a normal form, and the identity operation."""
+a normal form, the identity operation, and the class a braid moves a signed operation to."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from orbibraid.braid import KAPPA, BraidWord, CylBraidWord, GarsideNF
+from orbibraid.braid import KAPPA, BraidWord, GarsideNF, strand_ends
 from orbibraid.braid.garside import Perm, omega_perm
 from orbibraid.dsl import (
     ActMor,
@@ -32,6 +32,7 @@ from orbibraid.dsl import (
     is_module,
     strand_count,
 )
+from orbibraid.errors import ArityError, TypingError
 from orbibraid.operad import Color, SignedOp
 from orbibraid.reflect import ONE, ZERO, QMatrix
 
@@ -83,6 +84,26 @@ def identity_op(color: Color) -> SignedOp:
     return SignedOp((Color.DSTAR,), Color.DSTAR, (), ())
 
 
+def braid_of_signed_path(start: SignedOp, word: BraidWord) -> SignedOp:
+    """Endpoint of the path over ``start`` determined by a (cylinder) braid.
+
+    Each strand carries its disk to the strand's end rank, and the disk's
+    sign flips once per pole winding; the result is the isotopy class at
+    the far end.
+    """
+    if word.n != start.d_arity:
+        raise ArityError(f"word on {word.n} strands cannot act on a {start.d_arity}-disk class")
+    has_kappa = any(i == KAPPA for i, _ in word.letters)
+    if has_kappa and start.output is not Color.DSTAR:
+        raise TypingError("pole windings require an operation targeting the pole disk")
+    eps = list(start.eps)
+    perm = [0] * word.n
+    for disk, end, winding in zip(start.perm, *strand_ends(word)):
+        perm[end - 1] = disk
+        eps[disk] ^= winding % 2
+    return SignedOp(start.inputs, start.output, tuple(eps), tuple(perm))
+
+
 def seeded_rng(salt: int = 0) -> random.Random:
     base = int(os.environ.get("ORBIBRAID_SEED", "20260810"))
     return random.Random(base + salt)
@@ -92,15 +113,15 @@ def random_braid_word(rng: random.Random, n: int, length: int) -> BraidWord:
     return BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)))
 
 
-def random_cyl_word(rng: random.Random, n: int, length: int) -> CylBraidWord:
+def random_cyl_word(rng: random.Random, n: int, length: int) -> BraidWord:
     letters = []
     for _ in range(length):
         i = rng.randint(0, n - 1) if n > 1 else 0
         letters.append((i, rng.choice((1, -1))))
-    return CylBraidWord(n, tuple(letters))
+    return BraidWord(n, tuple(letters), cyl=True)
 
 
-def relation_rewrite(rng: random.Random, w: BraidWord | CylBraidWord, steps: int) -> BraidWord | CylBraidWord:
+def relation_rewrite(rng: random.Random, w: BraidWord, steps: int) -> BraidWord:
     """A word equal to w in B_n, or in B^cyl_n for a cylinder word: each step changes it at one random place.
 
     The step applies k s1 k s1 <-> s1 k s1 k (equal signs) if
@@ -109,7 +130,7 @@ def relation_rewrite(rng: random.Random, w: BraidWord | CylBraidWord, steps: int
     s_i s_j -> s_j s_i (|i - j| > 1, k counting as index 0) if such a pair
     does, else it inserts a cancelling pair.
     """
-    low = KAPPA if isinstance(w, CylBraidWord) else 1
+    low = KAPPA if w.cyl else 1
     letters = list(w.letters)
     for _ in range(steps):
         p = rng.randrange(len(letters) + 1)
@@ -123,7 +144,7 @@ def relation_rewrite(rng: random.Random, w: BraidWord | CylBraidWord, steps: int
         else:
             i, e = rng.randint(low, w.n - 1), rng.choice((1, -1))
             letters[p:p] = [(i, e), (i, -e)]
-    return type(w)(w.n, tuple(letters))
+    return BraidWord(w.n, tuple(letters), w.cyl)
 
 
 def normal_form_violations(w: BraidWord, power: int, factors) -> list[str]:

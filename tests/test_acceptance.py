@@ -7,7 +7,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines; the
 import itertools
 
 from helpers import identity_op, random_braid_word, random_mor, seeded_rng
-from orbibraid.braid import CylBraidWord, braid_eq, cyl_braid_eq, lk_matrix, strand_ends
+from orbibraid.braid import BraidWord, braid_eq, cyl_braid_eq, lk_matrix, strand_ends
 from orbibraid.coherence import COMMUTES, NOT_COMMUTES, check, extract_braid
 from orbibraid.dsl import codomain, domain, normalize_presentation, parse_diagram, signature
 from orbibraid.operad import (
@@ -37,20 +37,20 @@ def test_criterion_1_cylinder_braid_relations():
                     continue
                 if abs(i - j) == 1:
                     k = min(i, j)
-                    u = CylBraidWord(n, ((k, 1), (k + 1, 1), (k, 1)))
-                    v = CylBraidWord(n, ((k + 1, 1), (k, 1), (k + 1, 1)))
+                    u = BraidWord(n, ((k, 1), (k + 1, 1), (k, 1)), cyl=True)
+                    v = BraidWord(n, ((k + 1, 1), (k, 1), (k + 1, 1)), cyl=True)
                 else:
-                    u = CylBraidWord(n, ((i, 1), (j, 1)))
-                    v = CylBraidWord(n, ((j, 1), (i, 1)))
+                    u = BraidWord(n, ((i, 1), (j, 1)), cyl=True)
+                    v = BraidWord(n, ((j, 1), (i, 1)), cyl=True)
                 ok = ok and cyl_braid_eq(u, v)
         if n >= 1:
-            u = CylBraidWord.from_text(n, "s1 k s1 k") if n >= 2 else None
+            u = BraidWord.from_text(n, "s1 k s1 k", cyl=True) if n >= 2 else None
             if u is not None:
-                v = CylBraidWord.from_text(n, "k s1 k s1")
+                v = BraidWord.from_text(n, "k s1 k s1", cyl=True)
                 ok = ok and cyl_braid_eq(u, v)
         for i in range(2, n):
-            u = CylBraidWord(n, ((i, 1), (0, 1)))
-            v = CylBraidWord(n, ((0, 1), (i, 1)))
+            u = BraidWord(n, ((i, 1), (0, 1)), cyl=True)
+            v = BraidWord(n, ((0, 1), (i, 1)), cyl=True)
             ok = ok and cyl_braid_eq(u, v)
     report(1, "cylinder braid relations, n <= 5", ok)
 
@@ -202,7 +202,7 @@ def test_criterion_8_normalization_preserves_braid():
         nf = normalize_presentation(f)
         ok = ok and domain(nf) == domain(f) and codomain(nf) == codomain(f)
         wf, wn = extract_braid(f), extract_braid(nf)
-        if isinstance(wf, CylBraidWord):
+        if wf.cyl:
             ok = ok and cyl_braid_eq(wf, wn)
         else:
             ok = ok and braid_eq(wf, wn)

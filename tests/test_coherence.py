@@ -1,7 +1,7 @@
 import pytest
 
-from helpers import random_mor, seeded_rng
-from orbibraid.braid import KAPPA, BraidWord, CylBraidWord, cyl_braid_eq, strand_ends
+from helpers import braid_of_signed_path, random_mor, seeded_rng
+from orbibraid.braid import KAPPA, BraidWord, cyl_braid_eq, strand_ends
 from orbibraid import coherence
 from orbibraid.coherence import (
     COMMUTES,
@@ -9,7 +9,6 @@ from orbibraid.coherence import (
     NOT_PARALLEL,
     _block_swap,
     _cable_kappa,
-    braid_of_signed_path,
     check,
     extract_braid,
 )
@@ -33,18 +32,18 @@ D, DS = Color.D, Color.DSTAR
 
 def test_extract_simple_instances():
     w = extract_braid(parse_mor("sigma(X1, X2)"))
-    assert isinstance(w, BraidWord) and w.to_text() == "s1" and w.n == 2
+    assert not w.cyl and w.to_text() == "s1" and w.n == 2
     w = extract_braid(parse_mor("tens(sigma(X1, X2), sigma(X3, X4))"))
     assert w.n == 4 and w.to_text() == "s1 s3"
     w = extract_braid(parse_mor("kappa(M, X1)"))
-    assert isinstance(w, CylBraidWord) and w.to_text() == "k"
+    assert w.cyl and w.to_text() == "k"
 
 
 def test_extract_doubled_kappa_matches_split_expansion(diagram_dir):
     doubled = extract_braid(parse_mor("kappa(M, tensor(X1, X2))"))
     diag = parse_diagram((diagram_dir / "winding_tensor_pair.diag").read_text())
     assert cyl_braid_eq(doubled, extract_braid(diag.rhs))
-    assert cyl_braid_eq(doubled, CylBraidWord.from_text(2, "k s1 k"))
+    assert cyl_braid_eq(doubled, BraidWord.from_text(2, "k s1 k", cyl=True))
 
 
 def _cable_kappa_recursive(ell, c):
@@ -69,7 +68,7 @@ def test_kappa_behind_a_deep_module_is_not_limited_by_recursion():
     for i in range(2, 1502):
         m = Act(m, ALeaf(i))
     w = extract_braid(Gen("kappa", (m, ALeaf(1))))
-    assert isinstance(w, CylBraidWord) and w.n == 1501
+    assert w.cyl and w.n == 1501
     letters = [(s, 1) for s in range(1500, 0, -1)] + [(KAPPA, 1)] + [(s, 1) for s in range(1, 1501)]
     assert list(w.letters) == letters and len(letters) == 3001
 
@@ -145,16 +144,16 @@ def test_braided_implies_symmetric_on_random_pairs():
 
 def test_braid_of_signed_path_examples():
     start = SignedOp((DS, D), DS, (0,), (0,))
-    end = braid_of_signed_path(start, CylBraidWord.from_text(1, "k"))
+    end = braid_of_signed_path(start, BraidWord.from_text(1, "k", cyl=True))
     assert end.eps == (1,) and end.perm == (0,)
-    assert braid_of_signed_path(start, CylBraidWord(1)) == start
+    assert braid_of_signed_path(start, BraidWord(1, cyl=True)) == start
     two = SignedOp((D, D), DS, (0, 0), (0, 1))
-    moved = braid_of_signed_path(two, CylBraidWord.from_text(2, "s1"))
+    moved = braid_of_signed_path(two, BraidWord.from_text(2, "s1", cyl=True))
     assert moved.eps == (0, 0) and moved.perm == (1, 0)
     with pytest.raises(ArityError):
-        braid_of_signed_path(two, CylBraidWord.from_text(3, "k"))
+        braid_of_signed_path(two, BraidWord.from_text(3, "k", cyl=True))
     with pytest.raises(TypingError):
-        braid_of_signed_path(SignedOp((D,), D, (0,), (0,)), CylBraidWord.from_text(1, "k"))
+        braid_of_signed_path(SignedOp((D,), D, (0,), (0,)), BraidWord.from_text(1, "k", cyl=True))
 
 
 def test_braid_of_signed_path_moves_domain_class_to_codomain_class():

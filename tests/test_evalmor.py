@@ -4,7 +4,7 @@ import time
 import pytest
 
 from helpers import flip_matrix, seeded_rng
-from orbibraid.coherence import COMMUTES, check
+from orbibraid.coherence import COMMUTES, check, extract_braid
 from orbibraid.dsl import parse_diagram, parse_mor
 from orbibraid.errors import DimensionError, SingularMatrixError, UnsupportedGeneratorError
 from orbibraid.reflect import QMatrix, RepData, eval_mor
@@ -125,6 +125,56 @@ def test_phi2_matches_braiding_at_twisted_objects(sl2_data):
     phi2 = eval_mor(sl2_data, parse_mor("phi2(X1; X2)"))
     sigma = eval_mor(sl2_data, parse_mor("sigma(Phi(X1), Phi(X2))"))
     assert phi2 == sigma
+
+
+def one_strand_product(data: RepData, letters, states: tuple[int, ...], lead: int) -> tuple[QMatrix, tuple[int, ...]]:
+    """The product over a word's letters (the first rightmost) of one-strand matrices on a leg of
+    dimension lead (M, or lead = 1 for no module) then V^n: k is the winding at the state of the
+    strand in position 1, and flips that state; s_i is the braiding at the states of the strands
+    in positions i and i + 1, and swaps them.  Returns the product and the final states."""
+    d, n = data.d, len(states)
+    out = QMatrix.identity(lead * d**n)
+    for i, _ in letters:
+        if i == 0:
+            out = data.winding(states[0]).placed(1, d ** (n - 1)) * out
+            states = (1 - states[0],) + states[1:]
+        else:
+            out = data.braiding(states[i - 1], states[i]).placed(lead * d ** (i - 1), d ** (n - i - 1)) * out
+            states = states[: i - 1] + (states[i], states[i - 1]) + states[i + 1 :]
+    return out, states
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+def test_block_winding_is_its_cable_then_phi2(twist):
+    # eval_mor keeps a Phi-wrapped object's legs in tree order, where the cable k s1 k of
+    # kappa over a two-strand block leaves them in signature order, X2 before X1.  So the
+    # matrix is the cable's product (each strand's state moving with it), then phi2 on the
+    # V legs, and not the cable's product alone.  The identity twist is the bundled sl2 data.
+    T_rows, K_rows = TWISTS[twist]
+    data = make_data(K_rows, T_rows)
+    f = parse_mor("kappa(M, tensor(X1, X2))")
+    word = extract_braid(f)
+    assert word.to_text() == "k s1 k"
+    cable, states = one_strand_product(data, word.letters, (0, 0), data.m)
+    assert states == (1, 1)
+    phi2 = eval_mor(data, parse_mor("act(id(M), phi2(X2, X1))"))
+    assert phi2 == data.braiding(1, 1).placed(data.m, 1)
+    assert eval_mor(data, f) == phi2 * cable
+    assert eval_mor(data, f) != cable
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+def test_block_crossing_is_its_cable_over_legs_in_tree_order(twist):
+    # A crossing moves the block Phi(tensor(X1, X2)) whole, so its legs stay in tree order
+    # (X1, X2) at states (1, 1) and the cable s2 s1 alone gives the matrix.
+    T_rows, K_rows = TWISTS[twist]
+    data = make_data(K_rows, T_rows)
+    f = parse_mor("sigma(Phi(tensor(X1, X2)), X3)")
+    word = extract_braid(f)
+    assert word.to_text() == "s2 s1"
+    cable, states = one_strand_product(data, word.letters, (1, 1, 0), 1)
+    assert states == (0, 1, 1)
+    assert eval_mor(data, f) == cable
 
 
 def test_no_inverse_of_an_identity(sl2_data, diagram_dir, monkeypatch):

@@ -13,7 +13,6 @@ from helpers import (
 )
 from orbibraid.braid import (
     BraidWord,
-    CylBraidWord,
     braid_eq,
     cyl_braid_eq,
     embed_cyl,
@@ -101,11 +100,11 @@ def test_braid_eq_relations():
 
 
 def test_cyl_braid_eq_relations():
-    assert cyl_braid_eq(CylBraidWord.from_text(2, "k s1 k s1"), CylBraidWord.from_text(2, "s1 k s1 k"))
-    assert cyl_braid_eq(CylBraidWord.from_text(3, "s2 k"), CylBraidWord.from_text(3, "k s2"))
-    assert not cyl_braid_eq(CylBraidWord.from_text(1, "k"), CylBraidWord.from_text(1, "K"))
+    assert cyl_braid_eq(BraidWord.from_text(2, "k s1 k s1", cyl=True), BraidWord.from_text(2, "s1 k s1 k", cyl=True))
+    assert cyl_braid_eq(BraidWord.from_text(3, "s2 k", cyl=True), BraidWord.from_text(3, "k s2", cyl=True))
+    assert not cyl_braid_eq(BraidWord.from_text(1, "k", cyl=True), BraidWord.from_text(1, "K", cyl=True))
     with pytest.raises(ArityError):
-        cyl_braid_eq(CylBraidWord(2), CylBraidWord(3))
+        cyl_braid_eq(BraidWord(2, cyl=True), BraidWord(3, cyl=True))
 
 
 def test_nf_classifier_idempotent():
@@ -168,13 +167,13 @@ def test_cylinder_words_take_the_form_and_image_of_their_embedding():
 def test_braid_eq_takes_either_word_kind_and_refuses_mixed_ones():
     # Before the normal form embedded cylinder words, k read as an index-0
     # generator and this pair came out equal.
-    assert braid_eq(CylBraidWord.from_text(3, "k"), CylBraidWord.from_text(3, "s1")) is False
-    assert braid_eq(CylBraidWord.from_text(3, "k s2"), CylBraidWord.from_text(3, "s2 k")) is True
-    assert garside_nf(CylBraidWord.from_text(3, "k")) == garside_nf(BraidWord.from_text(4, "s1 s1"))
+    assert braid_eq(BraidWord.from_text(3, "k", cyl=True), BraidWord.from_text(3, "s1", cyl=True)) is False
+    assert braid_eq(BraidWord.from_text(3, "k s2", cyl=True), BraidWord.from_text(3, "s2 k", cyl=True)) is True
+    assert garside_nf(BraidWord.from_text(3, "k", cyl=True)) == garside_nf(BraidWord.from_text(4, "s1 s1"))
     for u, v in (
-        (CylBraidWord.from_text(3, "s1"), BraidWord.from_text(3, "s1")),
-        (BraidWord.from_text(4, "s2"), CylBraidWord.from_text(3, "s1")),
-        (CylBraidWord(2), CylBraidWord(3)),
+        (BraidWord.from_text(3, "s1", cyl=True), BraidWord.from_text(3, "s1")),
+        (BraidWord.from_text(4, "s2"), BraidWord.from_text(3, "s1", cyl=True)),
+        (BraidWord(2, cyl=True), BraidWord(3, cyl=True)),
     ):
         with pytest.raises(ArityError):
             braid_eq(u, v)
@@ -329,7 +328,7 @@ def test_run_grouped_nf_matches_letterwise_on_mixed_words():
 
 @pytest.mark.parametrize("ell, c", [(0, 1), (0, 7), (3, 5), (0, 40), (2, 40)])
 def test_run_grouped_nf_matches_letterwise_on_kappa_cables(ell, c):
-    w = embed_cyl(CylBraidWord(ell + c, tuple(_cable_kappa(ell, c))))
+    w = embed_cyl(BraidWord(ell + c, tuple(_cable_kappa(ell, c)), cyl=True))
     assert garside_nf(w) == letterwise_nf(w)
     assert garside_nf(w.inverse()) == letterwise_nf(w.inverse())
 
@@ -476,11 +475,11 @@ def test_garside_nf_raises_the_size_cap_error():
         braid_eq(BraidWord.from_text(5092, "s1 S2"), BraidWord.from_text(5092, "s1"))
     assert str(info.value) == message
     with pytest.raises(SizeCapError) as info:  # embedded: s2 S3, one more strand
-        cyl_braid_eq(CylBraidWord.from_text(5091, "s1 S2"), CylBraidWord.from_text(5091, "s1"))
+        cyl_braid_eq(BraidWord.from_text(5091, "s1 S2", cyl=True), BraidWord.from_text(5091, "s1", cyl=True))
     assert str(info.value) == message
     # Each word's form is capped on its own, and one run each stays far below the cap.
     assert braid_eq(BraidWord.from_text(5092, "S1"), BraidWord.from_text(5092, "S2")) is False
-    assert cyl_braid_eq(CylBraidWord.from_text(5091, "S1"), CylBraidWord.from_text(5091, "S2")) is False
+    assert cyl_braid_eq(BraidWord.from_text(5091, "S1", cyl=True), BraidWord.from_text(5091, "S2", cyl=True)) is False
     # S1 s2 has the same strands and letters, but b is s2 (stored conjugated): one crossing.
     assert braid_eq(BraidWord.from_text(5092, "s1"), BraidWord.from_text(5092, "s2")) is False
 

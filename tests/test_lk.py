@@ -106,7 +106,7 @@ def test_long_words_agree_with_garside():
             for _ in range(2):
                 u = random_word(rng, n, 30)
                 v = relation_rewrite(rng, u, 8)
-                w = type(u)(n, u.letters + ((1, 1), (1, 1)))
+                w = u * BraidWord(n, ((1, 1), (1, 1)), u.cyl)
                 image = lk_matrix(u)
                 assert braid_eq(u, v) and image == lk_matrix(v)
                 assert not braid_eq(u, w) and image != lk_matrix(w)

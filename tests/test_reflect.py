@@ -2,7 +2,7 @@ import pytest
 
 from conftest import data_path
 from helpers import flip_matrix, random_cyl_word, seeded_rng
-from orbibraid.braid import BraidWord, CylBraidWord, cyl_braid_eq
+from orbibraid.braid import BraidWord, cyl_braid_eq
 from orbibraid.cli import main
 from orbibraid.dsl import parse_diagram
 from orbibraid.errors import DimensionError, RelationError, SingularMatrixError
@@ -174,14 +174,14 @@ def test_trivial_one_strand_representation():
     data = RepData.build(2, 1, sl2_R(), QMatrix.identity(2))
     rep = build_cyl_rep(data, 1)
     assert rep.kappa.is_identity
-    assert eval_braid(rep, CylBraidWord(1)).is_identity
+    assert eval_braid(rep, BraidWord(1, cyl=True)).is_identity
 
 
 def test_eval_braid_relations_and_inverses(sl2_data):
     rep3 = build_cyl_rep(sl2_data, 3)
-    assert eval_braid(rep3, CylBraidWord(3)).is_identity
-    u = CylBraidWord.from_text(3, "s1 s2 s1")
-    v = CylBraidWord.from_text(3, "s2 s1 s2")
+    assert eval_braid(rep3, BraidWord(3, cyl=True)).is_identity
+    u = BraidWord.from_text(3, "s1 s2 s1", cyl=True)
+    v = BraidWord.from_text(3, "s2 s1 s2", cyl=True)
     assert eval_braid(rep3, u) == eval_braid(rep3, v)
     rng = seeded_rng(16)
     rep2 = build_cyl_rep(sl2_data, 2)
@@ -359,6 +359,16 @@ def test_rep_eval_work_counts(capsys, work_counts):
     assert main(["rep", "eval", str(data_path("sl2.rep.json")), "-n", "4", "--cyl", word]) == 0
     capsys.readouterr()
     assert work_counts == {"QMatrix.__mul__": 17, "QMatrix.kron": 0, "LaurentScalar.__mul__": 715, "_pmul": 103}
+
+
+def test_kappa_is_formed_once_at_load(work_counts):
+    """Loading the twisted-flip data forms kappa = (1 (x) T^-1) K with one product, and
+    build_cyl_rep(data, 3) reads it: four products for the Yang-Baxter equation and four
+    for the kappa relation, none to form kappa again."""
+    data = RepData.from_json_dict({"d": 2, "m": 1, "R": SL2_R, "K": TWISTED_FLIP_K, "T": [["1", "0"], ["0", "-1"]]})
+    assert work_counts["QMatrix.__mul__"] == 1
+    build_cyl_rep(data, 3)
+    assert work_counts["QMatrix.__mul__"] == 9
 
 
 def test_t_is_inverted_once_at_load(monkeypatch, diagram_dir):

@@ -116,7 +116,7 @@ LAYERS = {
     "dsl": {"errors", "record"},
     "operad": {"errors", "record", "dsl"},
     "reflect": {"errors", "record", "braid", "dsl"},
-    "coherence": {"errors", "record", "braid", "dsl", "operad"},
+    "coherence": {"errors", "record", "braid", "dsl"},
     "__init__": set(),
 }
 

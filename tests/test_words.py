@@ -3,15 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_braid_word, random_cyl_word, seeded_rng
-from orbibraid.braid import BraidWord, CylBraidWord, embed_cyl, garside_nf, strand_ends
+from orbibraid.braid import BraidWord, embed_cyl, garside_nf, strand_ends
 from orbibraid.errors import ArityError, MalformedWordError
 
 
 def test_parse_and_format_round_trip():
-    w = CylBraidWord.from_text(2, "k s1 K S1")
+    w = BraidWord.from_text(2, "k s1 K S1", cyl=True)
     assert w.letters == ((0, 1), (1, 1), (0, -1), (1, -1))
     assert w.to_text() == "k s1 K S1"
-    assert CylBraidWord.from_text(2, w.to_text()) == w
+    assert BraidWord.from_text(2, w.to_text(), cyl=True) == w
 
 
 def test_malformed_words_rejected():
@@ -20,41 +20,56 @@ def test_malformed_words_rejected():
     with pytest.raises(MalformedWordError):
         BraidWord.from_text(3, "k")
     with pytest.raises(MalformedWordError):
-        CylBraidWord.from_text(1, "s1")
+        BraidWord.from_text(1, "s1", cyl=True)
     with pytest.raises(MalformedWordError):
         BraidWord.from_text(2, "sigma1")
     with pytest.raises(MalformedWordError):
         BraidWord(0, ())
 
 
+def test_a_word_without_a_group_is_an_ordinary_braid_word():
+    w = BraidWord(2, ((1, 1),))
+    assert w.cyl is False and w == BraidWord(2, ((1, 1),), False) and w.group() == "B_2"
+    assert w != BraidWord(2, ((1, 1),), cyl=True)
+    assert BraidWord.from_text(2, "k", cyl=True).group() == "B^cyl_2"
+
+
 def test_concatenation_checks_strand_count():
     with pytest.raises(ArityError):
         BraidWord(2) * BraidWord(3)
     with pytest.raises(ArityError):
-        CylBraidWord(2) * CylBraidWord(3)
+        BraidWord(2, cyl=True) * BraidWord(3, cyl=True)
+
+
+def test_concatenation_refuses_words_of_different_groups():
+    with pytest.raises(ArityError, match="cannot concatenate words of B\\^cyl_2 and B_2"):
+        BraidWord(2, cyl=True) * BraidWord(2)
+    with pytest.raises(ArityError, match="cannot concatenate words of B_3 and B\\^cyl_3"):
+        BraidWord(3) * BraidWord(3, cyl=True)
+    assert (BraidWord.from_text(2, "k", cyl=True) * BraidWord.from_text(2, "s1", cyl=True)).cyl
 
 
 def test_embed_cyl_definitional_images():
     # kappa on one strand becomes the double crossing on two.
-    assert embed_cyl(CylBraidWord.from_text(1, "k")) == BraidWord.from_text(2, "s1 s1")
+    assert embed_cyl(BraidWord.from_text(1, "k", cyl=True)) == BraidWord.from_text(2, "s1 s1")
     # letterwise application
-    assert embed_cyl(CylBraidWord.from_text(2, "k s1 k s1")) == BraidWord.from_text(
+    assert embed_cyl(BraidWord.from_text(2, "k s1 k s1", cyl=True)) == BraidWord.from_text(
         3, "s1 s1 s2 s1 s1 s2"
     )
     # identity maps to identity
-    assert embed_cyl(CylBraidWord(4)) == BraidWord(5)
+    assert embed_cyl(BraidWord(4, cyl=True)) == BraidWord(5)
 
 
 def test_inverse_reverses_and_negates():
-    w = CylBraidWord.from_text(3, "k s1 S2")
+    w = BraidWord.from_text(3, "k s1 S2", cyl=True)
     assert w.inverse().to_text() == "s2 S1 K"
     assert (w * w.inverse()).n == 3
 
 
 def test_pole_winding_examples():
-    assert strand_ends(CylBraidWord.from_text(1, "k")) == ((1,), (1,))
-    assert strand_ends(CylBraidWord.from_text(2, "s1 k s1")) == ((1, 2), (0, 1))
-    assert strand_ends(CylBraidWord.from_text(1, "k K")) == ((1,), (0,))
+    assert strand_ends(BraidWord.from_text(1, "k", cyl=True)) == ((1,), (1,))
+    assert strand_ends(BraidWord.from_text(2, "s1 k s1", cyl=True)) == ((1, 2), (0, 1))
+    assert strand_ends(BraidWord.from_text(1, "k K", cyl=True)) == ((1,), (0,))
     assert strand_ends(BraidWord.from_text(3, "s1 s2")) == ((3, 1, 2), (0, 0, 0))
 
 
@@ -72,7 +87,7 @@ def test_pole_winding_additive_over_concatenation(n, length, seed):
         assert total[strand] == winding_u[strand] + winding_v[ends_u[strand] - 1]
 
 
-def _nf_ends(w: BraidWord | CylBraidWord) -> tuple[int, ...]:
+def _nf_ends(w: BraidWord) -> tuple[int, ...]:
     """End positions read off the Garside form: Delta^power, then each factor's permutation."""
     nf = garside_nf(w)
     pos = [nf.n - 1 - s for s in range(nf.n)] if nf.power % 2 else list(range(nf.n))
