@@ -1,12 +1,15 @@
 """Compositional matrix semantics of structural isomorphisms.
 
 Single-object semantics: every A-leaf denotes the object V of the bundled
-representation data, the M-leaf denotes the module object.  The strand
-state recorded in an object's signature twists the elementary matrices,
-which ``RepData`` builds: a braiding of strands in states (e, f) acts by
-flip . (T^e (x) T^f) R (T^e (x) T^f)^-1, the pole winding of a strand in
-state e by (1 (x) T^e) K (1 (x) T^e)^-1, and the double-involution
-retyping t by the balancing, extended to tensor factors through the ribbon rule
+representation data, the M-leaf denotes the module object.  ``eval_mor``
+is a fold of one rule per node kind with the data, and every matrix that
+depends on T comes from ``RepData``, under its one rule (``twisted``): a
+strand in an odd state conjugates by T on its leg.  So a braiding of
+strands in states (e, f) acts by flip . (T^e (x) T^f) R (T^e (x) T^f)^-1,
+the pole winding of a strand in state e by (1 (x) T^e) K (1 (x) T^e)^-1,
+and phi(f) by f conjugated by T on every leg.  The double-involution
+retyping t is the balancing of the data, extended through the involution
+by the same conjugation and to tensor factors through the ribbon rule
 theta_{X (x) Y} = sigma_{Y,X} (theta_Y (x) theta_X) sigma_{X,Y}.  All the
 purely structural generators are identity reindexings.  Morphisms are
 normalised first so braidings act one strand at a time.
@@ -14,19 +17,7 @@ normalised first so braidings act one strand at a time.
 
 from __future__ import annotations
 
-from ..dsl.morphisms import (
-    ActMor,
-    Gen,
-    Id,
-    Inv,
-    MorExpr,
-    PhiMor,
-    TensorMor,
-    Vert,
-    domain,
-    fold,
-    unexpected,
-)
+from ..dsl.morphisms import ActMor, Gen, Id, Inv, MorExpr, PhiMor, TensorMor, Vert, domain, fold, unexpected
 from ..dsl.normalize import normalize_presentation
 from ..dsl.objects import (
     ALeaf,
@@ -55,87 +46,80 @@ def _state(o: ObjectExpr) -> int:
     return strands[0][1]
 
 
-class _Evaluator:
-    def __init__(self, data: RepData):
-        self.data = data
-        self._theta_leaf: QMatrix | None = None
+def _odd(o: ObjectExpr) -> tuple[int, ...]:
+    """State 1 on every strand of o: the states the involution twists o's legs by."""
+    return (1,) * strand_count(o)
 
-    # -- objects -----------------------------------------------------------
-    def dim(self, o: ObjectExpr) -> int:
-        sig = signature(o)
-        if sig.module == "oneM":
-            raise UnsupportedGeneratorError("the module pointing has no matrix semantics")
-        return (self.data.m if sig.module else 1) * self.data.d ** len(sig.strands)
 
-    def theta(self, o: ObjectExpr) -> QMatrix:
-        """Balancing component at an A-typed object, by the ribbon rule."""
-        if is_module(o):
-            raise TypingError(f"balancing at a non-A-typed object {obj_text(o)}")
-        return fold(o, self._theta_node)
+def _dim(data: RepData, o: ObjectExpr) -> int:
+    sig = signature(o)
+    if sig.module == "oneM":
+        raise UnsupportedGeneratorError("the module pointing has no matrix semantics")
+    return (data.m if sig.module else 1) * data.d ** len(sig.strands)
 
-    def _theta_node(self, o: ObjectExpr, kids: list) -> QMatrix:
-        if isinstance(o, AUnit):
-            return QMatrix.identity(1)
-        if isinstance(o, Phi):
-            return kids[0]
-        if isinstance(o, ALeaf):
-            if self._theta_leaf is None:
-                if self.data.balancing is not None:
-                    self._theta_leaf = self.data.balancing
-                elif self.data.T == self.data.T_inv:  # T^2 = I
-                    self._theta_leaf = QMatrix.identity(self.data.d)
-                else:
-                    raise UnsupportedGeneratorError(
-                        "t requested but no balancing supplied and T^2 is not the identity"
-                    )
-            return self._theta_leaf
-        if isinstance(o, Tensor):
-            x, y = o.left, o.right
-            s_xy = self.eval(Gen("sigma", (x, y)))
-            s_yx = self.eval(Gen("sigma", (y, x)))
-            return s_yx * kids[1].kron(kids[0]) * s_xy
+
+def _balancing(o: ALeaf, kids: list, data: RepData) -> QMatrix:
+    if data.balancing is None:
+        raise UnsupportedGeneratorError("t requested but no balancing supplied and T^2 is not the identity")
+    return data.balancing
+
+
+def _theta_tensor(o: Tensor, kids: list, data: RepData) -> QMatrix:
+    x, y = o.left, o.right
+    return _eval(data, Gen("sigma", (y, x))) * kids[1].kron(kids[0]) * _eval(data, Gen("sigma", (x, y)))
+
+
+# The balancing component at each node kind of an A-typed object, by the ribbon rule.
+THETA_RULES = {
+    AUnit: lambda o, kids, data: QMatrix.identity(1),
+    ALeaf: _balancing,
+    Phi: lambda o, kids, data: data.twisted(kids[0], _odd(o)),
+    Tensor: _theta_tensor,
+}
+
+
+def _theta(data: RepData, o: ObjectExpr) -> QMatrix:
+    if is_module(o):
         raise TypingError(f"balancing at a non-A-typed object {obj_text(o)}")
+    return fold(o, lambda p, kids: THETA_RULES[type(p)](p, kids, data))
 
-    # -- morphisms -----------------------------------------------------------
-    def eval(self, f: MorExpr) -> QMatrix:
-        return fold(normalize_presentation(f), self._eval_node)
 
-    def _eval_node(self, f: MorExpr, kids: list) -> QMatrix:
-        if isinstance(f, Id):
-            return QMatrix.identity(self.dim(f.obj))
-        if isinstance(f, Gen):
-            return self._eval_gen(f)
-        if isinstance(f, Inv):
-            return kids[0] if kids[0].is_identity else kids[0].inverse()
-        if isinstance(f, Vert):
-            return kids[0] * kids[1]
-        if isinstance(f, (TensorMor, ActMor)):
-            return kids[0].kron(kids[1])
-        if isinstance(f, PhiMor):
-            # The involution twists actions, not underlying linear maps.
-            return kids[0]
-        unexpected(f)
+def _gen_matrix(f: Gen, kids: list, data: RepData) -> QMatrix:
+    name = f.name
+    if name in ("alpha", "lambda", "rho", "a", "r", "phi0"):
+        return QMatrix.identity(_dim(data, domain(f)))
+    if name == "sigma":
+        x, y = f.params
+        return data.braiding(_state(x), _state(y))
+    if name == "kappa":
+        m, x = f.params
+        if isinstance(m, MUnit):
+            raise UnsupportedGeneratorError("the module pointing has no K-matrix")
+        if not isinstance(m, MLeaf):
+            raise TypingError("normalisation should have peeled the module argument")
+        return data.winding(_state(x))
+    if name == "phi2":
+        x, y = f.params
+        return _eval(data, Gen("sigma", (Phi(x), Phi(y))))
+    if name == "t":
+        return _theta(data, f.params[0])
+    raise TypingError(f"unknown generator {name!r}")
 
-    def _eval_gen(self, f: Gen) -> QMatrix:
-        name = f.name
-        if name in ("alpha", "lambda", "rho", "a", "r", "phi0"):
-            return QMatrix.identity(self.dim(domain(f)))
-        if name == "sigma":
-            x, y = f.params
-            return self.data.braiding(_state(x), _state(y))
-        if name == "kappa":
-            m, x = f.params
-            if isinstance(m, MUnit):
-                raise UnsupportedGeneratorError("the module pointing has no K-matrix")
-            if not isinstance(m, MLeaf):
-                raise TypingError("normalisation should have peeled the module argument")
-            return self.data.winding(_state(x))
-        if name == "phi2":
-            x, y = f.params
-            return self.eval(Gen("sigma", (Phi(x), Phi(y))))
-        if name == "t":
-            return self.theta(f.params[0])
-        raise TypingError(f"unknown generator {name!r}")
+
+# The matrix of each morphism node kind from its children's matrices.
+MOR_RULES = {
+    Id: lambda f, kids, data: QMatrix.identity(_dim(data, f.obj)),
+    Gen: _gen_matrix,
+    Inv: lambda f, kids, data: kids[0] if kids[0].is_identity else kids[0].inverse(),
+    Vert: lambda f, kids, data: kids[0] * kids[1],
+    TensorMor: lambda f, kids, data: kids[0].kron(kids[1]),
+    ActMor: lambda f, kids, data: kids[0].kron(kids[1]),
+    PhiMor: lambda f, kids, data: data.twisted(kids[0], _odd(domain(f))),
+}
+
+
+def _eval(data: RepData, f: MorExpr) -> QMatrix:
+    return fold(normalize_presentation(f), lambda g, kids: MOR_RULES.get(type(g), unexpected)(g, kids, data))
 
 
 def eval_mor(data: RepData, f: MorExpr) -> QMatrix:
@@ -145,4 +129,4 @@ def eval_mor(data: RepData, f: MorExpr) -> QMatrix:
     """
     dom = domain(f)
     _check_dim(data.m if is_module(dom) else 1, data.d, strand_count(dom))
-    return _Evaluator(data).eval(f)
+    return _eval(data, f)

@@ -123,15 +123,6 @@ class QMatrix(Record):
             return QMatrix._built(len(rows), self.cols, tuple(e[i] for i in rows))
         return QMatrix._built(len(rows), len(cols), tuple(tuple([e[i][j] for j in cols]) for i in rows))
 
-    def __add__(self, other: QMatrix) -> QMatrix:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in matrix sum")
-        return QMatrix._built(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
     def kron(self, other: QMatrix) -> QMatrix:
         rows = []
         for r1 in self.entries:

@@ -5,10 +5,12 @@ module object M, the braiding matrix R on V (x) V, the K-matrix on
 M (x) V, and the matrix T realising the involution on V.  R and K are
 checked invertible by exact determinant; T by taking T^-1, once, at load
 (an identity T is its own inverse).  The bundle is the one place that
-knows how T acts: it keeps the straightened pole winding
-``kappa`` = (1 (x) T^-1) K, formed at load, and builds every other
-T-twisted one-strand matrix from T and that T^-1 (``braiding``,
-``winding``).
+knows how T acts, by one rule (``twisted``): a leg whose strand is in an
+odd state is conjugated by T.  The braiding, the pole winding and the
+involution on morphisms all conjugate through it.  Two matrices are fixed
+at load: the straightened pole winding ``kappa`` = (1 (x) T^-1) K, and the
+``balancing`` that t evaluates to, the one given, else the identity when
+T = T^-1 (T^2 = I), else None.
 
 File format: a JSON document with integer fields ``d`` and ``m`` and the
 matrices as nested arrays of strings in the scalar grammar, e.g.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import reduce
 
 from ..errors import DimensionError, ParseError, SingularMatrixError
 from ..record import Record
@@ -49,9 +52,6 @@ def _check_depth(text: str) -> None:
 
 class RepData(Record):
     __slots__ = __match_args__ = ("d", "m", "R", "K", "T", "T_inv", "kappa", "balancing")
-
-    def __init__(self, d, m, R, K, T, T_inv, kappa, balancing=None):
-        super().__init__(d, m, R, K, T, T_inv, kappa, balancing)
 
     @staticmethod
     def build(
@@ -81,6 +81,8 @@ class RepData(Record):
             raise DimensionError(f"balancing must be {d}x{d}")
         # (1 (x) T^-1) K on M (x) V: the K-action straightened by T^-1, the pole winding of B^cyl_n.
         kappa = K if T.is_identity else T_inv.placed(m, 1) * K
+        if balancing is None and T == T_inv:  # T^2 = I: t is the identity
+            balancing = QMatrix.identity(d)
         return RepData(d, m, R, K, T, T_inv, kappa, balancing)
 
     @staticmethod
@@ -118,19 +120,21 @@ class RepData(Record):
         _check_depth(text)
         return RepData.from_json_dict(json.loads(text))
 
+    def twisted(self, A: QMatrix, states, lead: int = 1) -> QMatrix:
+        """A conjugated by 1_lead (x) T^e1 (x) ... (x) T^ek, for the states (e1, ..., ek) of A's
+        V legs: by T on each leg whose state is odd.  A itself when no state is odd or T = I."""
+        if not any(e % 2 for e in states) or self.T.is_identity:
+            return A
+        eye = QMatrix.identity(self.d)
+        by = reduce(QMatrix.kron, [self.T if e % 2 else eye for e in states]).placed(lead, 1)
+        by_inv = reduce(QMatrix.kron, [self.T_inv if e % 2 else eye for e in states]).placed(lead, 1)
+        return by * A * by_inv
+
     def braiding(self, e: int = 0, f: int = 0) -> QMatrix:
         """flip . (T^e (x) T^f) R (T^e (x) T^f)^-1 on V (x) V: the braiding of strands in states
-        e and f, twisted by T on each strand in an odd state.  Rhat = flip . R at (0, 0)."""
-        R = self.R
-        if (e % 2 or f % 2) and not self.T.is_identity:
-            eye = QMatrix.identity(self.d)
-            a, a_inv = (self.T, self.T_inv) if e % 2 else (eye, eye)
-            b, b_inv = (self.T, self.T_inv) if f % 2 else (eye, eye)
-            R = a.kron(b) * R * a_inv.kron(b_inv)
-        return R.permuted(leg_swap(1, self.d))
+        e and f.  Rhat = flip . R at (0, 0)."""
+        return self.twisted(self.R, (e, f)).permuted(leg_swap(1, self.d))
 
     def winding(self, e: int) -> QMatrix:
         """(1 (x) T^e) K (1 (x) T^e)^-1 on M (x) V: the pole winding of a strand in state e."""
-        if e % 2 == 0 or self.T.is_identity:
-            return self.K
-        return self.T.placed(self.m, 1) * self.K * self.T_inv.placed(self.m, 1)
+        return self.twisted(self.K, (e,), self.m)

@@ -1,11 +1,14 @@
 import json
+import random
 import time
 
 import pytest
 
-from helpers import flip_matrix, seeded_rng
+from helpers import flip_matrix, random_mor, seeded_rng
 from orbibraid.coherence import COMMUTES, check, extract_braid
 from orbibraid.dsl import parse_diagram, parse_mor
+from orbibraid.dsl.morphisms import ActMor, Gen, Id, MorExpr, PhiMor, TensorMor, Vert, mor_text, validate
+from orbibraid.dsl.objects import MLeaf
 from orbibraid.errors import DimensionError, SingularMatrixError, UnsupportedGeneratorError
 from orbibraid.reflect import QMatrix, RepData, eval_mor
 from test_cli import run_json
@@ -127,6 +130,72 @@ def test_phi2_matches_braiding_at_twisted_objects(sl2_data):
     assert phi2 == sigma
 
 
+IDENTITY_BALANCING = [["1", "0"], ["0", "1"]]
+# Under T = diag(1, q), which squares to no identity, some commuting squares evaluate unequal
+# with the identity balancing; not every one of them involves t.  The square samples draw from
+# fixed seeds, whatever ORBIBRAID_SEED is, so the strict xfail holds.
+T_SQUARED_NOT_I = pytest.mark.xfail(
+    strict=True, reason="FOUND in CHANGES.md: with T^2 != I, commuting naturality squares evaluate unequal"
+)
+NATURALITY_TWISTS = [pytest.param(t, marks=T_SQUARED_NOT_I) if t == "diag-1-q" else t for t in TWISTS]
+
+
+def balanced_data(twist: str) -> RepData:
+    T_rows, K_rows = TWISTS[twist]
+    return RepData.from_json_dict(rep_doc(K_rows, T_rows, balancing=IDENTITY_BALANCING))
+
+
+def assert_squares_commute_and_evaluate_equal(data: RepData, squares) -> None:
+    for lhs, rhs in squares:
+        assert check(lhs, rhs, "braided").status == COMMUTES, mor_text(lhs)
+        equal = eval_mor(data, lhs) == eval_mor(data, rhs)
+        assert equal, mor_text(lhs)
+
+
+def a_typed_mor(rng, max_leaves: int) -> MorExpr:
+    return random_mor(rng, n_leaves=rng.randint(1, max_leaves), n_steps=rng.randint(1, 4), m_typed=False)
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+def test_phi_of_a_braiding_is_the_braiding_of_the_twisted_strands(twist):
+    # phi(f) is f conjugated by T on every leg, so Phi carries the braiding of X1, X2 to the one
+    # of Phi(X2), Phi(X1) through phi2.  Both words are s1; with phi(f) read as f itself, the two
+    # sides evaluated unequal under the antidiagonal T.
+    lhs = parse_mor("vert(phi(sigma(X1, X2)), phi2(X2, X1))")
+    rhs = parse_mor("vert(phi2(X1, X2), sigma(Phi(X2), Phi(X1)))")
+    assert extract_braid(lhs).to_text() == extract_braid(rhs).to_text() == "s1"
+    assert_squares_commute_and_evaluate_equal(balanced_data(twist), [(lhs, rhs)])
+
+
+@pytest.mark.parametrize("twist", NATURALITY_TWISTS)
+def test_phi2_is_natural_in_both_arguments(twist):
+    # phi2 . (phi(a) (x) phi(b)) = phi(b (x) a) . phi2 for random a: X -> X', b: Y -> Y' on one
+    # or two leaves.
+    rng = random.Random(0)
+    squares = []
+    for _ in range(50):
+        a, b = a_typed_mor(rng, 2), a_typed_mor(rng, 2)
+        (x, x2), (y, y2) = validate(a), validate(b)
+        after = Vert(Gen("phi2", (x2, y2)), TensorMor(PhiMor(a), PhiMor(b)))
+        squares.append((after, Vert(PhiMor(TensorMor(b, a)), Gen("phi2", (x, y)))))
+    assert_squares_commute_and_evaluate_equal(balanced_data(twist), squares)
+
+
+@pytest.mark.parametrize("twist", NATURALITY_TWISTS)
+def test_kappa_is_natural_in_its_strands(twist):
+    # kappa_{M,X'} . (1 act a) = (1 act phi(a)) . kappa_{M,X} for random a: X -> X' on one to
+    # three leaves: the winding carries X to Phi(X), and a past it to phi(a).
+    rng = random.Random(101)
+    m = MLeaf()
+    squares = []
+    for _ in range(50):
+        a = a_typed_mor(rng, 3)
+        x, x2 = validate(a)
+        after = Vert(Gen("kappa", (m, x2)), ActMor(Id(m), a))
+        squares.append((after, Vert(ActMor(Id(m), PhiMor(a)), Gen("kappa", (m, x)))))
+    assert_squares_commute_and_evaluate_equal(balanced_data(twist), squares)
+
+
 def one_strand_product(data: RepData, letters, states: tuple[int, ...], lead: int) -> tuple[QMatrix, tuple[int, ...]]:
     """The product over a word's letters (the first rightmost) of one-strand matrices on a leg of
     dimension lead (M, or lead = 1 for no module) then V^n: k is the winding at the state of the
@@ -207,10 +276,12 @@ def test_inverse_and_vert(sl2_data):
 
 def test_unsupported_cases():
     data = make_data([["0", "1"], ["1", "0"]], T_rows=[["1", "1"], ["0", "1"]])
-    with pytest.raises(UnsupportedGeneratorError):
+    assert data.balancing is None
+    with pytest.raises(UnsupportedGeneratorError, match="no balancing supplied and T\\^2 is not the identity"):
         eval_mor(data, parse_mor("t(X1)"))
-    # T^2 = I, decided as T = T^-1: t needs no balancing.
+    # T^2 = I, decided once at load as T = T^-1: the balancing is the identity.
     involutive = make_data([["0", "1"], ["1", "0"]], T_rows=[["1", "0"], ["0", "-1"]])
+    assert involutive.balancing == QMatrix.identity(2)
     assert eval_mor(involutive, parse_mor("t(X1)")).is_identity
     sl2 = make_data([["0", "1"], ["1", "0"]])
     with pytest.raises(UnsupportedGeneratorError):

@@ -119,8 +119,6 @@ def test_singular_and_shape_errors():
     with pytest.raises(DimensionError):
         QMatrix.identity(2) * QMatrix.identity(3)
     with pytest.raises(DimensionError):
-        QMatrix.identity(2) + QMatrix.identity(3)
-    with pytest.raises(DimensionError):
         QMatrix.from_rows([[ONE], [ONE]]).det()
 
 
