@@ -48,7 +48,7 @@ class BraidWord(Record):
         for tok in text.split():
             if tok in ("k", "K") and cyl:
                 letters.append((KAPPA, 1 if tok == "k" else -1))
-            elif tok[:1] in ("s", "S") and tok[1:].isdigit():
+            elif tok[:1] in ("s", "S") and tok[1:].isdecimal():
                 letters.append((int(tok[1:]), 1 if tok[0] == "s" else -1))
             else:
                 raise MalformedWordError(f"unrecognised braid token {tok!r}")

@@ -2,7 +2,8 @@
 
 Subcommands: ``braid nf|eq``, ``operad classify|compose``,
 ``coherence check``, ``rep verify|eval``.  Machine output with ``--json``.
-Exit codes: 0 ok, 1 check failed, 2 usage or parse error.  Reports are
+Exit codes: 0 ok, 1 check failed, 2 usage or parse error, or a reader
+that closed stdout before the report was written.  Reports are
 deterministic; timing is attached only on request so identical inputs
 yield byte-identical output.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -193,7 +195,12 @@ def main(argv=None) -> int:
         status, payload = "error", {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = (time.perf_counter() - start) * 1000.0
     report = Report(echo, status, payload, elapsed)
-    print(report.render(args.json, args.timing))
+    try:
+        print(report.render(args.json, args.timing), flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe: stdout goes to devnull, so the flush at exit writes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return report.exit_code
 
 

@@ -13,8 +13,9 @@ generator with the functor image of the inners, and the parser calls it as
 it reads each ``horiz`` (``mor_text`` of a parsed ``horiz`` renders its
 expansion).
 
-Every pass over a tree is a post-order ``fold`` on an explicit stack, so
-the depth of a tree is not limited by the interpreter's recursion limit.
+Every pass over a tree, equality, hashing and repr included, is a
+post-order ``fold`` or a walk on an explicit stack, so the depth of a tree
+is not limited by the interpreter's recursion limit.
 
 Nodes are records (``record.Record``), each keeping its (domain,
 codomain) in ``_types``.  Typing is one rule per node kind (``TYPE_RULES``)
@@ -33,7 +34,7 @@ from functools import partial
 
 from ..errors import TypingError
 from ..record import Record, set_slot
-from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, fold, is_module, obj_text, same, share
+from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, fold, is_module, obj_text, share, tree_eq, tree_hash, tree_repr
 
 
 class MorExpr(Record):
@@ -41,6 +42,7 @@ class MorExpr(Record):
     keeps its (domain, codomain) once typed, else None."""
 
     __slots__ = ("_types",)
+    __eq__, __hash__, __repr__ = tree_eq, tree_hash, tree_repr
 
     def __init__(self, *values):
         super().__init__(*values)
@@ -181,7 +183,7 @@ def desugar_horiz(outer: MorExpr, inners, table: dict | None = None) -> MorExpr:
         raise TypingError("the outer morphism of a horizontal composition must be a generator instance")
     for p, inner in zip(slots, inners):
         dom = validate(inner, table)[0]
-        if not same(dom, p):
+        if dom != p:
             raise TypingError(f"inner morphism starts at {obj_text(dom)}, slot is {obj_text(p)}")
     if isinstance(gen, Id):
         return inners[0]
@@ -201,7 +203,7 @@ def _gen_types(table: dict, name: str, params: tuple) -> tuple[ObjectExpr, Objec
 def _vert_types(table: dict, after: MorExpr, before: MorExpr) -> tuple[ObjectExpr, ObjectExpr]:
     need, cod = after._types
     dom, seam = before._types
-    if seam is not need and not same(seam, need):
+    if seam is not need and seam != need:
         raise TypingError(
             f"vertical seam mismatch: first factor ends at {obj_text(seam)}, second starts at {obj_text(need)}"
         )

@@ -15,10 +15,10 @@ build their objects through one ``share`` table, keyed by node type and
 the identity of each child, so equal objects read or typed in that call
 are one node and each distinct node runs its sort checks once.  The table
 lives only as long as the call.  Every walk over an object (signature,
-text, equality) runs on an explicit stack, so depth costs no interpreter
-frames.  Each node gets its strand count ``n_strands`` as it is built;
-the strand sequences are built only for a signature (built eagerly, a
-deep comb would hold quadratically many strands).
+text, equality, hash, repr) runs on an explicit stack, so depth costs no
+interpreter frames.  Each node gets its strand count ``n_strands`` as it
+is built; the strand sequences are built only for a signature (built
+eagerly, a deep comb would hold quadratically many strands).
 """
 
 from __future__ import annotations
@@ -27,10 +27,57 @@ from ..errors import TypingError
 from ..record import Record, set_slot
 
 
+class _Hashed:
+    """A subtree's hash, standing in a tuple for the subtree: the tuple hashes as over the subtree."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _hash_rule(node, kids: list) -> _Hashed:
+    # A node with children has no other fields.
+    return _Hashed(hash(tuple(kids) if kids else node.fields()))
+
+
+def _repr_rule(node, kids: list) -> str:
+    fields = zip(node.__match_args__, kids or map(repr, node.fields()))
+    return f"{type(node).__name__}({', '.join(f'{n}={t}' for n, t in fields)})"
+
+
+def tree_eq(a, b):
+    """``a == b`` for objects and morphisms as ``Record.__eq__`` decides it, on an explicit
+    stack (``tree_hash`` and ``tree_repr`` fold one); identical subtrees are not descended."""
+    if type(b) is not type(a):
+        return NotImplemented
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is not y:
+            kids = x.children()
+            if type(x) is not type(y) or not kids and x.fields() != y.fields():
+                return False
+            stack.extend(zip(kids, y.children()))
+    return True
+
+
+def tree_hash(t) -> int:
+    return fold(t, _hash_rule).value
+
+
+def tree_repr(t) -> str:
+    return fold(t, _repr_rule)
+
+
 class ObjectExpr(Record):
     """Base class for object trees; the nullary nodes build through its constructor."""
 
     __slots__ = ("n_strands", "_strand_cache")  # the strand count, and the strands once a signature needs them
+    __eq__, __hash__, __repr__ = tree_eq, tree_hash, tree_repr
 
     def __init__(self):
         set_slot(self, "n_strands", 0)
@@ -174,19 +221,6 @@ def share_leaf(table: dict, index: int) -> ALeaf:
     if found is None:
         found = table[index] = ALeaf(index)
     return found
-
-
-def same(a: ObjectExpr, b: ObjectExpr) -> bool:
-    """``a == b`` on an explicit stack; identical subtrees are not descended."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b) or (type(a) is ALeaf and a.index != b.index):
-            return False
-        stack.extend(zip(a.children(), b.children()))
-    return True
 
 
 class SignedSignature(Record):

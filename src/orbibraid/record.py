@@ -3,10 +3,10 @@
 A record's fields are slots, named in order by ``__match_args__``;
 equality, hashing and repr go by the fields, as a frozen dataclass's do,
 and every assignment or deletion raises ``FrozenInstanceError``.  A class
-may hold more slots than fields (a cache, its types), which no comparison
-reads; constructors write every slot with ``set_slot``.  copy and pickle
-rebuild a record through ``__init__`` from its fields, so a copy has passed
-the constructor's checks and holds no cache.
+may hold more slots than fields (a strand cache, typings), which no
+comparison reads; constructors write every slot with ``set_slot``.
+copy and pickle rebuild a record through ``__init__`` from its fields,
+so a copy has passed the constructor's checks and holds no cache.
 """
 
 from __future__ import annotations

@@ -63,6 +63,8 @@ def test_braid_eq_cylinder(capsys):
 def test_braid_malformed_word_exits_two(capsys):
     code, doc = run_json(capsys, "braid", "nf", "-n", "2", "s7")
     assert code == 2 and doc["status"] == "error"
+    code, doc = run_json(capsys, "braid", "nf", "-n", "3", "s²")  # a superscript two is no index
+    assert code == 2 and doc["payload"]["error"] == "MalformedWordError: unrecognised braid token 's²'"
 
 
 def test_operad_classify(capsys):
@@ -594,6 +596,21 @@ def test_module_entry_point_reads_sys_argv(capsys):
     proc = run_module(*argv)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_two_and_no_traceback():
+    # The k = 5 listing is 169 KB, more than a pipe holds: the print meets the closed pipe, as
+    # under `orbibraid operad classify ... | head -1`.
+    argv = ["operad", "classify", "-k", "5", "--output", "D", "--inputs", "D,D,D,D,D"]
+    env = {**os.environ, "PYTHONPATH": str(data_path("").parents[1])}
+    cmd = [sys.executable, "-m", "orbibraid.cli", *argv]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+    assert first == b"command: orbibraid " + " ".join(argv).encode() + b"\n"
+    assert proc.returncode == 2
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 def test_module_entry_point_help(monkeypatch):

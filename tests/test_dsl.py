@@ -35,7 +35,6 @@ from orbibraid.dsl import (
 )
 from orbibraid.coherence import LETTER_RULES, extract_braid
 from orbibraid.dsl.morphisms import TYPE_RULES, ActMor, MorExpr, PhiMor
-from orbibraid.dsl.objects import same
 from orbibraid.dsl.parser import _run
 from orbibraid.errors import ParseError, TypingError
 
@@ -361,5 +360,5 @@ def test_parsed_types_are_the_types_validate_gives_a_rebuilt_copy():
         pairs = [(f, hand)]
         while pairs:
             g, h = pairs.pop()
-            assert type(g) is type(h) and all(map(same, g._types, h._types)), mor_text(f)
+            assert type(g) is type(h) and g._types == h._types, mor_text(f)
             pairs.extend(zip(g.children(), h.children()))

@@ -21,7 +21,7 @@ import pytest
 from helpers import random_a_object, random_mor, seeded_rng
 from orbibraid.dsl import mor_text, obj_text, parse_mor, parse_obj
 from orbibraid.dsl.morphisms import GENERATORS, KEYWORDS, Gen, Id, desugar_horiz, validate
-from orbibraid.dsl.objects import OBJECT_WORDS, ALeaf, same
+from orbibraid.dsl.objects import OBJECT_WORDS, ALeaf
 from orbibraid.errors import OrbibraidError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ def test_every_parsed_node_carries_the_types_validate_gives():
             f, g = pairs.pop()
             assert type(f) is type(g)
             assert f._types is not None, text
-            assert all(map(same, f._types, g._types)), text
+            assert f._types == g._types, text
             pairs.extend(zip(f.children(), g.children()))
 
 

@@ -123,14 +123,23 @@ def test_singular_and_shape_errors():
 
 
 def test_a_ragged_or_misshapen_grid_is_refused():
-    # Products, placements, permutations and inverses build their rows to
-    # length and skip the row check; the public constructors keep it.
-    for build in (lambda: QMatrix(2, 2, ((ONE, ZERO), (ONE,))), lambda: QMatrix.from_rows([[ONE, ZERO], [ONE]])):
+    # A grid from a file reaches QMatrix through from_rows and from_strings, which check it;
+    # products, placements, permutations and inverses build their terms to shape.
+    for build in (
+        lambda: QMatrix.from_rows([[ONE, ZERO], [ONE]]),
+        lambda: QMatrix.from_rows([[ONE], [ONE, ZERO]]),
+        lambda: QMatrix.from_strings([["1", "0"], ["1"]]),
+        lambda: QMatrix(3, 1, (((0, ONE),), ((0, ONE),))),
+    ):
         with pytest.raises(DimensionError, match="entry grid does not match the declared shape"):
             build()
-    with pytest.raises(DimensionError, match="entry grid does not match the declared shape"):
-        QMatrix(3, 1, ((ONE,), (ONE,)))
-    for build in (lambda: QMatrix.from_rows([]), lambda: QMatrix.from_rows([[], [ONE]]), lambda: QMatrix.identity(0)):
+    for build in (
+        lambda: QMatrix.from_rows([]),
+        lambda: QMatrix.from_rows([[], [ONE]]),
+        lambda: QMatrix.from_strings([]),
+        lambda: QMatrix.from_strings([[]]),
+        lambda: QMatrix.identity(0),
+    ):
         with pytest.raises(DimensionError, match="matrix dimensions must be positive"):
             build()
     with pytest.raises(DimensionError, match="matrix dimensions must be positive"):
@@ -209,14 +218,17 @@ def test_sparse_product_equals_the_product_of_specialisations():
     assert checked > 300
 
 
-def test_kept_nonzero_rows_change_no_comparison():
+def test_every_constructor_builds_the_canonical_terms():
+    # Equal matrices hold equal terms: a matrix rebuilt from its dense rows holds the same
+    # ones, in ascending column order, and no term holds a zero, not even a sum that cancels.
     rng = seeded_rng(46)
     for _ in range(60):
         n = rng.choice((1, 2, 4))
-        a = constructed(rng, n, n)
-        fresh = QMatrix(a.rows, a.cols, a.entries)
-        kept = a._nonzero_rows()
-        assert fresh._nonzero is None and a._nonzero is kept
-        assert kept == tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero) for row in a.entries)
-        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
-        assert {a: 1}[fresh] == 1
+        a, b = constructed(rng, n, rng.choice((n, 2 * n))), invertible(rng, n)
+        for m in (a, a * constructed(rng, a.cols, n), b * b.inverse()):
+            fresh = QMatrix.from_rows(m.entries)
+            assert m.terms == fresh.terms and m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+            assert {m: 1}[fresh] == 1
+            for terms in m.terms:
+                assert [j for j, _ in terms] == sorted({j for j, _ in terms})
+                assert all(not x.is_zero for _, x in terms)

@@ -15,7 +15,7 @@ from orbibraid.braid import BraidWord, garside_nf
 from orbibraid.braid.garside import GarsideNF
 from orbibraid.cli import Report
 from orbibraid.coherence import check
-from orbibraid.dsl import parse_diagram, parse_mor
+from orbibraid.dsl import parse_diagram, parse_mor, parse_obj
 from orbibraid.dsl.morphisms import MorExpr
 from orbibraid.dsl.objects import ALeaf, Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor, signature
 from orbibraid.errors import MalformedWordError, TypingError
@@ -32,7 +32,6 @@ def records() -> list:
     rep = build_cyl_rep(data, 2)
     nf = garside_nf(BraidWord.from_text(3, "s1 s2 S1 s2 s2"))
     matrix = rep.sigma[0] * rep.kappa
-    matrix._nonzero_rows()
     tensor = Tensor(Phi(ALeaf(2)), ALeaf(1))
     signature(tensor)  # fills the strand cache
     mor = parse_mor("vert(inv(act(id(M), inv(lambda(Phi(tensor(X2, X1)))))), act(id(M), tens(phi0, phi(sigma(X1, X2)))))")
@@ -113,7 +112,7 @@ def test_copy_deepcopy_and_pickle_round_trip(r):
     hashable = type(r) is not Report  # a report's payload is a dict
     for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert type(copied) is type(r) and copied == r and not copied != r
-        assert all(getattr(copied, name) is None for name in ("_nonzero", "_types", "_strand_cache") if name in slots(r))
+        assert all(getattr(copied, name) is None for name in ("_types", "_strand_cache") if name in slots(r))
         if hashable:
             assert hash(copied) == hash(r)
 
@@ -125,6 +124,29 @@ def test_repr_equality_and_hash_are_those_of_a_frozen_dataclass(r):
     if type(r) is not Report:
         assert hash(r) == hash(twin)
     assert (r == twin) is False  # another class is never equal, as between two dataclasses
+
+
+@pytest.mark.parametrize(
+    "parse, head, field, leaf, other",
+    [(parse_obj, "Phi", "child", "X1", "X2"), (parse_mor, "inv", "inner", "sigma(X1, X2)", "sigma(X2, X1)")],
+    ids=["Phi", "inv"],
+)
+def test_trees_at_the_parser_depth_compare_hash_and_print(parse, head, field, leaf, other):
+    # The parser reads 985 nested nodes; equality, hash and repr walk them on an explicit stack,
+    # with the values and text that the field tuples give a shallow tree.
+    depth = 985
+
+    def nested(inner: str):
+        return parse(f"{head}(" * depth + inner + ")" * depth)
+
+    a, b, c = nested(leaf), nested(leaf), nested(other)
+    assert a is not b and a == b and not a != b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != c and not a == c
+    bottom = parse(leaf)
+    name = type(a).__name__
+    assert repr(a) == f"{name}({field}=" * depth + repr(bottom) + ")" * depth
+    shallow = type(a)(bottom)
+    assert repr(shallow) == f"{name}({field}={bottom!r})" and hash(shallow) == hash((bottom,))
 
 
 def test_records_of_different_classes_or_fields_differ():

@@ -23,6 +23,8 @@ def test_malformed_words_rejected():
         BraidWord.from_text(1, "s1", cyl=True)
     with pytest.raises(MalformedWordError):
         BraidWord.from_text(2, "sigma1")
+    with pytest.raises(MalformedWordError, match="unrecognised braid token 's²'"):
+        BraidWord.from_text(3, "s²")
     with pytest.raises(MalformedWordError):
         BraidWord(0, ())
 
