@@ -13,7 +13,7 @@ generator with the functor image of the inners, and the parser calls it as
 it reads each ``horiz`` (``mor_text`` of a parsed ``horiz`` renders its
 expansion).
 
-Every pass over a tree, equality, hashing and repr included, is a
+Every pass over a tree, equality, hashing, repr and pickle included, is a
 post-order ``fold`` or a walk on an explicit stack, so the depth of a tree
 is not limited by the interpreter's recursion limit.
 
@@ -34,7 +34,8 @@ from functools import partial
 
 from ..errors import TypingError
 from ..record import Record, set_slot
-from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, fold, is_module, obj_text, share, tree_eq, tree_hash, tree_repr
+from .objects import Act, AUnit, ObjectExpr, Phi, Tensor, fold, is_module, obj_text, share
+from .objects import tree_eq, tree_hash, tree_reduce, tree_repr
 
 
 class MorExpr(Record):
@@ -42,7 +43,8 @@ class MorExpr(Record):
     keeps its (domain, codomain) once typed, else None."""
 
     __slots__ = ("_types",)
-    __eq__, __hash__, __repr__ = tree_eq, tree_hash, tree_repr
+    __eq__, __hash__, __repr__, __reduce__ = tree_eq, tree_hash, tree_repr, tree_reduce
+    __copy__ = __deepcopy__ = ObjectExpr.__copy__
 
     def __init__(self, *values):
         super().__init__(*values)

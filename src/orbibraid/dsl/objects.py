@@ -15,10 +15,11 @@ build their objects through one ``share`` table, keyed by node type and
 the identity of each child, so equal objects read or typed in that call
 are one node and each distinct node runs its sort checks once.  The table
 lives only as long as the call.  Every walk over an object (signature,
-text, equality, hash, repr) runs on an explicit stack, so depth costs no
-interpreter frames.  Each node gets its strand count ``n_strands`` as it
-is built; the strand sequences are built only for a signature (built
-eagerly, a deep comb would hold quadratically many strands).
+text, equality, hash, repr, pickle) runs on an explicit stack, so depth
+costs no interpreter frames.  Each node gets its strand count
+``n_strands`` as it is built; the strand sequences are built only for a
+signature (built eagerly, a deep comb would hold quadratically many
+strands).
 """
 
 from __future__ import annotations
@@ -73,11 +74,36 @@ def tree_repr(t) -> str:
     return fold(t, _repr_rule)
 
 
+def tree_reduce(t):
+    """``__reduce__`` for objects and morphisms: the tree as a flat post-order list of
+    (class, scalar fields, child indices), which pickles and rebuilds without recursion.
+
+    A node with children has no other fields.  The objects a morphism leaf holds
+    are its fields, and pickle writes each as a flat list of its own.
+    """
+    entries: list = []
+
+    def listed(node, kids: list) -> int:
+        entries.append((type(node), () if kids else node.fields(), tuple(kids)))
+        return len(entries) - 1
+
+    fold(t, listed)
+    return _rebuild_tree, (entries,)
+
+
+def _rebuild_tree(entries: list):
+    nodes: list = []
+    for kind, fields, kids in entries:
+        nodes.append(kind(*fields, *map(nodes.__getitem__, kids)))
+    return nodes[-1]
+
+
 class ObjectExpr(Record):
     """Base class for object trees; the nullary nodes build through its constructor."""
 
     __slots__ = ("n_strands", "_strand_cache")  # the strand count, and the strands once a signature needs them
-    __eq__, __hash__, __repr__ = tree_eq, tree_hash, tree_repr
+    __eq__, __hash__, __repr__, __reduce__ = tree_eq, tree_hash, tree_repr, tree_reduce
+    __copy__ = __deepcopy__ = lambda self, memo=None: self  # an immutable node is its own copy
 
     def __init__(self):
         set_slot(self, "n_strands", 0)

@@ -4,10 +4,12 @@ An operation with d two-sided disk inputs is classified, up to isotopy, by
 a tuple eps in {0,1}^d saying which half of the target each disk's marked
 half lands in, together with the permutation ranking the disks by their
 canonical representatives (nearest the pole first when the target has a
-pole, left to right otherwise); a module input is stored first.  This
-module implements that discrete shadow: enumeration, the object a class
-builds in the categorical algebra (``op_object``), the composition law,
-and a one-dimensional interval model as its oracle.
+pole, left to right otherwise).  At most one input is the pole (module)
+input, and it comes first, so a class is its output colour, whether it has
+that input, eps and perm.  This module implements that discrete shadow:
+enumeration, the object a class builds in the categorical algebra
+(``op_object``), the composition law, and a one-dimensional interval model
+as its oracle.
 
 Composition is substitution: ``compose(g, fs, outer_perm)`` plugs the
 object of ``fs[j]`` into input ``outer_perm[j]`` of the object of ``g``
@@ -18,27 +20,22 @@ is anti-monoidal, so a block in a mirrored slot comes out reversed.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
+import re
 from fractions import Fraction
 
 from .dsl.objects import ALeaf, Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, SignedSignature, Tensor, signature
 from .errors import ArityError, GeometryError, TypingError
-from .record import Record, set_slot
+from .record import Record
+
+# The two colours: the free double disk and the pole disk.
+D = "D"
+DSTAR = "Dstar"
 
 
-class Color(Enum):
-    D = "D"
-    DSTAR = "Dstar"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-def parse_color(text: str) -> Color:
-    for c in Color:
-        if c.value == text:
-            return c
-    raise TypingError(f"unknown color {text!r}")
+def parse_color(text: str) -> str:
+    if text not in (D, DSTAR):
+        raise TypingError(f"unknown color {text!r}")
+    return text
 
 
 Perm = tuple[int, ...]
@@ -47,106 +44,89 @@ MAX_DISK_INPUTS = 7  # 2^7 7! = 645,120 classes, the largest listing classify bu
 
 
 class SignedOp(Record):
-    """pi_0 class of an operation: colors, sign tuple, and ranking permutation.
+    """pi_0 class of an operation: output colour, pole input, sign tuple, and ranking permutation.
 
-    ``eps`` and ``perm`` are indexed over the D inputs only (the module
-    input, when present, carries no sign).  ``perm[r]`` is the D input
-    occupying rank r.
+    The inputs are the pole input when ``has_module_input``, then one D
+    input per entry of ``eps``.  ``eps`` and ``perm`` are indexed over the
+    D inputs only (the pole input carries no sign).  ``perm[r]`` is the D
+    input occupying rank r.
     """
 
-    __slots__ = __match_args__ = ("inputs", "output", "eps", "perm")
+    __slots__ = __match_args__ = ("output", "has_module_input", "eps", "perm")
 
-    def __init__(self, inputs: tuple[Color, ...], output: Color, eps: tuple[int, ...], perm: Perm):
-        stars = [i for i, c in enumerate(inputs) if c is Color.DSTAR]
-        if output is Color.D and stars:
+    def __init__(self, output: str, has_module_input: bool, eps: tuple[int, ...], perm: Perm):
+        if has_module_input and output == D:
             raise TypingError("no operation targets the free double disk from a pole input")
-        if output is Color.DSTAR and len(stars) > 1:
-            raise TypingError("at most one pole input is allowed")
-        if stars and stars != [0]:
-            raise TypingError("the pole input must come first in the canonical order")
-        d = sum(1 for c in inputs if c is Color.D)
-        if len(eps) != d or len(perm) != d:
-            raise TypingError("eps and perm must be indexed by the D inputs")
         if any(e not in (0, 1) for e in eps):
             raise TypingError("eps entries must be 0 or 1")
-        if sorted(perm) != list(range(d)):
+        if sorted(perm) != list(range(len(eps))):
             raise TypingError("perm is not a permutation")
-        set_slot(self, "inputs", inputs)
-        set_slot(self, "output", output)
-        set_slot(self, "eps", eps)
-        set_slot(self, "perm", perm)
+        super().__init__(output, has_module_input, eps, perm)
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        return (DSTAR,) * self.has_module_input + (D,) * len(self.eps)
 
     @property
     def arity(self) -> int:
-        return len(self.inputs)
+        return self.has_module_input + len(self.eps)
 
     @property
     def d_arity(self) -> int:
         return len(self.eps)
 
-    @property
-    def has_module_input(self) -> bool:
-        return bool(self.inputs) and self.inputs[0] is Color.DSTAR
-
-    def d_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.inputs) if c is Color.D)
-
     def to_text(self) -> str:
-        # ``_value_`` skips the Enum descriptors behind str() and .value.
-        ins = ",".join([c._value_ for c in self.inputs])
         bits = "".join(map(str, self.eps))
         perm = " ".join([str(v + 1) for v in self.perm])
-        return f"op {self.output._value_} [{ins}] eps={bits} perm={perm}"
+        return f"op {self.output} [{','.join(self.inputs)}] eps={bits} perm={perm}"
+
+
+# The text ``SignedOp.to_text`` writes: output, inputs, eps bits, and perm ranks counted from 1.
+# Compiled on first use, through re's cache, so importing the module compiles nothing.
+_OP_TEXT = r"op\s+(\S+)\s+\[([^][]*)\]\s+eps=([01]*)\s+perm=([0-9]+(?:\s+[0-9]+)*)?"
 
 
 def parse_signed_op(text: str) -> SignedOp:
-    try:
-        head, rest = text.split("[", 1)
-        colors_text, rest = rest.split("]", 1)
-        words = head.split()
-        if words[0] != "op":
-            raise ValueError
-        output = parse_color(words[1])
-        inputs = tuple(parse_color(t.strip()) for t in colors_text.split(",") if t.strip())
-        fields = dict()
-        key = None
-        for tok in rest.split():
-            if "=" in tok:
-                key, val = tok.split("=", 1)
-                fields[key] = [val] if val else []
-            elif key is not None:
-                fields[key].append(tok)
-        eps = tuple(int(b) for b in (fields.get("eps") or [""])[0])
-        perm = tuple(int(v) - 1 for chunk in fields.get("perm", []) for v in chunk.split())
-    except (ValueError, IndexError) as exc:
-        raise TypingError(f"cannot parse signed operation {text!r}") from exc
-    return SignedOp(inputs, output, eps, perm)
+    """Read ``op <output> [<inputs>] eps=<bits> perm=<ranks>``, and nothing else.
+
+    The inputs are colours separated by commas, the pole input first when
+    there is one; eps holds one bit per D input, and perm lists the D
+    inputs in rank order.
+    """
+    match = re.fullmatch(_OP_TEXT, text.strip(), re.ASCII)
+    if match is None:
+        raise TypingError(f"cannot parse signed operation {text!r}")
+    output, body, bits, ranks = match.groups()
+    inputs = [parse_color(c.strip()) for c in body.split(",")] if body.strip() else []
+    poles = inputs.count(DSTAR)
+    if poles > 1:
+        raise TypingError("at most one pole input is allowed")
+    if poles and inputs[0] != DSTAR:
+        raise TypingError("the pole input must come first in the canonical order")
+    eps, perm = tuple(map(int, bits)), tuple(int(r) - 1 for r in (ranks or "").split())
+    if len(eps) != len(inputs) - poles or len(perm) != len(eps):
+        raise TypingError("eps and perm must be indexed by the D inputs")
+    return SignedOp(parse_color(output), poles == 1, eps, perm)
 
 
-def classify(k: int, output: Color, input_colors) -> list[SignedOp]:
+def classify(k: int, output: str, input_colors) -> list[SignedOp]:
     """All 2^d d! classes with the given colors; empty when the space is empty.
 
-    The input colors are normalised to the canonical order (module input
-    first); eps and perm are unaffected by that reordering.  More than
-    MAX_DISK_INPUTS disk inputs are refused before any class is built.
+    The input colors may come in any order: a class keeps only whether one
+    of them is the pole input.  More than MAX_DISK_INPUTS disk inputs are
+    refused before any class is built.
     """
     input_colors = tuple(input_colors)
     if k != len(input_colors):
         raise ArityError(f"arity {k} does not match {len(input_colors)} input colors")
-    stars = sum(1 for c in input_colors if c is Color.DSTAR)
-    if output is Color.D and stars > 0:
+    poles = input_colors.count(DSTAR)
+    if poles > (output == DSTAR):  # no pole input into D, at most one into Dstar
         return []
-    if output is Color.DSTAR and stars > 1:
-        return []
-    canonical = tuple(sorted(input_colors, key=lambda c: c is Color.D))
-    d = k - stars
+    d = k - poles
     if d > MAX_DISK_INPUTS:
         raise ArityError(f"{d} disk inputs exceed the cap of {MAX_DISK_INPUTS} (2^d d! classes)")
-    out = []
-    for eps in itertools.product((0, 1), repeat=d):
-        for perm in itertools.permutations(range(d)):
-            out.append(SignedOp(canonical, output, eps, perm))
-    return out
+    ranks = list(itertools.permutations(range(d)))
+    return [SignedOp(output, poles == 1, eps, perm) for eps in itertools.product((0, 1), repeat=d) for perm in ranks]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +152,7 @@ def op_object(op: SignedOp, leaves: list[ObjectExpr] | None = None, module: Obje
     if leaves is None:
         leaves = [ALeaf(i + 1) for i in range(op.d_arity)]
     body = _tensor_all([Phi(leaves[i]) if op.eps[i] else leaves[i] for i in op.perm])
-    if op.output is Color.D:
+    if op.output == D:
         return body
     if module is None:
         module = MLeaf() if op.has_module_input else MUnit()
@@ -183,9 +163,7 @@ def op_of_signature(sig: SignedSignature) -> SignedOp:
     """The class whose object has signature ``sig``, its strands labelled 1..d."""
     eps = tuple(sign for _, sign in sorted(sig.strands))
     perm = tuple(label - 1 for label, _ in sig.strands)
-    output = Color.D if sig.module is None else Color.DSTAR
-    inputs = ((Color.DSTAR,) if sig.module == "M" else ()) + (Color.D,) * len(perm)
-    return SignedOp(inputs, output, eps, perm)
+    return SignedOp(D if sig.module is None else DSTAR, sig.module == "M", eps, perm)
 
 
 def compose(g: SignedOp, fs, outer_perm: Perm | None = None) -> SignedOp:
@@ -198,11 +176,11 @@ def compose(g: SignedOp, fs, outer_perm: Perm | None = None) -> SignedOp:
         outer_perm = tuple(range(m))
     if sorted(outer_perm) != list(range(m)):
         raise TypingError("outer_perm is not a permutation of the inputs")
-    for j, f in enumerate(fs):
-        if g.inputs[outer_perm[j]] is not f.output:
+    inputs = g.inputs
+    for slot, f in zip(outer_perm, fs):
+        if inputs[slot] != f.output:
             raise TypingError(
-                f"input {outer_perm[j]} of the outer operation expects {g.inputs[outer_perm[j]]},"
-                f" got an operation with output {f.output}"
+                f"input {slot} of the outer operation expects {inputs[slot]}, got an operation with output {f.output}"
             )
     if g.has_module_input and outer_perm[0] != 0:
         raise TypingError("the module argument must be plugged into the module slot first")
@@ -212,7 +190,7 @@ def compose(g: SignedOp, fs, outer_perm: Perm | None = None) -> SignedOp:
     objects = [op_object(f, [ALeaf(a + i) for i in range(f.d_arity)]) for f, a in zip(fs, firsts)]
     by_slot = dict(zip(outer_perm, objects))
     module = by_slot[0] if g.has_module_input else None
-    return op_of_signature(signature(op_object(g, [by_slot[pos] for pos in g.d_positions()], module)))
+    return op_of_signature(signature(op_object(g, [by_slot[pos] for pos in range(g.has_module_input, m)], module)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +216,18 @@ class IntervalConfig(Record):
 
     __slots__ = __match_args__ = ("target", "intervals", "module_radius")
 
-    def __init__(self, target: Color, intervals: tuple[Interval, ...], module_radius: Fraction | None = None):
+    def __init__(self, target: str, intervals: tuple[Interval, ...], module_radius: Fraction | None = None):
         super().__init__(target, intervals, module_radius)
 
 
-def _rep_center(target: Color, iv: Interval) -> Fraction:
-    if target is Color.D:
+def _rep_center(target: str, iv: Interval) -> Fraction:
+    if target == D:
         return iv.center if iv.copy == "b" else -iv.center
     return iv.center if iv.center > 0 else -iv.center
 
 
 def _validate_config(cfg: IntervalConfig) -> None:
-    if cfg.target is Color.D and cfg.module_radius is not None:
+    if cfg.target == D and cfg.module_radius is not None:
         raise GeometryError("the free double disk has no pole input")
     if cfg.module_radius is not None and not 0 < cfg.module_radius < 1:
         raise GeometryError("module radius out of range")
@@ -257,7 +235,7 @@ def _validate_config(cfg: IntervalConfig) -> None:
     for iv in cfg.intervals:
         if iv.radius <= 0:
             raise GeometryError("intervals must have positive radius")
-        if cfg.target is Color.D:
+        if cfg.target == D:
             if iv.copy not in ("b", "r"):
                 raise GeometryError("disks in the double disk must be tagged b or r")
         else:
@@ -269,7 +247,7 @@ def _validate_config(cfg: IntervalConfig) -> None:
             raise GeometryError("interval leaves the unit disk")
         rc = _rep_center(cfg.target, iv)
         reps.append((rc - iv.radius, rc + iv.radius))
-        if cfg.target is Color.DSTAR and cfg.module_radius is not None:
+        if cfg.target == DSTAR and cfg.module_radius is not None:
             if rc - iv.radius <= cfg.module_radius:
                 raise GeometryError("interval overlaps the pole-disk image")
     reps.sort()
@@ -281,19 +259,11 @@ def _validate_config(cfg: IntervalConfig) -> None:
 def brute_force_classify_1d(cfg: IntervalConfig) -> SignedOp:
     """Read (eps, perm) off a concrete embedding; the oracle for compose."""
     _validate_config(cfg)
-    eps = []
-    reps = []
-    for iv in cfg.intervals:
-        if cfg.target is Color.D:
-            eps.append(0 if iv.copy == "b" else 1)
-        else:
-            eps.append(0 if iv.center > 0 else 1)
-        reps.append(_rep_center(cfg.target, iv))
-    perm = tuple(sorted(range(len(reps)), key=lambda i: reps[i]))
-    inputs: tuple[Color, ...] = (Color.D,) * len(cfg.intervals)
-    if cfg.module_radius is not None:
-        inputs = (Color.DSTAR,) + inputs
-    return SignedOp(inputs, cfg.target, tuple(eps), perm)
+    # A disk is mirrored (eps 1) in the red copy of D, or on the negative half of Dstar.
+    eps = tuple(int(iv.copy == "r" if cfg.target == D else iv.center < 0) for iv in cfg.intervals)
+    reps = [_rep_center(cfg.target, iv) for iv in cfg.intervals]
+    perm = tuple(sorted(range(len(reps)), key=reps.__getitem__))
+    return SignedOp(cfg.target, cfg.module_radius is not None, eps, perm)
 
 
 def realize_intervals(op: SignedOp) -> IntervalConfig:
@@ -301,7 +271,7 @@ def realize_intervals(op: SignedOp) -> IntervalConfig:
     k = op.d_arity
     rank_of = {local: rank for rank, local in enumerate(op.perm)}
     intervals = []
-    if op.output is Color.DSTAR:
+    if op.output == DSTAR:
         radius = Fraction(1, 4 * (k + 1))
         module_radius = Fraction(1, 2 * (k + 1)) if op.has_module_input else None
         for local in range(k):
@@ -338,7 +308,7 @@ def compose_intervals(g_cfg: IntervalConfig, fs_cfgs, outer_perm: Perm | None = 
         slot_idx = outer_perm[j]
         if has_module_slot and slot_idx == 0:
             lam = g_cfg.module_radius
-            if f.target is not Color.DSTAR:
+            if f.target != DSTAR:
                 raise TypingError("module slot expects a pole-disk embedding")
             for iv in f.intervals:
                 out.append(Interval(iv.center * lam, iv.radius * lam))
@@ -346,12 +316,12 @@ def compose_intervals(g_cfg: IntervalConfig, fs_cfgs, outer_perm: Perm | None = 
                 module_radius = lam * f.module_radius
             continue
         slot = slots[slot_idx - (1 if has_module_slot else 0)]
-        if f.target is not Color.D:
+        if f.target != D:
             raise TypingError("disk slots expect double-disk embeddings")
         c, rho = slot.center, slot.radius
         for iv in f.intervals:
             center = c + rho * iv.center if iv.copy == "b" else -c + rho * iv.center
-            if g_cfg.target is Color.D:
+            if g_cfg.target == D:
                 same = slot.copy if iv.copy == "b" else ("r" if slot.copy == "b" else "b")
                 out.append(Interval(center, rho * iv.radius, same))
             else:

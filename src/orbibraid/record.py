@@ -5,8 +5,9 @@ equality, hashing and repr go by the fields, as a frozen dataclass's do,
 and every assignment or deletion raises ``FrozenInstanceError``.  A class
 may hold more slots than fields (a strand cache, typings), which no
 comparison reads; constructors write every slot with ``set_slot``.
-copy and pickle rebuild a record through ``__init__`` from its fields,
-so a copy has passed the constructor's checks and holds no cache.
+pickle rebuilds a record through ``__init__`` from its fields, so a copy
+has passed the constructor's checks and holds no cache; copy does too,
+but a DSL node, immutable, is its own copy (``dsl.objects``).
 """
 
 from __future__ import annotations

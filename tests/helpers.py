@@ -33,7 +33,7 @@ from orbibraid.dsl import (
     strand_count,
 )
 from orbibraid.errors import ArityError, TypingError
-from orbibraid.operad import Color, SignedOp
+from orbibraid.operad import D, DSTAR, SignedOp
 from orbibraid.reflect import ONE, ZERO, QMatrix
 
 
@@ -78,10 +78,10 @@ def nf_to_word(nf: GarsideNF) -> BraidWord:
     return BraidWord(nf.n, tuple(letters))
 
 
-def identity_op(color: Color) -> SignedOp:
-    if color is Color.D:
-        return SignedOp((Color.D,), Color.D, (0,), (0,))
-    return SignedOp((Color.DSTAR,), Color.DSTAR, (), ())
+def identity_op(color: str) -> SignedOp:
+    if color == D:
+        return SignedOp(D, False, (0,), (0,))
+    return SignedOp(DSTAR, True, (), ())
 
 
 def braid_of_signed_path(start: SignedOp, word: BraidWord) -> SignedOp:
@@ -94,14 +94,14 @@ def braid_of_signed_path(start: SignedOp, word: BraidWord) -> SignedOp:
     if word.n != start.d_arity:
         raise ArityError(f"word on {word.n} strands cannot act on a {start.d_arity}-disk class")
     has_kappa = any(i == KAPPA for i, _ in word.letters)
-    if has_kappa and start.output is not Color.DSTAR:
+    if has_kappa and start.output != DSTAR:
         raise TypingError("pole windings require an operation targeting the pole disk")
     eps = list(start.eps)
     perm = [0] * word.n
     for disk, end, winding in zip(start.perm, *strand_ends(word)):
         perm[end - 1] = disk
         eps[disk] ^= winding % 2
-    return SignedOp(start.inputs, start.output, tuple(eps), tuple(perm))
+    return SignedOp(start.output, start.has_module_input, tuple(eps), tuple(perm))
 
 
 def seeded_rng(salt: int = 0) -> random.Random:

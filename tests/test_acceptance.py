@@ -11,7 +11,8 @@ from orbibraid.braid import BraidWord, braid_eq, cyl_braid_eq, lk_matrix, strand
 from orbibraid.coherence import COMMUTES, NOT_COMMUTES, check, extract_braid
 from orbibraid.dsl import codomain, domain, normalize_presentation, parse_diagram, signature
 from orbibraid.operad import (
-    Color,
+    D,
+    DSTAR,
     brute_force_classify_1d,
     classify,
     compose,
@@ -19,8 +20,6 @@ from orbibraid.operad import (
     realize_intervals,
 )
 from orbibraid.reflect import build_cyl_rep, eval_mor, reflection_check, yang_baxter_check
-
-D, DS = Color.D, Color.DSTAR
 
 
 def report(num: int, desc: str, ok: bool) -> None:
@@ -71,9 +70,9 @@ def _op_pool(max_arity: int):
     pool = []
     for k in range(max_arity + 1):
         pool.extend(classify(k, D, [D] * k))
-        pool.extend(classify(k, DS, [D] * k))
+        pool.extend(classify(k, DSTAR, [D] * k))
         if k >= 1:
-            pool.extend(classify(k, DS, [DS] + [D] * (k - 1)))
+            pool.extend(classify(k, DSTAR, [DSTAR] + [D] * (k - 1)))
     return pool
 
 
@@ -96,7 +95,7 @@ def test_criterion_3_operad_composition():
             continue
         fs = []
         for c in g.inputs:
-            fs.append(rng.choice([op for op in pool if op.output is c and op.arity <= 2]))
+            fs.append(rng.choice([op for op in pool if op.output == c and op.arity <= 2]))
         sym = compose(g, fs)
         geo = brute_force_classify_1d(
             compose_intervals(realize_intervals(g), [realize_intervals(f) for f in fs])
@@ -109,17 +108,17 @@ def test_criterion_3_operad_composition():
         if h.arity + g.arity + f.arity > 4 or h.arity == 0 or g.arity == 0:
             continue
         for i in range(h.arity):
-            if h.inputs[i] is not g.output:
+            if h.inputs[i] != g.output:
                 continue
             hg = _circ(h, i, g)
             for j in range(g.arity):
-                if g.inputs[j] is not f.output:
+                if g.inputs[j] != f.output:
                     continue
                 nested = _circ(h, i, _circ(g, j, f))
                 flat = _circ(hg, i + j, f)
                 ok = ok and nested == flat
             for k in range(h.arity):
-                if k <= i or h.inputs[k] is not f.output:
+                if k <= i or h.inputs[k] != f.output:
                     continue
                 lhs = _circ(hg, k - 1 + g.arity, f)
                 rhs = _circ(_circ(h, k, f), i, g)

@@ -85,6 +85,12 @@ def test_operad_compose(capsys):
     assert code == 0 and doc["payload"]["result"] == "op D [D] eps=0 perm=1"
 
 
+def test_operad_compose_refuses_a_malformed_class(capsys):
+    outer = "op D [D] eps=0 1 perm=1 foo=bar"
+    code, doc = run_json(capsys, "operad", "compose", "-g", outer, "-f", "op D [D] eps=1 perm=1")
+    assert code == 2 and doc["payload"]["error"].startswith("TypingError: cannot parse signed operation")
+
+
 def test_coherence_check_exit_codes(capsys, diagram_dir):
     code, doc = run_json(capsys, "coherence", "check", str(diagram_dir / "pentagon.diag"))
     assert code == 0 and doc["payload"]["status"] == "COMMUTES"

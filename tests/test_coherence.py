@@ -25,9 +25,7 @@ from orbibraid.dsl import (
     signature,
 )
 from orbibraid.errors import ArityError, FlavorError, SizeCapError, TypingError
-from orbibraid.operad import Color, SignedOp, op_of_signature
-
-D, DS = Color.D, Color.DSTAR
+from orbibraid.operad import D, DSTAR, SignedOp, op_of_signature
 
 
 def test_extract_simple_instances():
@@ -143,17 +141,17 @@ def test_braided_implies_symmetric_on_random_pairs():
 
 
 def test_braid_of_signed_path_examples():
-    start = SignedOp((DS, D), DS, (0,), (0,))
+    start = SignedOp(DSTAR, True, (0,), (0,))
     end = braid_of_signed_path(start, BraidWord.from_text(1, "k", cyl=True))
     assert end.eps == (1,) and end.perm == (0,)
     assert braid_of_signed_path(start, BraidWord(1, cyl=True)) == start
-    two = SignedOp((D, D), DS, (0, 0), (0, 1))
+    two = SignedOp(DSTAR, False, (0, 0), (0, 1))
     moved = braid_of_signed_path(two, BraidWord.from_text(2, "s1", cyl=True))
     assert moved.eps == (0, 0) and moved.perm == (1, 0)
     with pytest.raises(ArityError):
         braid_of_signed_path(two, BraidWord.from_text(3, "k", cyl=True))
     with pytest.raises(TypingError):
-        braid_of_signed_path(SignedOp((D,), D, (0,), (0,)), BraidWord.from_text(1, "k", cyl=True))
+        braid_of_signed_path(SignedOp(D, False, (0,), (0,)), BraidWord.from_text(1, "k", cyl=True))
 
 
 def test_braid_of_signed_path_moves_domain_class_to_codomain_class():

@@ -320,3 +320,20 @@ def test_balancing_follows_the_ribbon_rule_under_deep_involutions(sl2_data):
     want = ev(f"sigma({y}, {x})") * ev(f"t({y})").kron(ev(f"t({x})")) * ev(f"sigma({x}, {y})")
     assert ev(f"t(tensor({x}, {y}))") == want
     assert ev("t(" + "Phi(" * 985 + f"tensor({x}, {y})" + ")" * 985 + ")") == want
+
+
+# t on a tensor against the same retyping through phi2 (ROADMAP item 2).  extract_braid gives
+# t and phi2 no letters, while eval_mor reads t(X1 (x) X2) by the ribbon rule.
+T_OF_A_TENSOR = parse_mor("vert(t(tensor(X1, X2)), vert(phi(phi2(X2, X1)), phi2(Phi(X1), Phi(X2))))")
+T_OF_EACH_FACTOR = parse_mor("tens(t(X1), t(X2))")
+
+
+def test_check_says_t_of_a_tensor_is_t_of_each_factor():
+    for flavor in ("braided", "symmetric"):
+        assert check(T_OF_A_TENSOR, T_OF_EACH_FACTOR, flavor).status == COMMUTES
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: check and eval_mor give t two meanings")
+def test_eval_mor_agrees_that_t_of_a_tensor_is_t_of_each_factor(sl2_data):
+    # Today the left side evaluates to Rhat^4 and the right side to the identity.
+    assert eval_mor(sl2_data, T_OF_A_TENSOR) == eval_mor(sl2_data, T_OF_EACH_FACTOR)

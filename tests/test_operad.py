@@ -10,7 +10,8 @@ from helpers import identity_op, seeded_rng
 from orbibraid.dsl import Tensor, obj_text, signature
 from orbibraid.errors import ArityError, GeometryError, TypingError
 from orbibraid.operad import (
-    Color,
+    D,
+    DSTAR,
     Interval,
     IntervalConfig,
     SignedOp,
@@ -24,10 +25,10 @@ from orbibraid.operad import (
     realize_intervals,
 )
 
-D, DS = Color.D, Color.DSTAR
+DS = DSTAR
 
 
-def all_ops(max_d_arity: int, output: Color, module: bool):
+def all_ops(max_d_arity: int, output: str, module: bool):
     """Every class with the given output color and module flag."""
     out = []
     for k in range(max_d_arity + 1):
@@ -58,29 +59,42 @@ def _fact(k):
 
 def test_classify_normalises_module_first():
     ops = classify(2, DS, [D, DS])
-    assert ops and all(op.inputs == (DS, D) for op in ops)
+    assert ops and all(op.has_module_input and op.inputs == (DS, D) for op in ops)
+    assert ops == classify(2, DS, [DS, D])
 
 
 def test_signed_op_invariants():
-    with pytest.raises(TypingError):
-        SignedOp((DS,), D, (), ())
-    with pytest.raises(TypingError):
-        SignedOp((D, DS), DS, (0,), (0,))
-    with pytest.raises(TypingError):
-        SignedOp((D,), D, (0, 1), (0,))
-    with pytest.raises(TypingError):
-        SignedOp((D, D), D, (0, 0), (0, 0))
+    # What the record can hold is checked by its constructor.
+    with pytest.raises(TypingError, match="no operation targets"):
+        SignedOp(D, True, (), ())
+    with pytest.raises(TypingError, match="eps entries must be 0 or 1"):
+        SignedOp(D, False, (2,), (0,))
+    with pytest.raises(TypingError, match="perm is not a permutation"):
+        SignedOp(D, False, (0, 1), (0,))
+    with pytest.raises(TypingError, match="perm is not a permutation"):
+        SignedOp(D, False, (0, 0), (0, 0))
+    # A colour list is read only from text, and its shape is checked there.
+    with pytest.raises(TypingError, match="no operation targets"):
+        parse_signed_op("op D [Dstar] eps= perm=")
+    with pytest.raises(TypingError, match="the pole input must come first"):
+        parse_signed_op("op Dstar [D,Dstar] eps=0 perm=1")
+    with pytest.raises(TypingError, match="at most one pole input"):
+        parse_signed_op("op Dstar [Dstar,Dstar] eps= perm=")
+    with pytest.raises(TypingError, match="indexed by the D inputs"):
+        parse_signed_op("op D [D] eps=01 perm=1")
+    with pytest.raises(TypingError, match="indexed by the D inputs"):
+        parse_signed_op("op D [D,D] eps=00 perm=1")
 
 
 def test_compose_involution_squares_to_identity_class():
-    phi = SignedOp((D,), D, (1,), (0,))
+    phi = SignedOp(D, False, (1,), (0,))
     assert compose(phi, [phi]) == identity_op(D)
 
 
 def test_compose_spec_example_with_swap():
-    g = SignedOp((D, D), D, (0, 0), (1, 0))
-    f1 = SignedOp((D,), D, (0,), (0,))
-    f2 = SignedOp((D,), D, (1,), (0,))
+    g = SignedOp(D, False, (0, 0), (1, 0))
+    f1 = SignedOp(D, False, (0,), (0,))
+    f2 = SignedOp(D, False, (1,), (0,))
     got = compose(g, [f1, f2])
     # Derived by composing concrete interval embeddings and reclassifying.
     oracle = brute_force_classify_1d(
@@ -97,14 +111,14 @@ def test_compose_identity_laws_exhaustive():
     for op in ops:
         if op.arity == 0:
             continue
-        plugs = [idS if c is DS else idD for c in op.inputs]
+        plugs = [idS if c == DS else idD for c in op.inputs]
         assert compose(op, plugs) == op
-        outer = idS if op.output is DS else idD
+        outer = idS if op.output == DS else idD
         assert compose(outer, [op]) == op
 
 
 def test_compose_type_errors():
-    g = SignedOp((D, D), D, (0, 0), (0, 1))
+    g = SignedOp(D, False, (0, 0), (0, 1))
     f_star = classify(1, DS, [D])[0]
     with pytest.raises(TypingError):
         compose(g, [f_star, identity_op(D)])
@@ -126,7 +140,7 @@ def test_compose_agrees_with_interval_oracle_randomized():
             continue
         fs = []
         for c in g.inputs:
-            fs.append(rng.choice([op for op in (pool_s if c is DS else pool_d) if op.output is c]))
+            fs.append(rng.choice([op for op in (pool_s if c == DS else pool_d) if op.output == c]))
         got = compose(g, fs)
         oracle = brute_force_classify_1d(
             compose_intervals(realize_intervals(g), [realize_intervals(f) for f in fs])
@@ -186,13 +200,13 @@ def test_realize_then_classify_round_trip_exhaustive_small():
 
 
 def test_op_object_examples():
-    assert obj_text(op_object(SignedOp((D, D), D, (0, 0), (0, 1)))) == "tensor(X1, X2)"
-    assert obj_text(op_object(SignedOp((), D, (), ()))) == "one"
+    assert obj_text(op_object(SignedOp(D, False, (0, 0), (0, 1)))) == "tensor(X1, X2)"
+    assert obj_text(op_object(SignedOp(D, False, (), ()))) == "one"
     act = parse_signed_op("op Dstar [Dstar,D,D] eps=10 perm=2 1")
     assert obj_text(op_object(act)) == "act(M, tensor(X2, Phi(X1)))"
     pointing = classify(1, DS, [D])[1]
     assert obj_text(op_object(pointing)) == "act(oneM, Phi(X1))"
-    three = SignedOp((D, D, D), D, (0, 0, 0), (2, 0, 1))
+    three = SignedOp(D, False, (0, 0, 0), (2, 0, 1))
     assert obj_text(op_object(three)) == "tensor(tensor(X3, X1), X2)"
 
 
@@ -217,7 +231,7 @@ def test_op_object_tensor_is_balanced():
     d = 1000
     perm = list(range(d))
     rng.shuffle(perm)
-    op = SignedOp((DS,) + (D,) * d, DS, tuple(rng.randint(0, 1) for _ in range(d)), tuple(perm))
+    op = SignedOp(DS, True, tuple(rng.randint(0, 1) for _ in range(d)), tuple(perm))
     assert _tensor_depth(op_object(op)) <= math.ceil(math.log2(d)) + 1
     assert op_of_signature(signature(op_object(op))) == op
 
@@ -225,7 +239,7 @@ def test_op_object_tensor_is_balanced():
 def _valid_compose_triples():
     """Every valid (g, fs, outer_perm), g of 1-3 inputs, g and fs with at most 2 disks."""
     pool = all_ops(2, D, False) + all_ops(2, DS, False) + all_ops(2, DS, True)
-    by_output = {c: [op for op in pool if op.output is c] for c in (D, DS)}
+    by_output = {c: [op for op in pool if op.output == c] for c in (D, DS)}
     out = []
     for g in pool:
         if g.arity == 0:
@@ -249,3 +263,24 @@ def test_compose_pinned_on_a_sample_of_valid_triples():
 def test_signed_op_text_round_trip():
     for op in all_ops(2, D, False) + all_ops(2, DS, True):
         assert parse_signed_op(op.to_text()) == op
+
+
+def test_nullary_text_round_trips():
+    for text in ("op D [] eps= perm=", "op Dstar [] eps= perm=", "op Dstar [Dstar] eps= perm="):
+        assert parse_signed_op(text).to_text() == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "op D [D] eps=1 perm=1 foo=bar",
+        "op D [D] eps=0 eps=1 perm=1",
+        "op D extra [D] eps=1 perm=1",
+        "op D [D,,D] eps=00 perm=1 2",
+        "op D [D] eps=0 1 perm=1",
+    ],
+    ids=["unknown-key", "repeated-key", "words-before-inputs", "empty-color", "second-eps-token"],
+)
+def test_parse_signed_op_refuses_what_to_text_never_writes(text):
+    with pytest.raises(TypingError):
+        parse_signed_op(text)

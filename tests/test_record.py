@@ -16,10 +16,10 @@ from orbibraid.braid.garside import GarsideNF
 from orbibraid.cli import Report
 from orbibraid.coherence import check
 from orbibraid.dsl import parse_diagram, parse_mor, parse_obj
-from orbibraid.dsl.morphisms import MorExpr
+from orbibraid.dsl.morphisms import Gen, Inv, MorExpr, PhiMor, Vert, mor_text, validate
 from orbibraid.dsl.objects import ALeaf, Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor, signature
 from orbibraid.errors import MalformedWordError, TypingError
-from orbibraid.operad import Color, Interval, IntervalConfig, SignedOp
+from orbibraid.operad import D, DSTAR, Interval, IntervalConfig, SignedOp
 from orbibraid.record import Record
 from orbibraid.reflect import LaurentScalar, RepData, build_cyl_rep, parse_scalar
 
@@ -55,9 +55,9 @@ def records() -> list:
         BraidWord(3),
         BraidWord.from_text(2, "k s1 K s1", cyl=True),
         nf,
-        SignedOp((Color.DSTAR, Color.D, Color.D), Color.DSTAR, (1, 0), (1, 0)),
+        SignedOp(DSTAR, True, (1, 0), (1, 0)),
         Interval(Fraction(1, 2), Fraction(1, 8), "b"),
-        IntervalConfig(Color.DSTAR, (Interval(Fraction(1, 2), Fraction(1, 8)),), Fraction(1, 4)),
+        IntervalConfig(DSTAR, (Interval(Fraction(1, 2), Fraction(1, 8)),), Fraction(1, 4)),
         check(diagram.lhs, diagram.rhs, diagram.flavor),
         parse_scalar("q - q^-1"),
         matrix,
@@ -110,9 +110,12 @@ def test_every_field_and_cache_slot_refuses_assignment_and_deletion(r):
 @pytest.mark.parametrize("r", RECORDS, ids=[type(r).__name__ for r in RECORDS])
 def test_copy_deepcopy_and_pickle_round_trip(r):
     hashable = type(r) is not Report  # a report's payload is a dict
+    tree = isinstance(r, (ObjectExpr, MorExpr))  # an immutable DSL node is its own copy
+    assert (copy.copy(r) is r, copy.deepcopy(r) is r) == (tree, tree)
     for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert type(copied) is type(r) and copied == r and not copied != r
-        assert all(getattr(copied, name) is None for name in ("_types", "_strand_cache") if name in slots(r))
+        if copied is not r:
+            assert all(getattr(copied, name) is None for name in ("_types", "_strand_cache") if name in slots(r))
         if hashable:
             assert hash(copied) == hash(r)
 
@@ -149,6 +152,28 @@ def test_trees_at_the_parser_depth_compare_hash_and_print(parse, head, field, le
     assert repr(shallow) == f"{name}({field}={bottom!r})" and hash(shallow) == hash((bottom,))
 
 
+@pytest.mark.parametrize(
+    "parse, head, leaf", [(parse_obj, "Phi", "X1"), (parse_mor, "inv", "sigma(X1, X2)")], ids=["Phi", "inv"]
+)
+def test_trees_at_the_parser_depth_copy_and_pickle(parse, head, leaf):
+    deep = parse(f"{head}(" * 985 + leaf + ")" * 985)
+    assert copy.copy(deep) is deep and copy.deepcopy(deep) is deep
+    loaded = pickle.loads(pickle.dumps(deep))
+    assert loaded is not deep and loaded == deep and repr(loaded) == repr(deep)
+
+
+def test_a_hand_built_ill_typed_tree_of_five_thousand_levels_pickles():
+    # No rule types Gen("nosuch"), and each Vert seam mismatches: the copy is rebuilt, not typed.
+    chain = Gen("sigma", (Tensor(ALeaf(1), ALeaf(2)),))
+    for level in range(5000):
+        chain = PhiMor(chain) if level % 2 else Vert(chain, Inv(Gen("nosuch", ())))
+    loaded = pickle.loads(pickle.dumps(chain))
+    assert loaded == chain and mor_text(loaded) == mor_text(chain) and loaded._types is None
+    assert copy.deepcopy([chain])[0] is chain
+    with pytest.raises(TypingError):
+        validate(loaded)
+
+
 def test_records_of_different_classes_or_fields_differ():
     assert BraidWord(2, ((1, 1),)) != BraidWord(2, ((1, 1),), cyl=True)
     assert ALeaf(1) != ALeaf(2) and ALeaf(1) == ALeaf(1) and AUnit() != MUnit()
@@ -169,9 +194,9 @@ def test_records_of_different_classes_or_fields_differ():
         (lambda: BraidWord(2, ((1, 2),), cyl=True), MalformedWordError, "letter exponent must be"),
         (lambda: GarsideNF(3, 0, ((0, 1, 2),)), ValueError, "factor 0 is not a proper permutation braid"),
         (lambda: GarsideNF(3, 0, ((1, 0, 2), (0, 2, 1))), ValueError, "factor 1 is not left-weighted"),
-        (lambda: SignedOp((Color.DSTAR,), Color.D, (), ()), TypingError, "no operation targets"),
-        (lambda: SignedOp((Color.D,), Color.D, (2,), (0,)), TypingError, "eps entries must be 0 or 1"),
-        (lambda: SignedOp((Color.D, Color.D), Color.D, (0, 0), (1, 1)), TypingError, "perm is not a permutation"),
+        (lambda: SignedOp(D, True, (), ()), TypingError, "no operation targets"),
+        (lambda: SignedOp(D, False, (2,), (0,)), TypingError, "eps entries must be 0 or 1"),
+        (lambda: SignedOp(D, False, (0, 0), (1, 1)), TypingError, "perm is not a permutation"),
     ],
 )
 def test_constructor_checks_are_raised_errors(build, error, message):
