@@ -18,7 +18,7 @@ import sys
 import time
 
 from .braid import BraidWord, braid_eq, garside_nf
-from .coherence import COMMUTES, check
+from .coherence import COMMUTES, check, summarize
 from .dsl import parse_diagram
 from .errors import OrbibraidError
 from .operad import compose, classify, parse_color, parse_signed_op
@@ -96,7 +96,7 @@ def _cmd_operad(args) -> tuple[str, dict]:
 
 def _cmd_coherence(args) -> tuple[str, dict]:
     with open(args.file, "r", encoding="utf-8") as fh:
-        diagram = parse_diagram(fh.read())
+        diagram = parse_diagram(fh.read(), summarize)
     verdict = check(diagram.lhs, diagram.rhs, diagram.flavor)
     payload = verdict.to_json_dict()
     payload["flavor"] = diagram.flavor

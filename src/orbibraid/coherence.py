@@ -11,6 +11,11 @@ generators are silent.  Vertical composition concatenates (first factor
 first), inverses reverse and negate, the involution reverses strand
 positions.
 
+``check`` reads each side as its ``Summary`` (types, word, whether it
+mentions a braiding), one rule per node kind (``SUMMARY_RULES``): the parser
+applies them as each morphism closes (``summarize``), so ``coherence check``
+builds no tree, and ``summary`` folds them over a tree built by hand.
+
 The decision procedure: two parallel structural isomorphisms commute in
 every Z2-braided pair whenever their underlying (cylinder) braids are
 equal (their Garside normal forms, which are canonical, agree), for
@@ -23,26 +28,12 @@ from __future__ import annotations
 
 from .braid.garside import garside_nf
 from .braid.words import KAPPA, BraidWord, Letter, strand_ends
-from .dsl.morphisms import (
-    ActMor,
-    Gen,
-    Id,
-    Inv,
-    MorExpr,
-    PhiMor,
-    TensorMor,
-    Vert,
-    codomain,
-    domain,
-    fold,
-    mentions_braiding,
-    unexpected,
-)
-from .dsl.objects import SignedSignature, is_module, signature, strand_count
-from .errors import FlavorError, SizeCapError
+from .dsl.morphisms import TYPE_RULES, ActMor, Gen, Id, Inv, MorExpr, PhiMor, TensorMor, Vert, replay, validate
+from .dsl.objects import SignedSignature, is_module, signature
+from .errors import FlavorError, SizeCapError, TypingError
 from .record import Record
 
-# Longest underlying word extract_braid builds: a kappa cabled over a
+# Longest underlying word a summary builds: a kappa cabled over a
 # 1,200-strand block has 720,600 letters.
 MAX_WORD_LETTERS = 1_000_000
 
@@ -82,61 +73,99 @@ def _too_long(length: int) -> SizeCapError:
     return SizeCapError(f"underlying braid word of {length} letters exceeds the cap of {MAX_WORD_LETTERS}")
 
 
-def _gen_letters(f: Gen, kids: list) -> list[Letter]:
-    if f.name == "sigma":
-        x, y = f.params
-        a, b = strand_count(x), strand_count(y)
-        if a * b > MAX_WORD_LETTERS:
-            raise _too_long(a * b)
-        return _block_swap(0, a, b)
-    if f.name == "kappa":
-        m, x = f.params
-        ell, c = strand_count(m), strand_count(x)
-        length = 2 * c * ell + c * (c + 1) // 2
-        if length > MAX_WORD_LETTERS:
-            raise _too_long(length)
-        return _cable_kappa(ell, c)
-    return []
+class Summary:
+    """What ``check`` reads of a morphism: its (domain, codomain) in ``_types``, as
+    a node keeps them; the letters of its word (strands from 0), or the SizeCapError
+    of a word past MAX_WORD_LETTERS, which is not built; and whether a sigma or kappa
+    occurs.  Not a record: a product's summary is its first factor's, updated."""
+
+    __slots__ = ("_types", "letters", "braids")
+
+    def __init__(self, types: tuple, letters, braids: bool):
+        self._types = types
+        self.letters = letters
+        self.braids = braids
 
 
-def _joined(first: list[Letter], second: list[Letter], shift: int = 0) -> list[Letter]:
-    length = len(first) + len(second)
+def _gen_summary(types: tuple, name: str, params: tuple) -> Summary:
+    if name != "sigma" and name != "kappa":
+        return Summary(types, [], False)
+    a, b = params[0].n_strands, params[1].n_strands
+    length = a * b if name == "sigma" else 2 * a * b + b * (b + 1) // 2
     if length > MAX_WORD_LETTERS:
-        raise _too_long(length)
-    first.extend(((i + shift, e) for i, e in second) if shift else second)
-    return first
+        return Summary(types, _too_long(length), True)
+    return Summary(types, _block_swap(0, a, b) if name == "sigma" else _cable_kappa(a, b), True)
 
 
-def _mirrored(f: PhiMor, kids: list) -> list[Letter]:
-    c = strand_count(domain(f))
-    return [(c - i, e) for i, e in kids[0]]
+def _joined(types: tuple, head: Summary, tail: Summary, shift: int, read_first: Summary) -> Summary:
+    """head's summary made the product's: head's letters, then tail's with strands
+    shifted.  A word past the cap stands for the product, read_first's first."""
+    x, y = head.letters, tail.letters
+    if type(x) is not list or type(y) is not list:
+        head.letters = read_first.letters if type(read_first.letters) is not list else x if type(x) is not list else y
+    elif len(x) + len(y) > MAX_WORD_LETTERS:
+        head.letters = _too_long(len(x) + len(y))
+    else:
+        x.extend(((i + shift, e) for i, e in y) if shift else y)
+    head._types, head.braids = types, head.braids or tail.braids
+    return head
 
 
-# The letter rule of each node kind: its word (strands from 0) from the node
-# and its children's words.  No word is shorter than a child's, so checking
-# each against MAX_WORD_LETTERS before building it bounds the whole word.  A
-# product's right factor's strands follow its left factor's; typing keeps
-# the module-typed factor (the only one with pole windings) on the left.
-LETTER_RULES = {
-    Id: lambda f, kids: [],
-    Gen: _gen_letters,
-    Inv: lambda f, kids: [(i, -e) for i, e in reversed(kids[0])],
-    Vert: lambda f, kids: _joined(kids[1], kids[0]),
-    TensorMor: lambda f, kids: _joined(*kids, strand_count(domain(f.left))),
-    ActMor: lambda f, kids: _joined(*kids, strand_count(domain(f.module))),
-    PhiMor: _mirrored,
+# The summary rule of each node kind, from the node's (domain, codomain) and
+# fields, a child standing for its summary.  No word is shorter than a
+# child's, so checking each against MAX_WORD_LETTERS before building it
+# bounds the whole word.  A product's right factor's strands follow its left
+# factor's; typing keeps the module-typed factor (the only one with pole
+# windings) on the left.
+SUMMARY_RULES = {
+    Id: lambda types, obj: Summary(types, [], False),
+    Gen: _gen_summary,
+    Inv: lambda types, f: Summary(
+        types, [(i, -e) for i, e in reversed(f.letters)] if type(f.letters) is list else f.letters, f.braids
+    ),
+    Vert: lambda types, after, before: _joined(types, before, after, 0, after),
+    TensorMor: lambda types, left, right: _joined(types, left, right, left._types[0].n_strands, left),
+    ActMor: lambda types, module, algebra: _joined(types, module, algebra, module._types[0].n_strands, module),
+    PhiMor: lambda types, f: Summary(
+        types, [(types[0].n_strands - i, e) for i, e in f.letters] if type(f.letters) is list else f.letters, f.braids
+    ),
 }
 
 
-def extract_braid(f: MorExpr) -> BraidWord:
+def summarize(kind: type, args, table: dict, held: list) -> Summary | None:
+    """The Summary of ``kind(*args)``, typed through table by ``TYPE_RULES``: the
+    parser's rule for ``coherence check``.  Once a typing error is held, None."""
+    if held:
+        return None
+    try:
+        types = TYPE_RULES[kind](table, *args)
+    except TypingError as exc:
+        held.append(exc)
+        return None
+    return SUMMARY_RULES[kind](types, *args)
+
+
+def summary(f: MorExpr | Summary) -> Summary:
+    """f's Summary; a tree is typed first, so its first typing error is raised as ``validate`` raises it."""
+    if type(f) is Summary:
+        return f
+    validate(f)
+    return replay(f, summarize, {}, [])
+
+
+def _word(s: Summary) -> BraidWord:
+    if type(s.letters) is not list:
+        raise s.letters
+    dom = s._types[0]
+    return BraidWord(max(1, dom.n_strands), tuple(s.letters), is_module(dom))
+
+
+def extract_braid(f: MorExpr | Summary) -> BraidWord:
     """Underlying braid of a presentation; cylinder word iff f is M-typed.
 
     A word of more than MAX_WORD_LETTERS letters is refused with SizeCapError.
     """
-    dom = domain(f)
-    n = max(1, strand_count(dom))
-    letters = tuple(fold(f, lambda g, kids: LETTER_RULES.get(type(g), unexpected)(g, kids)))
-    return BraidWord(n, letters, is_module(dom))
+    return _word(summary(f))
 
 
 class Verdict(Record):
@@ -166,14 +195,14 @@ def _signature_text(sig: SignedSignature) -> str:
     return f"[{sig.module or '-'} | {strands}]"
 
 
-def check(lhs: MorExpr, rhs: MorExpr, flavor: str) -> Verdict:
-    """Decide whether the diagram lhs = rhs commutes under the given flavor."""
+def check(lhs: MorExpr | Summary, rhs: MorExpr | Summary, flavor: str) -> Verdict:
+    """Decide whether the diagram lhs = rhs, each side a tree or its Summary,
+    commutes under the given flavor.  A word past the cap is refused last."""
     if flavor not in ("monoidal", "braided", "symmetric"):
         raise FlavorError(f"unknown flavor {flavor!r}")
-    sig_dom_l = signature(domain(lhs))
-    sig_dom_r = signature(domain(rhs))
-    sig_cod_l = signature(codomain(lhs))
-    sig_cod_r = signature(codomain(rhs))
+    lhs, rhs = summary(lhs), summary(rhs)
+    sig_dom_l, sig_cod_l = map(signature, lhs._types)
+    sig_dom_r, sig_cod_r = map(signature, rhs._types)
     if sig_dom_l != sig_dom_r or sig_cod_l != sig_cod_r:
         return Verdict(
             NOT_PARALLEL,
@@ -183,12 +212,12 @@ def check(lhs: MorExpr, rhs: MorExpr, flavor: str) -> Verdict:
             ),
         )
     if flavor == "monoidal":
-        if mentions_braiding(lhs) or mentions_braiding(rhs):
+        if lhs.braids or rhs.braids:
             raise FlavorError("a monoidal-flavor diagram mentions sigma or kappa")
         return Verdict(COMMUTES, detail="parallel braiding-free structural isomorphisms")
 
-    wl = extract_braid(lhs)
-    wr = extract_braid(rhs)
+    wl = _word(lhs)
+    wr = _word(rhs)
     if flavor == "braided":
         # Garside normal forms are canonical, so they decide equality.
         nf_l, nf_r = garside_nf(wl), garside_nf(wr)

@@ -22,9 +22,10 @@ codomain) in ``_types``.  Typing is one rule per node kind (``TYPE_RULES``)
 on the children's ``_types``, building every domain and codomain through
 one ``share`` table (see ``objects``): objects are shared within one call,
 so the two sides of a vertical seam are the same node whenever they are
-equal, and no object is built or sort-checked twice.  The parser builds
-each node typed, its fields and ``_types`` written once (``build``);
-``validate`` folds the same rules over a tree built by hand.
+equal, and no object is built or sort-checked twice.  The parser's default
+rule, ``build``, makes each node typed, its fields and ``_types`` written
+once; ``validate`` folds the same rules over a tree built by hand, and
+``replay`` hands a tree's nodes to another rule, as the parser would.
 """
 
 from __future__ import annotations
@@ -269,23 +270,18 @@ def validate(f: MorExpr, table: dict | None = None) -> tuple[ObjectExpr, ObjectE
     return fold(f, types_of, "_types")
 
 
+def replay(f: MorExpr, rule, table: dict, held: list):
+    """f built again bottom up by rule, called as the parser calls it, each
+    child standing for what rule made of it in the node's fields."""
+    return fold(f, lambda g, kids: rule(type(g), kids or g.fields(), table, held))
+
+
 def domain(f: MorExpr) -> ObjectExpr:
     return validate(f)[0]
 
 
 def codomain(f: MorExpr) -> ObjectExpr:
     return validate(f)[1]
-
-
-def mentions_braiding(f: MorExpr) -> bool:
-    """Whether any sigma or kappa instance occurs in the presentation."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Gen) and g.name in ("sigma", "kappa"):
-            return True
-        stack.extend(g.children())
-    return False
 
 
 def _text(f: MorExpr, kids: list) -> str:

@@ -22,13 +22,13 @@ token.  ``_parse`` reads both sorts in one loop over the tokens, from their
 head-word tables (``objects.OBJECT_WORDS``, ``morphisms.KEYWORDS``), and
 keeps the expressions still open on a stack of its own.  Objects are
 shared through one table per call (keyed as ``objects.share`` keys them),
-and each morphism node is built typed by its kind's rule, through that
-table, as it closes (``morphisms.build``): the tree comes out typed in
-one pass.  The first typing error is held and raised by ``parse_mor`` only once the
-whole text has parsed, so a syntax error is reported first (an ill-sorted
-object, and the inners of a ``horiz``, are still refused as they are
-read).  The ``lhs`` and ``rhs`` of a diagram file are parsed in place, so
-their errors give lines and columns in the file.
+and each morphism is made as it closes by a rule, through that table:
+``morphisms.build`` by default, a node typed by its kind's rule, or
+``coherence.summarize``, with which ``coherence check`` builds no tree.  The
+first typing error is held until the whole text has parsed, so a syntax error
+is reported first (an ill-sorted object, and the inners of a ``horiz``, are
+still refused as they are read).  The ``lhs`` and ``rhs`` of a diagram file
+are parsed in place, so their errors give lines and columns in the file.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from itertools import islice
 
 from ..errors import ParseError
 from ..record import Record
-from .morphisms import GENERATORS, KEYWORDS, Gen, Id, MorExpr, build, desugar_horiz, validate
+from .morphisms import GENERATORS, KEYWORDS, Gen, Id, build, desugar_horiz, replay, validate
 from .objects import OBJECT_WORDS, ObjectExpr, share, share_leaf
 
 _TOKEN = re.compile(r"[(),;]|\w+")  # \w is exactly str.isalnum() or '_'
@@ -89,7 +89,7 @@ def _found(tok: str | None) -> str:
     return "end of input" if tok is None else repr(tok)
 
 
-def _parse(tokens: list, is_mor: bool, table: dict, held: list):
+def _parse(tokens: list, is_mor: bool, table: dict, held: list, rule):
     """One object or morphism, the whole token list, which ends in None.
 
     Each open expression is a frame ``(node, arity, of_mor, args)`` on the
@@ -100,10 +100,12 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
     The loop reads one head word: a leaf is a value at once, a head with
     arguments opens a frame.  A value goes to the frames it completes,
     innermost first, until one wants another argument.  Each morphism is
-    built typed as it closes, until held takes a typing error.
+    made as it closes, by ``rule(kind, fields, table, held)``, until held takes a
+    typing error; a horiz by ``build``, its expansion replayed through rule.
     """
     pos = 0
     stack: list[tuple] = []
+    make, tree_depth = rule, -1  # the rule in use; the depth of the horiz read by build, if any
     heads = _HEADS[is_mor]
     get = table.get
     while True:
@@ -116,6 +118,8 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
                 if tokens[pos] != "(":
                     raise _Error(f"expected '(', found {_found(tokens[pos])}", pos)
                 pos += 1
+                if arity is None and make is not build:  # a horiz
+                    make, tree_depth = build, len(stack)
                 stack.append((node, arity, of_mor, []))
                 if len(stack) >= MAX_DEPTH:
                     raise _Error("expression nested too deeply", pos)
@@ -142,7 +146,7 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
                     heads = _HEADS[False]
                     continue
                 pos += 2
-            value = build(Gen, (word, ()), table, held)
+            value = make(Gen, (word, ()), table, held)
         else:
             raise _Error(f"unknown generator {word!r}", pos - 1)
 
@@ -162,7 +166,7 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
                 pos += 1
                 stack.pop()
                 if node not in _OBJECT_NODES:
-                    value = build(node, args, table, held)
+                    value = make(node, args, table, held)
                     continue
                 key = (node, id(args[0]), id(args[1] if arity == 2 else None))  # as share keys it
                 value = get(key)
@@ -182,11 +186,14 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
             if sep == ")":
                 stack.pop()
                 if node != "horiz":
-                    value = build(Gen, (node, tuple(args)), table, held)
+                    value = make(Gen, (node, tuple(args)), table, held)
                     continue
                 value = desugar_horiz(args[0], args[1:], table)
                 if not held:
                     validate(value, table)  # its inners are typed, its new nodes not yet
+                if len(stack) == tree_depth:
+                    make, tree_depth = rule, -1
+                    value = replay(value, rule, table, held)
                 continue
             if not ok:
                 raise _Error(f"expected {wrong}, found {sep!r}", pos - 1)
@@ -198,7 +205,7 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list):
             return value
 
 
-def _run(text: str, is_mor: bool, held: list | None = None):
+def _run(text: str, is_mor: bool, held: list | None = None, rule=build):
     """``_parse`` over the whole text, with a syntax error raised as a
     ParseError; the first typing error, if any, is left in held."""
     # A comment runs to the end of its line, so dropping it moves no other character.
@@ -210,7 +217,7 @@ def _run(text: str, is_mor: bool, held: list | None = None):
     tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace(";", " ; ").split()
     tokens.append(None)
     try:
-        return _parse(tokens, is_mor, {}, [] if held is None else held)
+        return _parse(tokens, is_mor, {}, [] if held is None else held, rule)
     except _Error as exc:
         message, k = exc.args
         raise ParseError(message, *_where(text, tokens[:-1], k)) from None
@@ -220,11 +227,12 @@ def parse_obj(text: str) -> ObjectExpr:
     return _run(text, False)
 
 
-def parse_mor(text: str) -> MorExpr:
-    """Parse a morphism, typed as it is read; a typing error is raised once
+def parse_mor(text: str, rule=build):
+    """Parse a morphism, each node made by rule as it closes (see ``_parse``):
+    by default a tree, typed as it is read.  A typing error is raised once
     the whole text has parsed."""
     held: list = []
-    mor = _run(text, True, held)
+    mor = _run(text, True, held, rule)
     if held:
         raise held[0]
     return mor
@@ -237,8 +245,9 @@ class Diagram(Record):
 FLAVORS = ("monoidal", "braided", "symmetric")
 
 
-def parse_diagram(text: str) -> Diagram:
-    """Parse a diagram file: bindings lhs=..., rhs=..., flavor=... (any order).
+def parse_diagram(text: str, rule=build) -> Diagram:
+    """Parse a diagram file: bindings lhs=..., rhs=..., flavor=... (any order),
+    each side made by rule, as ``parse_mor`` makes it.
 
     A binding's text is blanked up to its ``=`` and keeps every line of the
     file to the next binding, so its parse errors give file positions.
@@ -264,6 +273,6 @@ def parse_diagram(text: str) -> Diagram:
     flavor = " ".join(filter(str.strip, bindings["flavor"])).strip()
     if flavor not in FLAVORS:
         raise ParseError(f"flavor must be one of {FLAVORS}, got {flavor!r}", 1, 1)
-    lhs = parse_mor("\n".join(bindings["lhs"]))
-    rhs = parse_mor("\n".join(bindings["rhs"]))
+    lhs = parse_mor("\n".join(bindings["lhs"]), rule)
+    rhs = parse_mor("\n".join(bindings["rhs"]), rule)
     return Diagram(lhs, rhs, flavor)

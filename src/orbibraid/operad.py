@@ -55,7 +55,7 @@ class SignedOp(Record):
     __slots__ = __match_args__ = ("output", "has_module_input", "eps", "perm")
 
     def __init__(self, output: str, has_module_input: bool, eps: tuple[int, ...], perm: Perm):
-        if has_module_input and output == D:
+        if parse_color(output) == D and has_module_input:
             raise TypingError("no operation targets the free double disk from a pole input")
         if any(e not in (0, 1) for e in eps):
             raise TypingError("eps entries must be 0 or 1")

@@ -294,12 +294,14 @@ def random_mor(
     n_steps: int | None = None,
     m_typed: bool = True,
     max_leaves: int = 6,
+    obj: ObjectExpr | None = None,
 ) -> MorExpr:
-    """A random well-typed structural isomorphism as a chain of basic steps."""
-    if n_leaves is None:
-        n_leaves = rng.randint(0, max_leaves)
-    labels = list(range(1, n_leaves + 1))
-    obj = random_m_object(rng, labels) if m_typed else random_a_object(rng, labels)
+    """A random well-typed structural isomorphism as a chain of basic steps, from obj if given."""
+    if obj is None:
+        if n_leaves is None:
+            n_leaves = rng.randint(0, max_leaves)
+        labels = list(range(1, n_leaves + 1))
+        obj = random_m_object(rng, labels) if m_typed else random_a_object(rng, labels)
     if n_steps is None:
         n_steps = rng.randint(1, 8)
     mor: MorExpr = Id(obj)

@@ -834,3 +834,28 @@ def test_diagram_just_past_the_word_cap_exits_two(tmp_path):
     assert json.loads(proc.stdout)["payload"] == {
         "error": f"SizeCapError: underlying braid word of 1000001 letters exceeds the cap of {MAX_WORD_LETTERS}"
     }
+
+
+# An underlying word of 4 letters, past the cap of 3 that the test below sets.
+OVER_CAP = "sigma(tensor(X1, X2), tensor(X3, X4))"
+
+# (flavor, lhs, rhs, exit code, what the report says first): each refusal that
+# comes before the word cap, with a word past the cap earlier in the text, and
+# last the cap itself.
+BEFORE_THE_WORD_CAP = {
+    "syntax": ("braided", f"vert({OVER_CAP}, id(tensor(X3, X4) X1))", OVER_CAP, 2, "ParseError: expected ')'"),
+    "typing": ("braided", f"tens({OVER_CAP}, alpha(M, X5, X6))", OVER_CAP, 2, "TypingError: alpha parameter M"),
+    "not-parallel": ("braided", OVER_CAP, "id(X1)", 1, "NOT_PARALLEL"),
+    "monoidal": ("monoidal", OVER_CAP, OVER_CAP, 2, "FlavorError: a monoidal-flavor diagram mentions"),
+    "the-cap": ("braided", OVER_CAP, OVER_CAP, 2, "SizeCapError: underlying braid word of 4 letters exceeds the cap of 3"),
+}
+
+
+@pytest.mark.parametrize("flavor, lhs, rhs, exit_code, first", BEFORE_THE_WORD_CAP.values(), ids=BEFORE_THE_WORD_CAP)
+def test_refusals_come_before_a_word_past_the_cap(capsys, monkeypatch, tmp_path, flavor, lhs, rhs, exit_code, first):
+    monkeypatch.setattr("orbibraid.coherence.MAX_WORD_LETTERS", 3)
+    f = tmp_path / "order.diag"
+    f.write_text(f"flavor = {flavor}\nlhs = {lhs}\nrhs = {rhs}\n")
+    code, doc = run_json(capsys, "coherence", "check", str(f))
+    assert code == exit_code
+    assert doc["payload"].get("error", doc["payload"].get("status")).startswith(first), doc

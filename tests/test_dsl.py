@@ -33,7 +33,7 @@ from orbibraid.dsl import (
     strand_count,
     validate,
 )
-from orbibraid.coherence import LETTER_RULES, extract_braid
+from orbibraid.coherence import SUMMARY_RULES, extract_braid
 from orbibraid.dsl.morphisms import TYPE_RULES, ActMor, MorExpr, PhiMor
 from orbibraid.dsl.parser import _run
 from orbibraid.errors import ParseError, TypingError
@@ -340,7 +340,7 @@ def test_parsed_nodes_and_objects_refuse_every_assignment():
 def test_every_node_kind_has_a_typing_rule_and_a_letter_rule():
     kinds = {kind for kind in MorExpr.__subclasses__() if kind.__module__ == "orbibraid.dsl.morphisms"}
     assert kinds == set(NODE_KINDS)
-    assert set(TYPE_RULES) == set(LETTER_RULES) == kinds
+    assert set(TYPE_RULES) == set(SUMMARY_RULES) == kinds
 
     class Unknown(MorExpr):
         __slots__ = ()

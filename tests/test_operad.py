@@ -73,6 +73,11 @@ def test_signed_op_invariants():
         SignedOp(D, False, (0, 1), (0,))
     with pytest.raises(TypingError, match="perm is not a permutation"):
         SignedOp(D, False, (0, 0), (0, 0))
+    # An output colour that parse_signed_op would refuse to read back.
+    with pytest.raises(TypingError, match="unknown color 'X'"):
+        SignedOp("X", False, (), ())
+    with pytest.raises(TypingError, match="unknown color 'X'"):
+        classify(0, "X", [])
     # A colour list is read only from text, and its shape is checked there.
     with pytest.raises(TypingError, match="no operation targets"):
         parse_signed_op("op D [Dstar] eps= perm=")

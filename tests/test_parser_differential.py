@@ -8,6 +8,11 @@ or fail with the same error: type, message, line and column.  At
 the nesting limit, where the recursive parser's refusal point depends on
 its stack, the outcomes it gave on a fresh thread are pinned as literals,
 the ones the one-loop parser's ``MAX_DEPTH`` reproduces.
+
+The parse that ``coherence check`` runs, with ``coherence.summarize`` as its
+rule, reads the same texts to the summary ``coherence.summary`` folds from
+the tree, or fails with the tree parse's error; ``check`` gives the same
+verdict on summaries as on trees.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from itertools import islice
 import pytest
 
 from helpers import random_a_object, random_mor, seeded_rng
-from orbibraid.dsl import mor_text, obj_text, parse_mor, parse_obj
+from orbibraid.coherence import COMMUTES, NOT_COMMUTES, NOT_PARALLEL, Verdict, check, summarize, summary
+from orbibraid.dsl import domain, mor_text, obj_text, parse_diagram, parse_mor, parse_obj
 from orbibraid.dsl.morphisms import GENERATORS, KEYWORDS, Gen, Id, desugar_horiz, validate
 from orbibraid.dsl.objects import OBJECT_WORDS, ALeaf
+from orbibraid.dsl.parser import FLAVORS
 from orbibraid.errors import OrbibraidError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -162,6 +169,21 @@ def outcome(parse, text: str):
     return (mor_text if parse in (parse_mor, seed_parse_mor) else obj_text)(tree)
 
 
+def read_summary(s) -> tuple:
+    """What check reads of a summary: its types as text, its letters, whether it mentions a braiding."""
+    return tuple(map(obj_text, s._types)), tuple(s.letters), s.braids
+
+
+def assert_summary_parse_agrees(text: str, want) -> None:
+    """The summary-rule parse of text fails as want, the tree parse's outcome,
+    says, or reads what ``summary`` folds from the tree."""
+    try:
+        got = read_summary(parse_mor(text, summarize))
+    except OrbibraidError as exc:
+        got = error_outcome(exc)
+    assert got == (want if type(want) is tuple else read_summary(summary(parse_mor(text)))), text
+
+
 def outcome_on_a_new_thread(parse, text: str):
     """outcome(parse, text), for a morphism parser, on a thread of its own,
     whose stack starts at the same depth whoever calls."""
@@ -225,6 +247,7 @@ def test_random_morphisms_parse_to_equal_trees():
     rng = seeded_rng(31)
     for text in random_texts(rng):
         assert parse_mor(text) == seed_parse_mor(text), text
+        assert_summary_parse_agrees(text, mor_text(parse_mor(text)))
 
 
 def test_mutated_morphisms_fail_alike():
@@ -234,6 +257,7 @@ def test_mutated_morphisms_fail_alike():
         for mutant in mutants(rng, text, 12):
             want = outcome(seed_parse_mor, mutant)
             assert outcome(parse_mor, mutant) == want, mutant
+            assert_summary_parse_agrees(mutant, want)
             if type(want) is tuple and want[0] == "ParseError":
                 seen.add(re.sub(r"'[^']*'$", "<token>", want[1].split(" (line")[0]))
     # the mutants reach most of the parser's raise sites, not just one
@@ -372,6 +396,7 @@ def test_ill_typed_mutants_fail_alike():
             mutant = " ".join(tokens)
             want = outcome(seed_parse_mor, mutant)
             assert outcome(parse_mor, mutant) == want, mutant
+            assert_summary_parse_agrees(mutant, want)
             if type(want) is not tuple or want[0] != "TypingError":
                 continue
             kinds.add(typing_kind(want[1]))
@@ -379,6 +404,7 @@ def test_ill_typed_mutants_fail_alike():
                 mutant = " ".join(break_at(rng, tokens, rng.randrange(last + 1, len(tokens))))
                 broken = outcome(seed_parse_mor, mutant)
                 assert outcome(parse_mor, mutant) == broken, mutant
+                assert_summary_parse_agrees(mutant, broken)
                 syntax_first += type(broken) is tuple and broken[0] == "ParseError"
     assert len(kinds) >= 5, kinds
     assert syntax_first >= 10, syntax_first
@@ -425,3 +451,32 @@ def test_injected_stray_characters_fail_alike():
             assert outcome(parse_mor, injected) == want, repr(injected)
             refused += type(want) is tuple and want[1].startswith("unexpected character")
     assert refused >= 3 * 50, refused
+
+
+def verdict_or_error(lhs, rhs, flavor: str):
+    try:
+        return check(lhs, rhs, flavor)
+    except OrbibraidError as exc:
+        return error_outcome(exc)
+
+
+def test_check_gives_the_same_verdict_on_summaries_as_on_trees(diagram_dir):
+    # Pairs of random routes from one object, under every flavor; then the
+    # bundled diagrams and the horiz fixture of the CLI's report pins.
+    from test_cli import WRITTEN_DIAGRAMS
+
+    rng = seeded_rng(38)
+    seen = set()
+    for _ in range(60):
+        f = random_mor(rng, m_typed=rng.random() < 0.5)
+        lhs, rhs = mor_text(f), mor_text(random_mor(rng, obj=domain(f)))
+        for flavor in FLAVORS:
+            want = verdict_or_error(parse_mor(lhs), parse_mor(rhs), flavor)
+            assert verdict_or_error(parse_mor(lhs, summarize), parse_mor(rhs, summarize), flavor) == want
+            seen.add(want.status if type(want) is Verdict else want[0])
+    assert seen == {COMMUTES, NOT_COMMUTES, NOT_PARALLEL, "FlavorError"}, seen
+    texts = [path.read_text() for path in sorted(diagram_dir.glob("*.diag"))]
+    assert len(texts) == 10
+    for text in texts + [WRITTEN_DIAGRAMS["horiz.diag"]]:
+        trees, summaries = parse_diagram(text), parse_diagram(text, summarize)
+        assert check(*summaries.fields()) == check(*trees.fields()), text
