@@ -14,7 +14,7 @@ separately.
 
 from __future__ import annotations
 
-from ..errors import ArityError, MalformedWordError
+from ..errors import MAX_INDEX_DIGITS, ArityError, MalformedWordError
 from ..record import Record
 
 KAPPA = 0
@@ -49,6 +49,8 @@ class BraidWord(Record):
             if tok in ("k", "K") and cyl:
                 letters.append((KAPPA, 1 if tok == "k" else -1))
             elif tok[:1] in ("s", "S") and tok[1:].isdecimal():
+                if len(tok) > MAX_INDEX_DIGITS + 1:
+                    raise MalformedWordError(f"an index has at most {MAX_INDEX_DIGITS} digits, found {len(tok) - 1}")
                 letters.append((int(tok[1:]), 1 if tok[0] == "s" else -1))
             else:
                 raise MalformedWordError(f"unrecognised braid token {tok!r}")

@@ -30,6 +30,7 @@ from .braid.garside import garside_nf
 from .braid.words import KAPPA, BraidWord, Letter, strand_ends
 from .dsl.morphisms import TYPE_RULES, ActMor, Gen, Id, Inv, MorExpr, PhiMor, TensorMor, Vert, replay, validate
 from .dsl.objects import SignedSignature, is_module, signature
+from .dsl.parser import FLAVORS
 from .errors import FlavorError, SizeCapError, TypingError
 from .record import Record
 
@@ -198,7 +199,7 @@ def _signature_text(sig: SignedSignature) -> str:
 def check(lhs: MorExpr | Summary, rhs: MorExpr | Summary, flavor: str) -> Verdict:
     """Decide whether the diagram lhs = rhs, each side a tree or its Summary,
     commutes under the given flavor.  A word past the cap is refused last."""
-    if flavor not in ("monoidal", "braided", "symmetric"):
+    if flavor not in FLAVORS:
         raise FlavorError(f"unknown flavor {flavor!r}")
     lhs, rhs = summary(lhs), summary(rhs)
     sig_dom_l, sig_cod_l = map(signature, lhs._types)

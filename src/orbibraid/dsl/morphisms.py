@@ -14,8 +14,8 @@ it reads each ``horiz`` (``mor_text`` of a parsed ``horiz`` renders its
 expansion).
 
 Every pass over a tree, equality, hashing, repr and pickle included, is a
-post-order ``fold`` or a walk on an explicit stack, so the depth of a tree
-is not limited by the interpreter's recursion limit.
+post-order ``fold`` on an explicit stack, so the depth of a tree is not
+limited by the interpreter's recursion limit.
 
 Nodes are records (``record.Record``), each keeping its (domain,
 codomain) in ``_types``.  Typing is one rule per node kind (``TYPE_RULES``)

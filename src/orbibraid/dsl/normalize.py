@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..errors import TypingError
 from .morphisms import ActMor, Gen, Id, Inv, MorExpr, PhiMor, TensorMor, Vert, fold
-from .objects import Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor, strand_count
+from .objects import Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor
 
 
 def _chain(*steps: MorExpr) -> MorExpr:
@@ -55,7 +55,7 @@ def _expand_sigma(x: ObjectExpr, y: ObjectExpr) -> MorExpr | None:
         return _chain(Gen("lambda", (y,)), Inv(Gen("rho", (y,))))
     if isinstance(y, AUnit):
         return _chain(Gen("rho", (x,)), Inv(Gen("lambda", (x,))))
-    if strand_count(x) != 1:
+    if x.n_strands != 1:
         if isinstance(x, Tensor):
             u, v = x.left, x.right
             return _chain(
@@ -70,7 +70,7 @@ def _expand_sigma(x: ObjectExpr, y: ObjectExpr) -> MorExpr | None:
             raise TypingError(f"cannot split braiding argument {x!r}")
         to, back, x2 = unwrapped
         return _chain(TensorMor(to, Id(y)), _sigma(x2, y), TensorMor(Id(y), back))
-    if strand_count(y) != 1:
+    if y.n_strands != 1:
         if isinstance(y, Tensor):
             u, v = y.left, y.right
             return _chain(
@@ -109,7 +109,7 @@ def _expand_kappa(m: ObjectExpr, x: ObjectExpr) -> MorExpr | None:
             Inv(Gen("r", (m,))),
             ActMor(Id(m), Inv(Gen("phi0", ()))),
         )
-    if strand_count(x) == 1:
+    if x.n_strands == 1:
         return None
     if isinstance(x, Tensor):
         u, v = x.left, x.right

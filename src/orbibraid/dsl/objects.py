@@ -15,11 +15,11 @@ build their objects through one ``share`` table, keyed by node type and
 the identity of each child, so equal objects read or typed in that call
 are one node and each distinct node runs its sort checks once.  The table
 lives only as long as the call.  Every walk over an object (signature,
-text, equality, hash, repr, pickle) runs on an explicit stack, so depth
-costs no interpreter frames.  Each node gets its strand count
-``n_strands`` as it is built; the strand sequences are built only for a
-signature (built eagerly, a deep comb would hold quadratically many
-strands).
+text, hash, repr, the ``tree_key`` that equality and pickle read) is one
+post-order ``fold`` on an explicit stack, so depth costs no interpreter
+frames.  Each node gets its strand count ``n_strands`` as it is built; the
+strand sequence is folded only when a signature asks for it (kept on every
+node, a deep comb would hold quadratically many strands).
 """
 
 from __future__ import annotations
@@ -50,20 +50,24 @@ def _repr_rule(node, kids: list) -> str:
     return f"{type(node).__name__}({', '.join(f'{n}={t}' for n, t in fields)})"
 
 
+def tree_key(t) -> tuple:
+    """The tree as a flat post-order tuple of (class, scalar fields, child indices), each
+    distinct subtree listed once, so equal trees have equal keys however their nodes are
+    shared.  A node with children has no other fields; a morphism leaf's objects are fields."""
+    entries: dict = {}
+
+    def listed(node, kids: list) -> int:
+        return entries.setdefault((type(node), () if kids else node.fields(), tuple(kids)), len(entries))
+
+    fold(t, listed)
+    return tuple(entries)
+
+
 def tree_eq(a, b):
-    """``a == b`` for objects and morphisms as ``Record.__eq__`` decides it, on an explicit
-    stack (``tree_hash`` and ``tree_repr`` fold one); identical subtrees are not descended."""
+    """``a == b`` for objects and morphisms, as ``Record.__eq__`` decides it."""
     if type(b) is not type(a):
         return NotImplemented
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is not y:
-            kids = x.children()
-            if type(x) is not type(y) or not kids and x.fields() != y.fields():
-                return False
-            stack.extend(zip(kids, y.children()))
-    return True
+    return a is b or tree_key(a) == tree_key(b)
 
 
 def tree_hash(t) -> int:
@@ -75,23 +79,13 @@ def tree_repr(t) -> str:
 
 
 def tree_reduce(t):
-    """``__reduce__`` for objects and morphisms: the tree as a flat post-order list of
-    (class, scalar fields, child indices), which pickles and rebuilds without recursion.
-
-    A node with children has no other fields.  The objects a morphism leaf holds
-    are its fields, and pickle writes each as a flat list of its own.
-    """
-    entries: list = []
-
-    def listed(node, kids: list) -> int:
-        entries.append((type(node), () if kids else node.fields(), tuple(kids)))
-        return len(entries) - 1
-
-    fold(t, listed)
-    return _rebuild_tree, (entries,)
+    """``__reduce__`` for objects and morphisms: the ``tree_key``, which pickles and rebuilds
+    without recursion, one node per distinct subtree; pickle writes the objects a
+    morphism leaf holds each as a key of its own."""
+    return _rebuild_tree, (tree_key(t),)
 
 
-def _rebuild_tree(entries: list):
+def _rebuild_tree(entries: tuple):
     nodes: list = []
     for kind, fields, kids in entries:
         nodes.append(kind(*fields, *map(nodes.__getitem__, kids)))
@@ -101,13 +95,12 @@ def _rebuild_tree(entries: list):
 class ObjectExpr(Record):
     """Base class for object trees; the nullary nodes build through its constructor."""
 
-    __slots__ = ("n_strands", "_strand_cache")  # the strand count, and the strands once a signature needs them
+    __slots__ = ("n_strands",)  # the strand count, set as the node is built
     __eq__, __hash__, __repr__, __reduce__ = tree_eq, tree_hash, tree_repr, tree_reduce
     __copy__ = __deepcopy__ = lambda self, memo=None: self  # an immutable node is its own copy
 
     def __init__(self):
         set_slot(self, "n_strands", 0)
-        set_slot(self, "_strand_cache", None)
 
     def children(self) -> tuple[ObjectExpr, ...]:
         return ()
@@ -121,7 +114,6 @@ class ALeaf(ObjectExpr):
             raise TypingError("generator labels are positive integers")
         set_slot(self, "index", index)
         set_slot(self, "n_strands", 1)
-        set_slot(self, "_strand_cache", None)
 
 
 class AUnit(ObjectExpr):
@@ -149,7 +141,6 @@ class Tensor(ObjectExpr):
         if is_module(left) or is_module(right):
             raise TypingError(f"tensor factors must be A-typed in {obj_text(self)}")
         set_slot(self, "n_strands", left.n_strands + right.n_strands)
-        set_slot(self, "_strand_cache", None)
 
     def children(self):
         return (self.left, self.right)
@@ -163,7 +154,6 @@ class Phi(ObjectExpr):
         if is_module(child):
             raise TypingError(f"the involution applies to A-typed objects only in {obj_text(self)}")
         set_slot(self, "n_strands", child.n_strands)
-        set_slot(self, "_strand_cache", None)
 
     def children(self):
         return (self.child,)
@@ -180,7 +170,6 @@ class Act(ObjectExpr):
         if is_module(algebra):
             raise TypingError(f"action expects an A-typed right argument in {obj_text(self)}")
         set_slot(self, "n_strands", module.n_strands + algebra.n_strands)
-        set_slot(self, "_strand_cache", None)
 
     def children(self):
         return (self.module, self.algebra)
@@ -266,21 +255,12 @@ def _strand_rule(o: ObjectExpr, kids: list) -> tuple[tuple[int, int], ...]:
     raise TypingError(f"unknown object node {o!r}")
 
 
-def _strands(o: ObjectExpr) -> tuple[tuple[int, int], ...]:
-    cached = o._strand_cache
-    return cached if cached is not None else fold(o, _strand_rule, "_strand_cache")
-
-
 def signature(o: ObjectExpr) -> SignedSignature:
     walk = o
     while isinstance(walk, Act):
         walk = walk.module
     marker = _WORD_OF[type(walk)] if isinstance(walk, (MLeaf, MUnit)) else None
-    return SignedSignature(marker, _strands(o))
-
-
-def strand_count(o: ObjectExpr) -> int:
-    return o.n_strands
+    return SignedSignature(marker, fold(o, _strand_rule))
 
 
 def _text_rule(o: ObjectExpr, kids: list) -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from ..errors import ParseError
+from ..errors import MAX_INDEX_DIGITS, ParseError
 from ..record import Record
 from .morphisms import GENERATORS, KEYWORDS, Gen, Id, build, desugar_horiz, replay, validate
 from .objects import OBJECT_WORDS, ObjectExpr, share, share_leaf
@@ -135,6 +135,8 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list, rule):
             if value is None:
                 if word[0] != "X" or not word[1:].isdecimal():
                     raise _Error(f"unknown object {word!r}", pos - 1)
+                if len(word) > MAX_INDEX_DIGITS + 1:
+                    raise _Error(f"a label has at most {MAX_INDEX_DIGITS} digits, found {len(word) - 1}", pos - 1)
                 value = table[word] = share_leaf(table, int(word[1:]))
         elif word in GENERATORS:
             if tokens[pos] == "(":

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all subpackages."""
+"""Exception hierarchy shared by all subpackages, and the digit cap on the integers they read."""
+
+MAX_INDEX_DIGITS = 4300  # of a label or index: the most int() reads by default on every supported Python
 
 
 class OrbibraidError(Exception):

@@ -116,7 +116,7 @@ def classify(k: int, output: str, input_colors) -> list[SignedOp]:
     of them is the pole input.  More than MAX_DISK_INPUTS disk inputs are
     refused before any class is built.
     """
-    input_colors = tuple(input_colors)
+    output, input_colors = parse_color(output), tuple(map(parse_color, input_colors))
     if k != len(input_colors):
         raise ArityError(f"arity {k} does not match {len(input_colors)} input colors")
     poles = input_colors.count(DSTAR)

@@ -3,11 +3,12 @@
 A record's fields are slots, named in order by ``__match_args__``;
 equality, hashing and repr go by the fields, as a frozen dataclass's do,
 and every assignment or deletion raises ``FrozenInstanceError``.  A class
-may hold more slots than fields (a strand cache, typings), which no
-comparison reads; constructors write every slot with ``set_slot``.
-pickle rebuilds a record through ``__init__`` from its fields, so a copy
-has passed the constructor's checks and holds no cache; copy does too,
-but a DSL node, immutable, is its own copy (``dsl.objects``).
+may hold more slots than fields (an object's strand count, a morphism's
+types), which no comparison reads; constructors write every slot with
+``set_slot``.  pickle rebuilds a record through ``__init__`` from its
+fields (a DSL tree from its ``tree_key``, one node per distinct subtree),
+so a copy has passed the constructor's checks and holds no cache; copy
+does too, but a DSL node, immutable, is its own copy (``dsl.objects``).
 """
 
 from __future__ import annotations

@@ -19,19 +19,7 @@ from __future__ import annotations
 
 from ..dsl.morphisms import ActMor, Gen, Id, Inv, MorExpr, PhiMor, TensorMor, Vert, domain, fold, unexpected
 from ..dsl.normalize import normalize_presentation
-from ..dsl.objects import (
-    ALeaf,
-    AUnit,
-    MLeaf,
-    MUnit,
-    ObjectExpr,
-    Phi,
-    Tensor,
-    is_module,
-    obj_text,
-    signature,
-    strand_count,
-)
+from ..dsl.objects import ALeaf, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor, is_module, obj_text, signature
 from ..errors import TypingError, UnsupportedGeneratorError
 from .checks import _check_dim
 from .qmatrix import QMatrix
@@ -48,7 +36,7 @@ def _state(o: ObjectExpr) -> int:
 
 def _odd(o: ObjectExpr) -> tuple[int, ...]:
     """State 1 on every strand of o: the states the involution twists o's legs by."""
-    return (1,) * strand_count(o)
+    return (1,) * o.n_strands
 
 
 def _dim(data: RepData, o: ObjectExpr) -> int:
@@ -128,5 +116,5 @@ def eval_mor(data: RepData, f: MorExpr) -> QMatrix:
     A domain past MAX_REP_DIM rows is refused with DimensionError before any matrix is built.
     """
     dom = domain(f)
-    _check_dim(data.m if is_module(dom) else 1, data.d, strand_count(dom))
+    _check_dim(data.m if is_module(dom) else 1, data.d, dom.n_strands)
     return _eval(data, f)

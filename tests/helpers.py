@@ -30,7 +30,6 @@ from orbibraid.dsl import (
     Vert,
     codomain,
     is_module,
-    strand_count,
 )
 from orbibraid.errors import ArityError, TypingError
 from orbibraid.operad import D, DSTAR, SignedOp
@@ -307,7 +306,7 @@ def random_mor(
     mor: MorExpr = Id(obj)
     cur = obj
     for _ in range(n_steps):
-        allow_growth = _size(cur) < 4 * (strand_count(cur) + 2)
+        allow_growth = _size(cur) < 4 * (cur.n_strands + 2)
         steps = applicable_steps(cur, allow_growth)
         if not steps:
             break

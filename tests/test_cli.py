@@ -859,3 +859,8 @@ def test_refusals_come_before_a_word_past_the_cap(capsys, monkeypatch, tmp_path,
     code, doc = run_json(capsys, "coherence", "check", str(f))
     assert code == exit_code
     assert doc["payload"].get("error", doc["payload"].get("status")).startswith(first), doc
+
+
+def test_a_braid_index_past_the_digit_cap_exits_two(capsys):
+    code, doc = run_json(capsys, "braid", "nf", "-n", "3", "s" + "1" * 5000)
+    assert code == 2 and doc["payload"]["error"] == "MalformedWordError: an index has at most 4300 digits, found 5000"

@@ -30,7 +30,6 @@ from orbibraid.dsl import (
     parse_mor,
     parse_obj,
     signature,
-    strand_count,
     validate,
 )
 from orbibraid.coherence import SUMMARY_RULES, extract_braid
@@ -124,8 +123,8 @@ def _all_braidings_single_strand(f):
     if isinstance(f, Gen):
         if f.name in ("sigma", "kappa"):
             if f.name == "sigma":
-                return strand_count(f.params[0]) == 1 and strand_count(f.params[1]) == 1
-            return isinstance(f.params[0], (MLeaf, MUnit)) and strand_count(f.params[1]) == 1
+                return f.params[0].n_strands == 1 and f.params[1].n_strands == 1
+            return isinstance(f.params[0], (MLeaf, MUnit)) and f.params[1].n_strands == 1
         return True
     if isinstance(f, (Id,)):
         return True
@@ -308,9 +307,9 @@ def test_strand_count_is_the_signature_length_however_the_object_was_built():
     objects += [chain, level[0], Act(Act(MUnit(), chain), level[0]), parse_obj(balanced_tensor_text(1, 1200))]
     for whole in objects:
         for o in every_subobject(whole):
-            assert strand_count(o) == len(signature(o).strands)
-    assert strand_count(chain) == 1 and signature(chain).strands == ((7, 1),)
-    assert strand_count(objects[-2]) == 1201
+            assert o.n_strands == len(signature(o).strands)
+    assert chain.n_strands == 1 and signature(chain).strands == ((7, 1),)
+    assert objects[-2].n_strands == 1201
 
 
 NODE_KINDS = (Id, Gen, Inv, Vert, TensorMor, ActMor, PhiMor)

@@ -48,6 +48,11 @@ def test_classify_counts_and_emptiness():
         assert got == want
     with pytest.raises(ArityError):
         classify(2, D, [D])
+    # Fixed: an unknown input colour was taken for D, an unknown output gave no classes.
+    with pytest.raises(TypingError, match="unknown color 'Y'"):
+        classify(1, D, ["Y"])
+    with pytest.raises(TypingError, match="unknown color 'X'"):
+        classify(2, "X", [DS, DS])
 
 
 def _fact(k):

@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from orbibraid.cli import main
-from orbibraid.dsl import parse_diagram, parse_mor, parse_obj
+from orbibraid.dsl import obj_text, parse_diagram, parse_mor, parse_obj
 from orbibraid.errors import ParseError, TypingError
 
 ROUTE_AFTER_A_COMMENT = (
@@ -77,6 +77,15 @@ PARSE_ERRORS = {
     # Fixed: int() of the label raised a ValueError with no position.
     "label-with-a-non-decimal-digit": (parse_obj, "X²", "unknown object 'X²'", 1, 1),
     "label-with-a-non-decimal-digit-in-a-morphism": (parse_mor, "sigma(X1; X²)", "unknown object 'X²'", 1, 11),
+    # Fixed: int() of a label past sys.get_int_max_str_digits() raised a ValueError with no position.
+    "label-past-the-digit-cap": (parse_obj, "X" + "9" * 5000, "a label has at most 4300 digits, found 5000", 1, 1),
+    "label-past-the-digit-cap-in-a-diagram": (
+        parse_diagram,
+        "flavor = braided\nlhs = id(X1)\nrhs = id(tensor(X1,\n  X" + "0" * 4301 + "))\n",
+        "a label has at most 4300 digits, found 4301",
+        4,
+        3,
+    ),
     # Fixed: these were (line 2, column 24) and (line 1, column 13), counted
     # from the start of the binding rather than of the file.
     "diagram-error-on-a-later-line": (parse_diagram, ROUTE_AFTER_A_COMMENT, "expected ')', found 'X3'", 5, 24),
@@ -157,3 +166,18 @@ def test_empty_binding_is_reported_on_its_own_line(capsys, tmp_path):
     f.write_text(EMPTY_BINDING)
     assert main(["coherence", "check", str(f), "--json"]) == 2
     assert json.loads(capsys.readouterr().out)["payload"]["error"] == f"ParseError: {message}"
+
+
+def test_a_label_past_the_digit_cap_is_refused_whatever_the_int_limit(int_digit_limit):
+    for key in ("label-past-the-digit-cap", "label-past-the-digit-cap-in-a-diagram"):
+        test_parse_error_message_and_position(*PARSE_ERRORS[key])
+
+
+def test_a_label_at_the_digit_cap_reads_and_one_past_it_is_refused_by_the_cli(capsys, tmp_path):
+    label = "X" + "7" * 4300
+    assert obj_text(parse_obj(f"Phi({label})")) == f"Phi({label})"
+    f = tmp_path / "long-label.diag"
+    f.write_text(f"flavor = monoidal\nlhs = id({label}7)\nrhs = id({label}7)\n")
+    assert main(["coherence", "check", str(f), "--json"]) == 2
+    error = "ParseError: a label has at most 4300 digits, found 4301 (line 2, column 10)"
+    assert json.loads(capsys.readouterr().out)["payload"]["error"] == error

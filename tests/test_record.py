@@ -33,7 +33,6 @@ def records() -> list:
     nf = garside_nf(BraidWord.from_text(3, "s1 s2 S1 s2 s2"))
     matrix = rep.sigma[0] * rep.kappa
     tensor = Tensor(Phi(ALeaf(2)), ALeaf(1))
-    signature(tensor)  # fills the strand cache
     mor = parse_mor("vert(inv(act(id(M), inv(lambda(Phi(tensor(X2, X1)))))), act(id(M), tens(phi0, phi(sigma(X1, X2)))))")
     nodes = {}
     stack = [mor]
@@ -114,8 +113,8 @@ def test_copy_deepcopy_and_pickle_round_trip(r):
     assert (copy.copy(r) is r, copy.deepcopy(r) is r) == (tree, tree)
     for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert type(copied) is type(r) and copied == r and not copied != r
-        if copied is not r:
-            assert all(getattr(copied, name) is None for name in ("_types", "_strand_cache") if name in slots(r))
+        if copied is not r and "_types" in slots(r):
+            assert copied._types is None
         if hashable:
             assert hash(copied) == hash(r)
 
@@ -172,6 +171,24 @@ def test_a_hand_built_ill_typed_tree_of_five_thousand_levels_pickles():
     assert copy.deepcopy([chain])[0] is chain
     with pytest.raises(TypingError):
         validate(loaded)
+
+
+@pytest.mark.parametrize(
+    "part, whole",
+    [
+        (lambda: Phi(Tensor(ALeaf(1), ALeaf(2))), Tensor),
+        (lambda: PhiMor(Gen("sigma", (ALeaf(1), ALeaf(1)))), Vert),
+    ],
+    ids=["Tensor", "Vert"],
+)
+def test_a_shared_subtree_and_its_copies_are_one_tree(part, whole):
+    node = part()
+    shared, copies = whole(node, node), whole(part(), part())
+    assert shared == copies and copies == shared and not shared != copies
+    assert hash(shared) == hash(copies) and {shared: 1}[copies] == 1 and {copies: 2}[shared] == 2
+    for tree in (shared, copies):
+        left, right = pickle.loads(pickle.dumps(tree)).children()
+        assert left is right and left == part()
 
 
 def test_records_of_different_classes_or_fields_differ():

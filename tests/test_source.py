@@ -3,8 +3,9 @@ depth is bounded by explicit caps, never by the recursion limit; a module
 outside a package's __init__ uses every name it imports; a package's __all__
 lists exactly what its __init__ imports relatively or defines; each layer
 imports only from the layers below it; no code reads an object's __dict__;
-values are records, not dataclasses, and importing the CLI loads neither
-dataclasses nor the modules it pulls in."""
+a DSL node holds no cache but its strand count or its types; values are
+records, not dataclasses, and importing the CLI loads neither dataclasses
+nor the modules it pulls in."""
 
 import ast
 import subprocess
@@ -56,6 +57,35 @@ def test_no_dict_attribute_access_in_src():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.Attribute) and node.attr == "__dict__"
     ]
+    assert found == []
+
+
+def test_dsl_nodes_hold_no_slot_beyond_their_fields_but_strand_count_or_types():
+    # An object keeps the strand count it is built with, a morphism its (domain,
+    # codomain); any other per-node cache would keep what a fold recomputes.
+    allowed = {"objects.py": ("ObjectExpr", {"n_strands"}), "morphisms.py": ("MorExpr", {"_types"})}
+    checked, found = 0, []
+    for name, (root, kept) in allowed.items():
+        tree = ast.parse((SRC / "orbibraid" / "dsl" / name).read_text(encoding="utf-8"))
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        for node in classes.values():
+            base = node
+            while base is not None and base.name != root:
+                base = next((classes[b.id] for b in base.bases if isinstance(b, ast.Name) and b.id in classes), None)
+            if base is None:
+                continue
+            checked += 1
+            declared = {}
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    for target in stmt.targets:
+                        if isinstance(target, ast.Name) and target.id in ("__slots__", "__match_args__"):
+                            declared[target.id] = set(ast.literal_eval(stmt.value))
+            if "__slots__" not in declared:
+                found.append(f"{name}:{node.lineno} {node.name} declares no __slots__")
+            elif declared["__slots__"] - declared.get("__match_args__", set()) - kept:
+                found.append(f"{name}:{node.lineno} {node.name} slots {sorted(declared['__slots__'])}")
+    assert checked == 16
     assert found == []
 
 

@@ -29,6 +29,14 @@ def test_malformed_words_rejected():
         BraidWord(0, ())
 
 
+def test_an_index_past_the_digit_cap_is_malformed(int_digit_limit):
+    # Fixed: int() raised its own ValueError, past sys.get_int_max_str_digits() only.
+    with pytest.raises(MalformedWordError, match="an index has at most 4300 digits, found 5000"):
+        BraidWord.from_text(3, "s" + "1" * 5000)
+    with pytest.raises(MalformedWordError, match="sigma index 1{4300} out of range for 3 strands"):
+        BraidWord.from_text(3, "S" + "1" * 4300)
+
+
 def test_a_word_without_a_group_is_an_ordinary_braid_word():
     w = BraidWord(2, ((1, 1),))
     assert w.cyl is False and w == BraidWord(2, ((1, 1),), False) and w.group() == "B_2"
