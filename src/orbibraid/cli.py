@@ -21,7 +21,7 @@ from .braid import BraidWord, braid_eq, garside_nf
 from .coherence import COMMUTES, check, summarize
 from .dsl import parse_diagram
 from .errors import OrbibraidError
-from .operad import compose, classify, parse_color, parse_signed_op
+from .operad import compose, classify, parse_color, parse_ranks, parse_signed_op
 from .record import Record
 from .reflect import RepData, build_cyl_rep, eval_braid, reflection_check, yang_baxter_check
 from .reflect.checks import BRAID_RELATION, KAPPA_RELATION
@@ -87,10 +87,7 @@ def _cmd_operad(args) -> tuple[str, dict]:
         return "ok", {"count": len(ops), "classes": [op.to_text() for op in ops]}
     g = parse_signed_op(args.outer)
     fs = [parse_signed_op(text) for text in args.inner]
-    outer_perm = None
-    if args.outer_perm:
-        outer_perm = tuple(int(v) - 1 for v in args.outer_perm.split())
-    result = compose(g, fs, outer_perm)
+    result = compose(g, fs, parse_ranks(args.outer_perm) if args.outer_perm else None)
     return "ok", {"result": result.to_text()}
 
 

@@ -70,65 +70,59 @@ def _cable_kappa(ell: int, c: int) -> list[Letter]:
     return letters
 
 
-def _too_long(length: int) -> SizeCapError:
-    return SizeCapError(f"underlying braid word of {length} letters exceeds the cap of {MAX_WORD_LETTERS}")
-
-
 class Summary:
-    """What ``check`` reads of a morphism: its (domain, codomain) in ``_types``, as
-    a node keeps them; the letters of its word (strands from 0), or the SizeCapError
-    of a word past MAX_WORD_LETTERS, which is not built; and whether a sigma or kappa
-    occurs.  Not a record: a product's summary is its first factor's, updated."""
+    """What ``check`` reads of a morphism: its (domain, codomain) in ``_types``, as a node
+    keeps them; its word's ``length`` and ``letters`` (strands from 0), None past
+    MAX_WORD_LETTERS, where the word is not built; and whether a sigma or kappa occurs.
+    Not a record: a product's summary is its first factor's, updated."""
 
-    __slots__ = ("_types", "letters", "braids")
+    __slots__ = ("_types", "letters", "length", "braids")
 
-    def __init__(self, types: tuple, letters, braids: bool):
+    def __init__(self, types: tuple, letters: list | None, length: int, braids: bool):
         self._types = types
         self.letters = letters
+        self.length = length
         self.braids = braids
 
 
 def _gen_summary(types: tuple, name: str, params: tuple) -> Summary:
     if name != "sigma" and name != "kappa":
-        return Summary(types, [], False)
+        return Summary(types, [], 0, False)
     a, b = params[0].n_strands, params[1].n_strands
     length = a * b if name == "sigma" else 2 * a * b + b * (b + 1) // 2
-    if length > MAX_WORD_LETTERS:
-        return Summary(types, _too_long(length), True)
-    return Summary(types, _block_swap(0, a, b) if name == "sigma" else _cable_kappa(a, b), True)
+    letters = None if length > MAX_WORD_LETTERS else _block_swap(0, a, b) if name == "sigma" else _cable_kappa(a, b)
+    return Summary(types, letters, length, True)
 
 
-def _joined(types: tuple, head: Summary, tail: Summary, shift: int, read_first: Summary) -> Summary:
+def _joined(types: tuple, head: Summary, tail: Summary, shift: int) -> Summary:
     """head's summary made the product's: head's letters, then tail's with strands
-    shifted.  A word past the cap stands for the product, read_first's first."""
-    x, y = head.letters, tail.letters
-    if type(x) is not list or type(y) is not list:
-        head.letters = read_first.letters if type(read_first.letters) is not list else x if type(x) is not list else y
-    elif len(x) + len(y) > MAX_WORD_LETTERS:
-        head.letters = _too_long(len(x) + len(y))
-    else:
-        x.extend(((i + shift, e) for i, e in y) if shift else y)
+    shifted, unless the product's word passes the cap."""
+    head.length += tail.length
+    if head.length > MAX_WORD_LETTERS:
+        head.letters = None
+    else:  # neither factor's word is longer than the product's, so both are built
+        head.letters.extend(((i + shift, e) for i, e in tail.letters) if shift else tail.letters)
     head._types, head.braids = types, head.braids or tail.braids
     return head
 
 
 # The summary rule of each node kind, from the node's (domain, codomain) and
 # fields, a child standing for its summary.  No word is shorter than a
-# child's, so checking each against MAX_WORD_LETTERS before building it
-# bounds the whole word.  A product's right factor's strands follow its left
-# factor's; typing keeps the module-typed factor (the only one with pole
-# windings) on the left.
+# child's, so checking each length against MAX_WORD_LETTERS before building
+# its word bounds the whole word.  A product's right factor's strands follow
+# its left factor's; typing keeps the module-typed factor (the only one with
+# pole windings) on the left.
 SUMMARY_RULES = {
-    Id: lambda types, obj: Summary(types, [], False),
+    Id: lambda types, obj: Summary(types, [], 0, False),
     Gen: _gen_summary,
     Inv: lambda types, f: Summary(
-        types, [(i, -e) for i, e in reversed(f.letters)] if type(f.letters) is list else f.letters, f.braids
+        types, None if f.letters is None else [(i, -e) for i, e in reversed(f.letters)], f.length, f.braids
     ),
-    Vert: lambda types, after, before: _joined(types, before, after, 0, after),
-    TensorMor: lambda types, left, right: _joined(types, left, right, left._types[0].n_strands, left),
-    ActMor: lambda types, module, algebra: _joined(types, module, algebra, module._types[0].n_strands, module),
+    Vert: lambda types, after, before: _joined(types, before, after, 0),
+    TensorMor: lambda types, left, right: _joined(types, left, right, left._types[0].n_strands),
+    ActMor: lambda types, module, algebra: _joined(types, module, algebra, module._types[0].n_strands),
     PhiMor: lambda types, f: Summary(
-        types, [(types[0].n_strands - i, e) for i, e in f.letters] if type(f.letters) is list else f.letters, f.braids
+        types, None if f.letters is None else [(types[0].n_strands - i, e) for i, e in f.letters], f.length, f.braids
     ),
 }
 
@@ -155,8 +149,8 @@ def summary(f: MorExpr | Summary) -> Summary:
 
 
 def _word(s: Summary) -> BraidWord:
-    if type(s.letters) is not list:
-        raise s.letters
+    if s.letters is None:
+        raise SizeCapError(f"underlying braid word of {s.length} letters exceeds the cap of {MAX_WORD_LETTERS}")
     dom = s._types[0]
     return BraidWord(max(1, dom.n_strands), tuple(s.letters), is_module(dom))
 

@@ -21,8 +21,8 @@ Nodes are records (``record.Record``), each keeping its (domain,
 codomain) in ``_types``.  Typing is one rule per node kind (``TYPE_RULES``)
 on the children's ``_types``, building every domain and codomain through
 one ``share`` table (see ``objects``): objects are shared within one call,
-so the two sides of a vertical seam are the same node whenever they are
-equal, and no object is built or sort-checked twice.  The parser's default
+so the two sides of a vertical seam are one node when they are equal
+(else compared by ``tree_key``), and no object is built twice.  The parser's default
 rule, ``build``, makes each node typed, its fields and ``_types`` written
 once; ``validate`` folds the same rules over a tree built by hand, and
 ``replay`` hands a tree's nodes to another rule, as the parser would.

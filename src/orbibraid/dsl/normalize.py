@@ -14,7 +14,7 @@ coherence checker reads off.
 from __future__ import annotations
 
 from ..errors import TypingError
-from .morphisms import ActMor, Gen, Id, Inv, MorExpr, PhiMor, TensorMor, Vert, fold
+from .morphisms import ActMor, Gen, Id, Inv, MorExpr, PhiMor, TensorMor, Vert
 from .objects import Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor
 
 
@@ -130,15 +130,29 @@ def _expand_kappa(m: ObjectExpr, x: ObjectExpr) -> MorExpr | None:
     return _chain(ActMor(Id(m), to), Gen("kappa", (m, x2)), ActMor(Id(m), PhiMor(back)))
 
 
-def normalize_presentation(f: MorExpr) -> MorExpr:
-    """Equivalent presentation in which every sigma/kappa is single-strand."""
-    return fold(f, _normalize_node)
-
-
 _EXPAND = {"sigma": _expand_sigma, "kappa": _expand_kappa}
 
 
-def _normalize_node(f: MorExpr, kids: list) -> MorExpr:
-    expand = _EXPAND.get(f.name) if isinstance(f, Gen) else None
-    step = expand(*f.params) if expand is not None else None
-    return f.rebuild(kids) if step is None else normalize_presentation(step)
+def normalize_presentation(f: MorExpr) -> MorExpr:
+    """Equivalent presentation in which every sigma/kappa is single-strand: ``fold``'s walk,
+    with a multi-strand generator walked as its rewriting step, so no rewrite costs a frame."""
+    values: list = []
+    stack: list = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node, children), the children's values are on top
+            node, kids = node
+            cut = len(values) - len(kids)
+            node = node.rebuild(values[cut:])
+            del values[cut:]
+        elif type(node) is Gen and node.name in _EXPAND:
+            step = _EXPAND[node.name](*node.params)
+            if step is not None:
+                stack.append(step)
+                continue
+        elif kids := node.children():
+            stack.append((node, kids))
+            stack.extend(reversed(kids))
+            continue
+        values.append(node)
+    return values[0]

@@ -12,14 +12,16 @@ joined by a structural isomorphism exactly when their signatures agree.
 
 Objects are shared within one call: the parser and each typing pass
 build their objects through one ``share`` table, keyed by node type and
-the identity of each child, so equal objects read or typed in that call
-are one node and each distinct node runs its sort checks once.  The table
-lives only as long as the call.  Every walk over an object (signature,
-text, hash, repr, the ``tree_key`` that equality and pickle read) is one
-post-order ``fold`` on an explicit stack, so depth costs no interpreter
-frames.  Each node gets its strand count ``n_strands`` as it is built; the
-strand sequence is folded only when a signature asks for it (kept on every
-node, a deep comb would hold quadratically many strands).
+the identity of each child (the parser keys a label by its spelling), so
+equal objects read or typed in that call are one node, but for a label
+spelled two ways (``X1``, ``X01``), and each node runs its sort checks
+once.  The table lives only as long as the call.  Every walk over an
+object (signature, text, hash, repr, the ``tree_key`` that equality and
+pickle read) is one post-order ``fold`` on an explicit stack, so depth
+costs no interpreter frames.  Each node gets its strand count
+``n_strands`` as it is built; the strand sequence is folded only when a
+signature asks for it (kept on every node, a deep comb would hold
+quadratically many strands).
 """
 
 from __future__ import annotations
@@ -227,14 +229,6 @@ def share(table: dict, node: type, a: ObjectExpr | None = None, b: ObjectExpr | 
     found = table.get(key)
     if found is None:
         found = table[key] = node() if a is None else node(a) if b is None else node(a, b)
-    return found
-
-
-def share_leaf(table: dict, index: int) -> ALeaf:
-    """``ALeaf(index)`` through table, keyed by its label."""
-    found = table.get(index)
-    if found is None:
-        found = table[index] = ALeaf(index)
     return found
 
 

@@ -21,13 +21,14 @@ only when a ParseError names it, by scanning the text again up to that
 token.  ``_parse`` reads both sorts in one loop over the tokens, from their
 head-word tables (``objects.OBJECT_WORDS``, ``morphisms.KEYWORDS``), and
 keeps the expressions still open on a stack of its own.  Objects are
-shared through one table per call (keyed as ``objects.share`` keys them),
-and each morphism is made as it closes by a rule, through that table:
-``morphisms.build`` by default, a node typed by its kind's rule, or
-``coherence.summarize``, with which ``coherence check`` builds no tree.  The
-first typing error is held until the whole text has parsed, so a syntax error
-is reported first (an ill-sorted object, and the inners of a ``horiz``, are
-still refused as they are read).  The ``lhs`` and ``rhs`` of a diagram file
+shared through one table per call (a label keyed by its spelling, any
+other object as ``objects.share`` keys it), and each morphism is made as it
+closes by a rule, through that table: ``morphisms.build`` by default, a
+node typed by its kind's rule, or ``coherence.summarize``, with which
+``coherence check`` builds no tree.  The first typing error is held until
+the whole text has parsed, so a syntax error is reported first (an
+ill-sorted object, and the inners of a ``horiz``, are still refused as
+they are read).  The ``lhs`` and ``rhs`` of a diagram file
 are parsed in place, so their errors give lines and columns in the file.
 """
 
@@ -36,10 +37,10 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from ..errors import MAX_INDEX_DIGITS, ParseError
+from ..errors import MAX_INDEX_DIGITS, ParseError, line_and_column
 from ..record import Record
 from .morphisms import GENERATORS, KEYWORDS, Gen, Id, build, desugar_horiz, replay, validate
-from .objects import OBJECT_WORDS, ObjectExpr, share, share_leaf
+from .objects import OBJECT_WORDS, ALeaf, ObjectExpr, share
 
 _TOKEN = re.compile(r"[(),;]|\w+")  # \w is exactly str.isalnum() or '_'
 _COMMENT = re.compile(r"#.*")
@@ -54,10 +55,6 @@ _ALLOWED_ASCII = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmn
 MAX_DEPTH = 991
 
 
-def _position(text: str, index: int) -> tuple[int, int]:
-    return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
-
-
 class _Error(Exception):
     """A syntax error at a token index; ``_run`` raises it as a ParseError at that token."""
 
@@ -68,10 +65,10 @@ def _where(text: str, tokens: list[str], k: int) -> tuple[int, int]:
     not empty, which for an empty diagram binding is the binding's own line
     (its blanked key leaves spaces there)."""
     if k < len(tokens):
-        return _position(text, next(islice(_TOKEN.finditer(text), k, None)).start())
+        return line_and_column(text, next(islice(_TOKEN.finditer(text), k, None)).start())
     if tokens:
         return _where(text, tokens, len(tokens) - 1)[0], 1
-    return _position(text, len(text) - len(text.lstrip("\r\n")))[0], 1
+    return line_and_column(text, len(text) - len(text.lstrip("\r\n")))[0], 1
 
 
 # Head word -> (node, arity, whether its arguments are morphisms), for objects
@@ -137,7 +134,7 @@ def _parse(tokens: list, is_mor: bool, table: dict, held: list, rule):
                     raise _Error(f"unknown object {word!r}", pos - 1)
                 if len(word) > MAX_INDEX_DIGITS + 1:
                     raise _Error(f"a label has at most {MAX_INDEX_DIGITS} digits, found {len(word) - 1}", pos - 1)
-                value = table[word] = share_leaf(table, int(word[1:]))
+                value = table[word] = ALeaf(int(word[1:]))
         elif word in GENERATORS:
             if tokens[pos] == "(":
                 if tokens[pos + 1] != ")":
@@ -215,7 +212,7 @@ def _run(text: str, is_mor: bool, held: list | None = None, rule=build):
     if not text.isascii() or text.translate(_ALLOWED_ASCII):
         stray = _STRAY.search(text)
         if stray:
-            raise ParseError(f"unexpected character {stray[0]!r}", *_position(text, stray.start()))
+            raise ParseError(f"unexpected character {stray[0]!r}", *line_and_column(text, stray.start()))
     tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace(";", " ; ").split()
     tokens.append(None)
     try:

@@ -28,6 +28,10 @@ class ParseError(OrbibraidError):
         self.col = col
 
 
+def line_and_column(text: str, index: int) -> tuple[int, int]:  # each counted from 1
+    return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
+
+
 class TypingError(OrbibraidError):
     """An expression is not well typed; the message names the offending subterm."""
 

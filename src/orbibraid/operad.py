@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .dsl.objects import ALeaf, Act, AUnit, MLeaf, MUnit, ObjectExpr, Phi, SignedSignature, Tensor, signature
-from .errors import ArityError, GeometryError, TypingError
+from .errors import MAX_INDEX_DIGITS, ArityError, GeometryError, TypingError
 from .record import Record
 
 # The two colours: the free double disk and the pole disk.
@@ -36,6 +36,17 @@ def parse_color(text: str) -> str:
     if text not in (D, DSTAR):
         raise TypingError(f"unknown color {text!r}")
     return text
+
+
+def parse_ranks(text: str) -> tuple[int, ...]:
+    """Ranks counted from 1, separated by whitespace, as positions counted from 0."""
+    ranks = text.split()
+    for r in ranks:
+        if not (r.isascii() and r.isdigit()):
+            raise TypingError(f"a rank is a decimal number, found {r!r}")
+        if len(r) > MAX_INDEX_DIGITS:
+            raise TypingError(f"a rank has at most {MAX_INDEX_DIGITS} digits, found {len(r)}")
+    return tuple(int(r) - 1 for r in ranks)
 
 
 Perm = tuple[int, ...]
@@ -103,7 +114,7 @@ def parse_signed_op(text: str) -> SignedOp:
         raise TypingError("at most one pole input is allowed")
     if poles and inputs[0] != DSTAR:
         raise TypingError("the pole input must come first in the canonical order")
-    eps, perm = tuple(map(int, bits)), tuple(int(r) - 1 for r in (ranks or "").split())
+    eps, perm = tuple(map(int, bits)), parse_ranks(ranks or "")
     if len(eps) != len(inputs) - poles or len(perm) != len(eps):
         raise TypingError("eps and perm must be indexed by the D inputs")
     return SignedOp(parse_color(output), poles == 1, eps, perm)
@@ -134,7 +145,9 @@ def classify(k: int, output: str, input_colors) -> list[SignedOp]:
 
 
 def _tensor_all(factors: list[ObjectExpr]) -> ObjectExpr:
-    """Tensor product in order, bracketed pairwise: a right-nested chain caches O(d^2) strands."""
+    """Tensor product in order, bracketed pairwise: ``signature`` joins the strand tuples of
+    every node, so a right-nested chain would copy O(d^2) strands (``test_op_object_tensor_is_balanced``
+    pins the depth)."""
     if not factors:
         return AUnit()
     while len(factors) > 1:

@@ -22,7 +22,7 @@ import math
 import re
 from fractions import Fraction
 
-from ..errors import SizeCapError
+from ..errors import MAX_INDEX_DIGITS, SizeCapError
 from ..record import Record, set_slot
 
 Coeffs = tuple[int, ...]
@@ -276,6 +276,9 @@ def parse_scalar(text: str) -> LaurentScalar:
         m = _TERM.match(chunk)
         if not m or (m.group("coeff") is None and m.group("q") is None):
             raise ValueError(f"cannot parse scalar term {chunk!r} in {text!r}")
+        digits = max(len(m.group("coeff") or ""), len((m.group("exp") or "").lstrip("-")))
+        if digits > MAX_INDEX_DIGITS:
+            raise SizeCapError(f"a scalar's integers have at most {MAX_INDEX_DIGITS} digits, found {digits}")
         coeff = int(m.group("coeff")) if m.group("coeff") is not None else 1
         if m.group("sign") == "-":
             coeff = -coeff

@@ -26,28 +26,32 @@ import json
 import re
 from functools import reduce
 
-from ..errors import DimensionError, ParseError, SingularMatrixError
+from ..errors import MAX_INDEX_DIGITS, DimensionError, ParseError, SingularMatrixError, line_and_column
 from ..record import Record
 from .qmatrix import QMatrix, leg_swap
 
 MAX_JSON_DEPTH = 32  # the format nests 3 deep; json.loads recurses once per level
-# A string literal, skipped whole (to the end of the text if unterminated, so the scan stays linear), or a bracket.
-_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]')
+# A string literal, skipped whole (to the end of the text if unterminated, so the scan stays linear), a bracket,
+# or a run of digits.
+_SCANNED = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]|\d+')
 
 
-def _check_depth(text: str) -> None:
-    """Refuse text whose arrays and objects nest past MAX_JSON_DEPTH, before json.loads recurses into it."""
+def _check_text(text: str) -> None:
+    """Refuse text whose arrays and objects nest past MAX_JSON_DEPTH, before json.loads recurses
+    into it, or with a number of more than MAX_INDEX_DIGITS digits, whatever int() would read."""
     depth = 0
-    for m in _BRACKETS.finditer(text):
+    for m in _SCANNED.finditer(text):
         c = m.group()
         if c in "[{":
             depth += 1
             if depth > MAX_JSON_DEPTH:
-                at = m.start()
-                line = text.count("\n", 0, at) + 1
-                raise ParseError(f"representation data nests deeper than {MAX_JSON_DEPTH} levels", line, at - text.rfind("\n", 0, at))
+                where = line_and_column(text, m.start())
+                raise ParseError(f"representation data nests deeper than {MAX_JSON_DEPTH} levels", *where)
         elif c in "]}":
             depth -= 1
+        elif len(c) > MAX_INDEX_DIGITS and c[0] != '"':
+            message = f"representation data: a number has at most {MAX_INDEX_DIGITS} digits, found {len(c)}"
+            raise ParseError(message, *line_and_column(text, m.start()))
 
 
 class RepData(Record):
@@ -62,13 +66,13 @@ class RepData(Record):
         T: QMatrix | None = None,
         balancing: QMatrix | None = None,
     ) -> RepData:
-        if T is None:
-            T = QMatrix.identity(d)
         if R.rows != d * d or R.cols != d * d:
             raise DimensionError(f"R must be {d * d}x{d * d}")
         if K.rows != m * d or K.cols != m * d:
             raise DimensionError(f"K must be {m * d}x{m * d}")
-        if T.rows != d or T.cols != d:
+        if T is None:  # built only once R bounds d
+            T = QMatrix.identity(d)
+        elif T.rows != d or T.cols != d:
             raise DimensionError(f"T must be {d}x{d}")
         for name, mat in (("R", R), ("K", K)):
             if mat.det().is_zero:
@@ -117,7 +121,7 @@ class RepData(Record):
     def load(path) -> RepData:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        _check_depth(text)
+        _check_text(text)
         return RepData.from_json_dict(json.loads(text))
 
     def twisted(self, A: QMatrix, states, lead: int = 1) -> QMatrix:

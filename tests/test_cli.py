@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from orbibraid.braid.garside import MAX_NF_WORK
 from orbibraid.cli import build_parser, main
 from orbibraid.coherence import MAX_WORD_LETTERS
 from orbibraid.dsl import parse_diagram
+from orbibraid.errors import ParseError
 from orbibraid.reflect import RepData, checks, reflection_check, yang_baxter_check
 
 
@@ -864,3 +866,54 @@ def test_refusals_come_before_a_word_past_the_cap(capsys, monkeypatch, tmp_path,
 def test_a_braid_index_past_the_digit_cap_exits_two(capsys):
     code, doc = run_json(capsys, "braid", "nf", "-n", "3", "s" + "1" * 5000)
     assert code == 2 and doc["payload"]["error"] == "MalformedWordError: an index has at most 4300 digits, found 5000"
+
+
+def test_rep_file_nested_past_the_depth_bound_on_its_third_line_gives_that_line(tmp_path):
+    line3 = '"R": ' + "[" * 40 + "]" * 40 + ', "K": [["1"]]}'
+    f = tmp_path / "deep.rep"
+    f.write_text('{\n"d": 2, "m": 1,\n' + line3 + "\n")
+    with pytest.raises(ParseError) as exc:
+        RepData.load(f)
+    # the object is the first level, so R's 32nd array is the 33rd
+    assert (exc.value.line, exc.value.col) == (3, line3.index("[") + 32)
+    assert str(exc.value) == f"representation data nests deeper than 32 levels (line 3, column {exc.value.col})"
+
+
+def test_rep_file_declaring_a_huge_d_is_refused_before_any_matrix_of_that_size(capsys, tmp_path):
+    # The default T, an identity of size d, was built before R's shape was checked.
+    f = tmp_path / "huge-d.rep"
+    f.write_text(json.dumps({"d": 10**9, "m": 1, "R": [["1"]], "K": [["1"]]}))
+    start = time.perf_counter()
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out["payload"] == {"error": f"DimensionError: R must be {10**18}x{10**18}"}
+
+
+def test_rep_file_integers_past_the_digit_cap_are_refused_whatever_the_int_limit(capsys, tmp_path, int_digit_limit):
+    doc = json.loads(data_path("sl2.rep.json").read_text())
+    f = tmp_path / "long.rep"
+    f.write_text(json.dumps(doc).replace('"m": 1', '"m": ' + "1" * 5000))
+    column = f.read_text().index("1" * 5000) + 1
+    refusal = f"representation data: a number has at most 4300 digits, found 5000 (line 1, column {column})"
+    with pytest.raises(ParseError, match=re.escape(refusal)):
+        RepData.load(f)
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2 and out["payload"] == {"error": f"ParseError: {refusal}"}
+    doc["R"][0][0] = "1" * 5000 + "q"
+    f.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2 and out["payload"] == {"error": "SizeCapError: a scalar's integers have at most 4300 digits, found 5000"}
+
+
+@pytest.mark.parametrize(
+    "perm, refusal",
+    [("1" * 5000, "a rank has at most 4300 digits, found 5000"), ("a b", "a rank is a decimal number, found 'a'")],
+    ids=["long", "not-a-number"],
+)
+def test_outer_perm_that_is_not_a_rank_list_exits_two(capsys, perm, refusal, int_digit_limit):
+    # int() leaked its own ValueError for both.
+    op = "op D [D] eps=0 perm=1"
+    code, out = run_json(capsys, "operad", "compose", "-g", op, "-f", op, "--outer-perm", perm)
+    assert code == 2 and out["payload"] == {"error": f"TypingError: {refusal}"}
+    code, out = run_json(capsys, "operad", "compose", "-g", op + "1" * 5000, "-f", op)
+    assert code == 2 and out["payload"] == {"error": "TypingError: a rank has at most 4300 digits, found 5001"}

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from helpers import braid_of_signed_path, random_mor, seeded_rng
@@ -11,6 +13,7 @@ from orbibraid.coherence import (
     _cable_kappa,
     check,
     extract_braid,
+    summarize,
 )
 from orbibraid.dsl import (
     ALeaf,
@@ -22,8 +25,11 @@ from orbibraid.dsl import (
     normalize_presentation,
     parse_diagram,
     parse_mor,
+    parse_obj,
     signature,
 )
+from orbibraid.cli import main
+from orbibraid.dsl.morphisms import build
 from orbibraid.errors import ArityError, FlavorError, SizeCapError, TypingError
 from orbibraid.operad import D, DSTAR, SignedOp, op_of_signature
 
@@ -216,3 +222,34 @@ def test_word_cap_is_checked_against_the_exact_length(monkeypatch):
         monkeypatch.undo()
         checked += 1
     assert checked >= 30
+
+
+EIGHT_LETTERS = "tens(sigma(tensor(X1, X2), tensor(X3, X4)), sigma(tensor(X5, X6), tensor(X7, X8)))"
+
+
+def test_a_product_past_the_cap_is_refused_at_its_own_length(monkeypatch, tmp_path, capsys):
+    # Each factor's word has 4 letters, past a cap of 3; the refusal named the first factor's 4.
+    monkeypatch.setattr(coherence, "MAX_WORD_LETTERS", 3)
+    refusal = "underlying braid word of 8 letters exceeds the cap of 3"
+    for text in (EIGHT_LETTERS, f"inv({EIGHT_LETTERS})", f"phi({EIGHT_LETTERS})"):
+        with pytest.raises(SizeCapError) as exc:
+            extract_braid(parse_mor(text))
+        assert str(exc.value) == refusal
+    f = tmp_path / "eight.diag"
+    f.write_text(f"flavor = braided\nlhs = {EIGHT_LETTERS}\nrhs = {EIGHT_LETTERS}\n")
+    assert main(["coherence", "check", str(f), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["payload"]["error"] == f"SizeCapError: {refusal}"
+
+
+def test_a_label_spelled_two_ways_meets_itself_at_a_seam():
+    # The parser keys a label by its spelling: X1 and X01 are two equal nodes, which a
+    # vertical seam compares as it compares any equal objects that are not one node.
+    left, right = parse_obj("tensor(X1, X01)").children()
+    assert left is not right and left == right
+    spelled = "flavor = braided\nlhs = vert(sigma(X2, X01), sigma(X1, X2))\nrhs = id(tensor(X01, X2))\n"
+    plain = spelled.replace("X01", "X1")
+    for rule in (build, summarize):
+        got, want = parse_diagram(spelled, rule), parse_diagram(plain, rule)
+        assert got.lhs._types == want.lhs._types and got.rhs._types == want.rhs._types
+        assert check(got.lhs, got.rhs, "braided") == check(want.lhs, want.rhs, "braided")
+    assert check(want.lhs, want.rhs, "braided").status == NOT_COMMUTES

@@ -337,3 +337,18 @@ def test_check_says_t_of_a_tensor_is_t_of_each_factor():
 def test_eval_mor_agrees_that_t_of_a_tensor_is_t_of_each_factor(sl2_data):
     # Today the left side evaluates to Rhat^4 and the right side to the identity.
     assert eval_mor(sl2_data, T_OF_A_TENSOR) == eval_mor(sl2_data, T_OF_EACH_FACTOR)
+
+
+@pytest.mark.parametrize(
+    "padded, unpadded",
+    [
+        ("kappa(" + "act(" * 985 + "M" + ", one)" * 985 + ", X1)", "kappa(M, X1)"),
+        ("sigma(" + "tensor(one, " * 985 + "tensor(X1, X2)" + ")" * 985 + ", X3)", "sigma(tensor(X1, X2), X3)"),
+        ("sigma(" + "Phi(" * 985 + "tensor(X1, X2)" + ")" * 985 + ", X3)", "sigma(tensor(X1, X2), X3)"),
+    ],
+    ids=["act-one", "tensor-one", "Phi"],
+)
+def test_expansions_as_deep_as_the_parser_reads_evaluate(sl2_data, padded, unpadded):
+    # normalize_presentation rewrote each expansion step inside the walk of the one before:
+    # RecursionError at 400 levels (984 for Phi), where 300 evaluated equal.
+    assert eval_mor(sl2_data, parse_mor(padded)) == eval_mor(sl2_data, parse_mor(unpadded))

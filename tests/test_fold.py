@@ -1,11 +1,17 @@
+import copy
+import functools
+import pickle
+
 import pytest
 
+from conftest import data_path
 from orbibraid.coherence import check, extract_braid
-from orbibraid.dsl import Gen, Id, TensorMor, Vert, mor_text, parse_mor, validate
+from orbibraid.dsl import Gen, Id, TensorMor, Vert, mor_text, normalize_presentation, parse_mor, validate
 from orbibraid.dsl.morphisms import desugar_horiz
 from orbibraid.dsl.objects import ALeaf, Tensor
-from orbibraid.errors import ParseError
-from orbibraid.reflect import eval_mor
+from orbibraid.dsl.parser import MAX_DEPTH
+from orbibraid.errors import OrbibraidError, ParseError
+from orbibraid.reflect import RepData, eval_mor
 
 # (horiz form, the same morphism expanded by hand, a parallel rhs it commutes with)
 HORIZ_CASES = [
@@ -54,3 +60,59 @@ def test_parser_depth_limit_is_a_parse_error():
         parse_mor("inv(" * 1500 + "sigma(X1, X2)" + ")" * 1500)
     assert exc.value.line == 1 and exc.value.col > 1
     assert "nested too deeply" in str(exc.value)
+
+
+# Each nesting kind the parser reads, as (text around the nest, head of a level, innermost text,
+# tail of a level, text after the nest).
+NESTING_KINDS = {
+    "Phi": ("kappa(M, ", "Phi(", "X1", ")", ")"),
+    "Phi-tensor-in-sigma": ("sigma(", "Phi(", "tensor(X1, X2)", ")", ", X3)"),
+    "act-one": ("kappa(", "act(", "M", ", one)", ", X1)"),
+    "tensor-one": ("sigma(", "tensor(one, ", "tensor(X1, X2)", ")", ", X3)"),
+    "inv": ("", "inv(", "sigma(X1, X2)", ")", ""),
+    "phi": ("", "phi(", "sigma(X1, X2)", ")", ""),
+    "vert": ("", "vert(id(tensor(X2, X1)), ", "sigma(X1, X2)", ")", ""),
+    "tens": ("", "tens(id(X1), ", "sigma(X1, X2)", ")", ""),
+}
+
+
+@functools.cache
+def deepest(kind: str):
+    """The tree of the kind nested as deep as the parser accepts, and that depth."""
+    before, head, inner, tail, after = NESTING_KINDS[kind]
+    for depth in range(MAX_DEPTH, 0, -1):
+        try:
+            return depth, parse_mor(before + head * depth + inner + tail * depth + after)
+        except ParseError:
+            pass
+
+
+WALKS = {
+    "validate": validate,
+    "mor_text": mor_text,
+    "==": lambda f: f == parse_mor(mor_text(f)),
+    "hash": hash,
+    "repr": repr,
+    "pickle": lambda f: pickle.loads(pickle.dumps(f)) == f,
+    "deepcopy": copy.deepcopy,
+    "extract_braid": extract_braid,
+    "check": lambda f: check(f, f, "braided"),
+    "normalize_presentation": normalize_presentation,
+    "eval_mor": lambda f: eval_mor(RepData.load(data_path("sl2.rep.json")), f),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+def test_every_walk_takes_the_deepest_tree_of_each_kind(kind, walk):
+    # A walk that recursed once per level raised RecursionError here, which is neither a result nor a refusal.
+    depth, f = deepest(kind)
+    assert depth > 980
+    raised = None
+    try:
+        WALKS[walk](f)
+    except OrbibraidError:
+        pass
+    except Exception as exc:  # named only: its traceback is as deep as the tree, and slow to report
+        raised = type(exc).__name__
+    assert raised is None, f"{walk} of {depth} levels of {kind} raised {raised}"

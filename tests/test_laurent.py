@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import seeded_rng, stdout_under_python_O
+from orbibraid.errors import SizeCapError
 from orbibraid.reflect import ONE, ZERO, LaurentScalar, QMatrix, parse_scalar
 from orbibraid.reflect.laurent import _pmul
 
@@ -309,3 +310,11 @@ def test_parse_scalar_sums_terms_once():
             want = want + LaurentScalar.make(exp, (coeff,))
         assert fields(parse_scalar(text)) == fields(want), text
     assert fields(parse_scalar("6*q - 4 + 2q^-1")) == (-1, (2, -4, 6), (1,))
+
+
+def test_scalar_integers_past_the_digit_cap_are_refused_whatever_the_int_limit(int_digit_limit):
+    # int() leaked its own ValueError past the interpreter's limit, and read them without one.
+    for text in ("1" * 5000 + "q", "q^" + "1" * 5000, "2 - q^-" + "1" * 5000, "1" * 5000):
+        with pytest.raises(SizeCapError, match="^a scalar's integers have at most 4300 digits, found 5000$"):
+            parse_scalar(text)
+    assert parse_scalar("7" * 4300 + "q^-" + "1" * 4300).num_low == -int("1" * 4300)

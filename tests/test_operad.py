@@ -21,6 +21,7 @@ from orbibraid.operad import (
     compose_intervals,
     op_object,
     op_of_signature,
+    parse_ranks,
     parse_signed_op,
     realize_intervals,
 )
@@ -294,3 +295,12 @@ def test_nullary_text_round_trips():
 def test_parse_signed_op_refuses_what_to_text_never_writes(text):
     with pytest.raises(TypingError):
         parse_signed_op(text)
+
+
+def test_a_rank_past_the_digit_cap_is_refused_whatever_the_int_limit(int_digit_limit):
+    # int() leaked its own ValueError past the interpreter's limit, and read the rank without one.
+    with pytest.raises(TypingError, match="^a rank has at most 4300 digits, found 5000$"):
+        parse_signed_op("op D [D] eps=0 perm=" + "1" * 5000)
+    with pytest.raises(TypingError, match="^a rank is a decimal number, found 'a'$"):
+        parse_ranks("a b")
+    assert parse_ranks(" 2  1 ") == (1, 0) and parse_ranks("") == ()
