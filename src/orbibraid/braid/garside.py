@@ -17,19 +17,28 @@ braid P or the inverse of one.  A positive run appends P's permutation.  A
 negative run is P^-1 = Delta^-1 (Delta P^-1): it counts one Delta^-1 and
 appends the permutation x -> P^-1(omega(x)) of Delta P^-1.  After each
 append, one sweep from the right weights pairs up to the first one that is
-already left-weighted, as every pair left of it was.  Only the appended
-factor can become the identity, and is dropped; a Delta that forms is
-carried to the front and goes into the power.
+already left-weighted, as every pair left of it was.  A run of length 0 is
+dropped and a run that is Delta goes into the power, so no stored factor is
+ever the identity or Delta.  Only the appended factor can become the
+identity, and is dropped.
 
 Each stored factor is kept beside its inverse permutation, both as mutable
 lists, so weighting a pair moves one generator at a time by four swaps in
 place, with no permutation rebuilt.
 
-Moving the Delta^-1 to the front conjugates the factors before it by Delta
-(generator indices i -> n-i), which preserves permutation braids and
-left-weightedness.  So only its parity is kept: while it is odd, stored
-factors stand for their conjugates and new ones are stored conjugated; the
-stored factors are conjugated once, at the end.
+Moving a Delta^+-1 to the front conjugates the factors before it by Delta
+(tau: generator indices i -> n-i), which preserves permutation braids and
+left-weightedness.  So only the parity of the Deltas moved is kept: while it
+is odd, stored factors stand for their conjugates and new ones are stored
+conjugated; the stored factors are conjugated once, at the end.  A factor
+that becomes Delta in the sweep joins the power at once: flipping the parity
+conjugates the factors left of it, and each factor right of it, which did
+not pass it, is re-stored conjugated (O(n) each).  The sweep stops there, as
+the new junction is left-weighted already: a, the factor that became Delta,
+took its complement a^-1 Delta from its right neighbour b = (a^-1 Delta) z,
+so z left-divides tau(a), as b is a permutation braid.  A generator s that z
+could give to tau(x), where x is the factor left of a, would make tau(s) a
+left divisor of a that x could take; but x and a were left-weighted.
 """
 
 from __future__ import annotations
@@ -155,10 +164,12 @@ def _refusal(n: int, count: int) -> SizeCapError:
 def garside_nf(w: BraidWord) -> GarsideNF:
     """Left-greedy normal form; nf(u) == nf(v) iff u = v in B_n, or in B^cyl_n through embed_cyl.
 
-    Counts n a run appended, n a pair visited and one a generator moved (100-370 ns a unit), and
-    HELD_UNITS a strand for each factor while it is held, which bounds the lists held and the form
-    built and printed from them.  Raises SizeCapError before a run (n + HELD_UNITS n) or a pair
-    (n + its right factor's length, which bounds its moves) could take the count past MAX_NF_WORK.
+    Counts n a run appended, n a pair visited, one a generator moved and n a factor re-stored when a
+    Delta forms left of it (100-370 ns a unit), and HELD_UNITS a strand for each factor while it is
+    held, given back when the factor is dropped as the identity or joins the power as Delta; that
+    charge bounds the lists held and the form built and printed from them.  Raises SizeCapError before
+    a run (n + HELD_UNITS n), a pair (n + its right factor's length, which bounds its moves) or the
+    re-stores after a Delta (n each) could take the count past MAX_NF_WORK.
     """
     if w.cyl:
         w = embed_cyl(w)
@@ -170,11 +181,10 @@ def garside_nf(w: BraidWord) -> GarsideNF:
         raise _refusal(n, 0)
     count = power = 0
     top, half = n - 1, n * (n - 1) // 2  # half is the length of Delta
-    odd = False  # parity of Delta^-1 moved to the front so far
+    odd = False  # parity of the Deltas moved to the front so far
     factors: list[list[int]] = []
     inverses: list[list[int]] = []  # inverses[k] is the inverse permutation of factors[k]
     lengths: list[int] = []  # lengths[k] is the number of crossings of factors[k]
-    lead = 0  # factors[:lead] are Delta, and stay out of the sweep
     for e, f, f_inv, length in _runs(n, w.letters):
         if count > run_limit:
             raise _refusal(n, count)
@@ -190,33 +200,50 @@ def garside_nf(w: BraidWord) -> GarsideNF:
                 f, f_inv = f[::-1], [top - v for v in f_inv]
         elif odd:  # stored conjugated by Delta
             f, f_inv = [top - v for v in reversed(f)], [top - v for v in reversed(f_inv)]
+        if not 0 < length < half:  # the identity is dropped, and Delta joins the power
+            count -= held
+            if length:
+                power += 1
+                odd = not odd
+            continue
         factors.append(f)
         inverses.append(f_inv)
         lengths.append(length)
         k = len(factors) - 1
-        while k > lead:  # length is that of factors[k], kept in lengths[k] once the sweep leaves it
+        while k:  # weight the pair that ends at factors[k]
+            length = lengths[k]
             if count + length > pair_limit:  # a pair moves at most its right factor's length
                 raise _refusal(n, count)
             moved = _weight_pair(factors[k - 1], inverses[k - 1], factors[k], inverses[k])
             count += n + moved
             if not moved:
                 break
-            lengths[k] = length - moved
+            if moved == length:  # only the appended factor can empty
+                del factors[k], inverses[k], lengths[k]
+                count -= held
+            else:
+                lengths[k] = length - moved
             k -= 1
-            length = lengths[k] + moved
-        lengths[k] = length
-        if not lengths[-1]:  # the identity
-            del factors[-1], inverses[-1], lengths[-1]
-            count -= held
-        while lead < len(factors) and lengths[lead] == half:
-            lead += 1
-    tail = factors[lead:]
+            lengths[k] += moved
+            if lengths[k] == half:  # Delta joins the power; the factors right of it pass it, conjugated
+                del factors[k], inverses[k], lengths[k]
+                count -= held
+                power += 1
+                odd = not odd
+                passed = len(factors) - k
+                if count + n * passed > MAX_NF_WORK:
+                    raise _refusal(n, count)
+                count += n * passed
+                for j in range(k, len(factors)):
+                    factors[j] = [top - v for v in reversed(factors[j])]
+                    inverses[j] = [top - v for v in reversed(inverses[j])]
+                break  # the new junction is left-weighted already
     if odd:
-        tail = [[top - v for v in reversed(f)] for f in tail]
+        factors = [[top - v for v in reversed(f)] for f in factors]
     # Tuples are made from lists, which size them once.  tuple() of a generator guesses a size and
     # resizes, so CPython files the freed tuple under another size's free list; over many calls
     # those lists hold megabytes.
-    return GarsideNF(n, power + lead, tuple([tuple(f) for f in tail]))
+    return GarsideNF(n, power, tuple([tuple(f) for f in factors]))
 
 
 def braid_eq(u: BraidWord, v: BraidWord) -> bool:

@@ -249,12 +249,16 @@ def _strand_rule(o: ObjectExpr, kids: list) -> tuple[tuple[int, int], ...]:
     raise TypingError(f"unknown object node {o!r}")
 
 
+def base_module(o: ObjectExpr) -> ObjectExpr | None:
+    """The M or oneM that o's actions start from; None for an A-typed object."""
+    while isinstance(o, Act):
+        o = o.module
+    return o if isinstance(o, (MLeaf, MUnit)) else None
+
+
 def signature(o: ObjectExpr) -> SignedSignature:
-    walk = o
-    while isinstance(walk, Act):
-        walk = walk.module
-    marker = _WORD_OF[type(walk)] if isinstance(walk, (MLeaf, MUnit)) else None
-    return SignedSignature(marker, fold(o, _strand_rule))
+    base = base_module(o)
+    return SignedSignature(None if base is None else _WORD_OF[type(base)], fold(o, _strand_rule))
 
 
 def _text_rule(o: ObjectExpr, kids: list) -> str:

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from ..dsl.morphisms import ActMor, Gen, Id, Inv, MorExpr, PhiMor, TensorMor, Vert, domain, fold, unexpected
 from ..dsl.normalize import normalize_presentation
-from ..dsl.objects import ALeaf, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor, is_module, obj_text, signature
+from ..dsl.objects import (
+    ALeaf, AUnit, MLeaf, MUnit, ObjectExpr, Phi, Tensor, base_module, is_module, obj_text, signature
+)
 from ..errors import TypingError, UnsupportedGeneratorError
 from .checks import _check_dim
 from .qmatrix import QMatrix
@@ -40,10 +42,11 @@ def _odd(o: ObjectExpr) -> tuple[int, ...]:
 
 
 def _dim(data: RepData, o: ObjectExpr) -> int:
-    sig = signature(o)
-    if sig.module == "oneM":
+    """Rows of a matrix on o: m for its module, if any, times d a strand."""
+    base = base_module(o)
+    if isinstance(base, MUnit):
         raise UnsupportedGeneratorError("the module pointing has no matrix semantics")
-    return (data.m if sig.module else 1) * data.d ** len(sig.strands)
+    return (1 if base is None else data.m) * data.d ** o.n_strands
 
 
 def _balancing(o: ALeaf, kids: list, data: RepData) -> QMatrix:

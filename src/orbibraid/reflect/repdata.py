@@ -31,6 +31,7 @@ from ..record import Record
 from .qmatrix import QMatrix, leg_swap
 
 MAX_JSON_DEPTH = 32  # the format nests 3 deep; json.loads recurses once per level
+_PRINTABLE = 10**MAX_INDEX_DIGITS  # the least integer of more than MAX_INDEX_DIGITS digits
 # A string literal, skipped whole (to the end of the text if unterminated, so the scan stays linear), a bracket,
 # or a run of digits.
 _SCANNED = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]|\d+')
@@ -54,6 +55,15 @@ def _check_text(text: str) -> None:
             raise ParseError(message, *line_and_column(text, m.start()))
 
 
+def _check_square(name: str, mat: QMatrix, size: int) -> None:
+    """Refuse mat unless it is size x size, naming a size of more than MAX_INDEX_DIGITS digits,
+    which str() may refuse to write, by its length alone."""
+    if mat.rows != size or mat.cols != size:
+        if size < _PRINTABLE:
+            raise DimensionError(f"{name} must be {size}x{size}")
+        raise DimensionError(f"{name} must be NxN for an N of more than {MAX_INDEX_DIGITS} digits")
+
+
 class RepData(Record):
     __slots__ = __match_args__ = ("d", "m", "R", "K", "T", "T_inv", "kappa", "balancing")
 
@@ -66,14 +76,12 @@ class RepData(Record):
         T: QMatrix | None = None,
         balancing: QMatrix | None = None,
     ) -> RepData:
-        if R.rows != d * d or R.cols != d * d:
-            raise DimensionError(f"R must be {d * d}x{d * d}")
-        if K.rows != m * d or K.cols != m * d:
-            raise DimensionError(f"K must be {m * d}x{m * d}")
+        _check_square("R", R, d * d)
+        _check_square("K", K, m * d)
         if T is None:  # built only once R bounds d
             T = QMatrix.identity(d)
-        elif T.rows != d or T.cols != d:
-            raise DimensionError(f"T must be {d}x{d}")
+        else:
+            _check_square("T", T, d)
         for name, mat in (("R", R), ("K", K)):
             if mat.det().is_zero:
                 raise SingularMatrixError(f"{name} must be invertible")
@@ -81,8 +89,8 @@ class RepData(Record):
             T_inv = T if T.is_identity else T.inverse()
         except SingularMatrixError:
             raise SingularMatrixError("T must be invertible") from None
-        if balancing is not None and (balancing.rows != d or balancing.cols != d):
-            raise DimensionError(f"balancing must be {d}x{d}")
+        if balancing is not None:
+            _check_square("balancing", balancing, d)
         # (1 (x) T^-1) K on M (x) V: the K-action straightened by T^-1, the pole winding of B^cyl_n.
         kappa = K if T.is_identity else T_inv.placed(m, 1) * K
         if balancing is None and T == T_inv:  # T^2 = I: t is the identity

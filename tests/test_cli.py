@@ -905,6 +905,30 @@ def test_rep_file_integers_past_the_digit_cap_are_refused_whatever_the_int_limit
     assert code == 2 and out["payload"] == {"error": "SizeCapError: a scalar's integers have at most 4300 digits, found 5000"}
 
 
+def test_rep_file_whose_r_would_be_too_long_to_name_is_refused_by_its_length(capsys, tmp_path, int_digit_limit):
+    # str(d * d) passed the interpreter's limit, and exit 2 printed its ValueError instead.
+    f = tmp_path / "long-d.rep"
+    f.write_text(json.dumps({"d": 10**2200, "m": 1, "R": [["1"]], "K": [["1"]]}))
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2 and out["payload"] == {"error": "DimensionError: R must be NxN for an N of more than 4300 digits"}
+    f.write_text(json.dumps({"d": 10**2149, "m": 1, "R": [["1"]], "K": [["1"]]}))  # d * d has 4,299 digits
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2 and out["payload"] == {"error": f"DimensionError: R must be {10**4298}x{10**4298}"}
+
+
+def test_rep_file_whose_k_would_be_too_long_to_name_is_refused_by_its_length(capsys, tmp_path, int_digit_limit):
+    # m has 4,300 digits, which the reader takes, and m * d has 4,301.
+    doc = json.loads(data_path("sl2.rep.json").read_text())
+    assert doc["d"] == 2
+    f = tmp_path / "long-m.rep"
+    f.write_text(json.dumps({**doc, "m": int("9" * 4300)}))
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2 and out["payload"] == {"error": "DimensionError: K must be NxN for an N of more than 4300 digits"}
+    f.write_text(json.dumps({**doc, "m": int("4" * 4300)}))  # m * d has 4,300 digits
+    code, out = run_json(capsys, "rep", "verify", str(f))
+    assert code == 2 and out["payload"] == {"error": f"DimensionError: K must be {'8' * 4300}x{'8' * 4300}"}
+
+
 @pytest.mark.parametrize(
     "perm, refusal",
     [("1" * 5000, "a rank has at most 4300 digits, found 5000"), ("a b", "a rank is a decimal number, found 'a'")],

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import flip_matrix, random_mor, seeded_rng
 from orbibraid.coherence import COMMUTES, check, extract_braid
-from orbibraid.dsl import parse_diagram, parse_mor
+from orbibraid.dsl import objects, parse_diagram, parse_mor
 from orbibraid.dsl.morphisms import ActMor, Gen, Id, MorExpr, PhiMor, TensorMor, Vert, mor_text, validate
 from orbibraid.dsl.objects import MLeaf
 from orbibraid.errors import DimensionError, SingularMatrixError, UnsupportedGeneratorError
@@ -352,3 +352,15 @@ def test_expansions_as_deep_as_the_parser_reads_evaluate(sl2_data, padded, unpad
     # normalize_presentation rewrote each expansion step inside the walk of the one before:
     # RecursionError at 400 levels (984 for Phi), where 300 evaluated equal.
     assert eval_mor(sl2_data, parse_mor(padded)) == eval_mor(sl2_data, parse_mor(unpadded))
+
+
+@pytest.mark.parametrize("levels", [100, 200])
+def test_matrix_sizes_fold_no_strand_sequence(sl2_data, monkeypatch, levels):
+    # Each structural generator's matrix was sized by folding its domain's whole signature, so
+    # this expansion folded 63,301 nodes at 100 levels and 246,601 at 200; now only X1 is folded.
+    visits = []
+    rule = objects._strand_rule
+    monkeypatch.setattr(objects, "_strand_rule", lambda o, kids: visits.append(o) or rule(o, kids))
+    padded = parse_mor("kappa(" + "act(" * levels + "M" + ", one)" * levels + ", X1)")
+    assert eval_mor(sl2_data, padded) == eval_mor(sl2_data, parse_mor("kappa(M, X1)"))
+    assert len(visits) == 2  # X1, once for each side

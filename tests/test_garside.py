@@ -393,29 +393,52 @@ def _work_trace(monkeypatch, w: BraidWord) -> list[tuple]:
     return trace
 
 
-def _checks(trace, n: int, held: int) -> list[tuple[int, int]]:
+def _checks(trace, n: int, held: int, deltas: list | None = None) -> list[tuple[int, int]]:
     """(units counted, most units the next step adds) at each check the traced steps pass.
 
-    A run adds n + held n, and its factor gives back held n when it ends its
-    sweep as the identity (its length less the moves of its first pair, the
-    one where it is b, is 0).  A pair adds n + its moves, at most n + b's length.
+    The replay keeps the lengths of the factors held, and checks each pair's b against them.  A run
+    adds n + held n, and gives back held n at once when its factor is the identity or Delta, which
+    is not held.  A pair adds n + its moves, at most n + b's length; b gives back held n when it is
+    left empty.  When a pair's a becomes Delta, a gives back held n, the factors right of it are
+    re-stored at n each, checked together, and the sweep ends.  Each such Delta is appended to
+    ``deltas``, if given, as (its index, the factors re-stored, whether b was left empty).
     """
+    half = n * (n - 1) // 2
     held *= n
     checks = [(0, n + held)]  # before any list of n entries is built
-    count, last, first = 0, None, False
+    count, lengths = 0, []
     for step in trace:
         if step[0] == "run":
-            if last == 0:
-                count -= held
             checks.append((count, n + held))
             count += n + held
-            last, first = step[1], True
+            if 0 < step[1] < half:
+                lengths.append(step[1])
+                k = len(lengths) - 1
+            else:
+                count -= held
+            continue
+        _, length, moved = step
+        assert length == lengths[k]
+        checks.append((count, n + length))
+        count += n + moved
+        if not moved:
+            continue
+        emptied = moved == length
+        if emptied:
+            del lengths[k]
+            count -= held
         else:
-            checks.append((count, n + step[1]))
-            count += n + step[2]
-            if first:
-                last -= step[2]
-                first = False
+            lengths[k] -= moved
+        k -= 1
+        lengths[k] += moved
+        if lengths[k] == half:
+            del lengths[k]
+            count -= held
+            passed = len(lengths) - k
+            checks.append((count, n * passed))
+            count += n * passed
+            if deltas is not None:
+                deltas.append((k, passed, emptied))
     return checks
 
 
@@ -511,3 +534,67 @@ def test_edge_words_of_the_strands_times_letters_rule_keep_their_forms(n, text, 
     nf = garside_nf(BraidWord.from_text(n, text))
     assert nf.power == -1 and len(nf.factors) == 2
     assert hashlib.sha256(nf.describe().encode()).hexdigest() == digest
+
+
+def _deltas(monkeypatch, w: BraidWord) -> list[tuple]:
+    """The Deltas that form in the sweeps, as _checks replays them."""
+    deltas = []
+    _checks(_work_trace(monkeypatch, w), w.n, garside.HELD_UNITS, deltas)
+    return deltas
+
+
+def _assert_oracles_agree(w: BraidWord) -> None:
+    nf = garside_nf(w)
+    assert nf == letterwise_nf(w), w.to_text()
+    assert lk_matrix(nf_to_word(nf)) == lk_matrix(w), w.to_text()
+
+
+@pytest.mark.parametrize(
+    "n, text, deltas",
+    [
+        (3, "s1 s1 s2 S2", [(1, 1, False)]),  # a Delta with a factor right of it, re-stored
+        (4, "S1 S1 s2 S3", [(1, 2, False)]),  # and with two
+        (3, "s1 s2 S2", [(0, 1, False)]),  # a Delta at the front
+        (4, "S1 s2 S3", [(0, 2, False)]),
+        (3, "s1 S1", [(0, 0, True)]),  # b left empty as a becomes Delta, at the front
+        (3, "s1 s1 S1", [(1, 0, True)]),  # and right of a factor
+        (6, "s1 s1 s1 s1 s1 s1 s1 s1 s2 s3 s4 s5 S5 S4 S3 S2", [(7, 1, False)]),
+    ],
+)
+def test_a_delta_that_forms_joins_the_power_at_once(monkeypatch, n, text, deltas):
+    w = BraidWord.from_text(n, text)
+    assert _deltas(monkeypatch, w) == deltas
+    _assert_oracles_agree(w)
+    _assert_oracles_agree(w.inverse())
+
+
+def test_negative_runs_on_two_strands_hold_nothing(monkeypatch):
+    # On two strands a run is s1 or S1, which is Delta or its inverse: it goes into the power, and
+    # no factor is ever held or weighted.
+    rng = seeded_rng(14)
+    for text in ["S1", "S1 S1 s1 S1", "s1 S1 S1 s1 s1"] + [random_braid_word(rng, 2, 9).to_text() for _ in range(20)]:
+        w = BraidWord.from_text(2, text)
+        assert [step for step in _work_trace(monkeypatch, w) if step[0] == "pair"] == []
+        assert garside_nf(w).factors == ()
+        _assert_oracles_agree(w)
+
+
+def test_deltas_that_form_in_random_words_match_the_oracles(monkeypatch):
+    rng = seeded_rng(15)
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(3, 6)
+        w = random_braid_word(rng, n, rng.randint(0, 24))
+        for k, passed, emptied in _deltas(monkeypatch, w):
+            kinds.add((k > 0, passed > 0, emptied))
+        _assert_oracles_agree(w)
+    # Deltas at the front and further in, with factors to re-store and with b left empty.
+    assert {(False, True, False), (True, True, False), (False, False, True), (True, False, True)} <= kinds
+
+
+def test_a_delta_that_forms_leaves_without_passing_the_factors_left_of_it(monkeypatch):
+    # The last S2 makes the eighth factor Delta.  Carried to the front, it was weighted against
+    # each of the seven s1 factors left of it, 14 moves each: 15 pairs and 108 moves.
+    w = BraidWord.from_text(6, "s1 s1 s1 s1 s1 s1 s1 s1 s2 s3 s4 s5 S5 S4 S3 S2")
+    pairs = [step for step in _work_trace(monkeypatch, w) if step[0] == "pair"]
+    assert (len(pairs), sum(step[2] for step in pairs)) == (8, 10)
