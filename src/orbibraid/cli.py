@@ -5,7 +5,8 @@ Subcommands: ``braid nf|eq``, ``operad classify|compose``,
 Exit codes: 0 ok, 1 check failed, 2 usage or parse error, or a reader
 that closed stdout before the report was written.  Reports are
 deterministic; timing is attached only on request so identical inputs
-yield byte-identical output.
+yield byte-identical output.  Each handler imports the layers it runs, so
+a process loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ import os
 import sys
 import time
 
-from .braid import BraidWord, braid_eq, garside_nf
-from .coherence import COMMUTES, check, summarize
-from .dsl import parse_diagram
 from .errors import OrbibraidError
-from .operad import compose, classify, parse_color, parse_ranks, parse_signed_op
 from .record import Record
-from .reflect import RepData, build_cyl_rep, eval_braid, reflection_check, yang_baxter_check
-from .reflect.checks import BRAID_RELATION, KAPPA_RELATION
 
 
 class Report(Record):
@@ -70,6 +65,8 @@ def _nf_payload(nf) -> dict:
 
 
 def _cmd_braid(args) -> tuple[str, dict]:
+    from .braid import BraidWord, braid_eq, garside_nf
+
     words = [BraidWord.from_text(args.strands, text, args.cyl) for text in args.words]
     if args.braid_cmd == "nf":
         payload = _nf_payload(garside_nf(words[0]))
@@ -81,6 +78,8 @@ def _cmd_braid(args) -> tuple[str, dict]:
 
 
 def _cmd_operad(args) -> tuple[str, dict]:
+    from .operad import classify, compose, parse_color, parse_ranks, parse_signed_op
+
     if args.operad_cmd == "classify":
         colors = [parse_color(c.strip()) for c in args.inputs.split(",") if c.strip()]
         ops = classify(args.arity, parse_color(args.output), colors)
@@ -92,6 +91,9 @@ def _cmd_operad(args) -> tuple[str, dict]:
 
 
 def _cmd_coherence(args) -> tuple[str, dict]:
+    from .coherence import COMMUTES, check, summarize
+    from .dsl.parser import parse_diagram
+
     with open(args.file, "r", encoding="utf-8") as fh:
         diagram = parse_diagram(fh.read(), summarize)
     verdict = check(diagram.lhs, diagram.rhs, diagram.flavor)
@@ -101,6 +103,9 @@ def _cmd_coherence(args) -> tuple[str, dict]:
 
 
 def _cmd_rep(args) -> tuple[str, dict]:
+    from .reflect import RepData, build_cyl_rep, eval_braid, reflection_check, yang_baxter_check
+    from .reflect.checks import BRAID_RELATION, KAPPA_RELATION
+
     data = RepData.load(args.file)
     if args.rep_cmd == "verify":
         # The relations of B^cyl_3 are the two equations, so each is decided once.
@@ -110,6 +115,8 @@ def _cmd_rep(args) -> tuple[str, dict]:
         if not ok:
             payload["violated"] = KAPPA_RELATION if yang_baxter else BRAID_RELATION
         return ("ok" if ok else "fail"), payload
+    from .braid import BraidWord
+
     w = BraidWord.from_text(args.strands, args.word, args.cyl)
     rep = build_cyl_rep(data, args.strands)
     matrix = eval_braid(rep, w)

@@ -30,7 +30,6 @@ import math
 from ..errors import DimensionError, RelationError
 from .qmatrix import QMatrix, leg_swap
 from .repdata import RepData
-from ..braid.words import KAPPA, BraidWord
 from ..record import Record
 
 MAX_REP_DIM = 256  # largest matrix built: m d^n at n = 8 for d = 2, n = 5 for d = 3
@@ -93,6 +92,9 @@ class CylRep(Record):
         return self.data.m * self.data.d**self.n
 
     def letter_matrix(self, letter: tuple[int, int]) -> QMatrix:
+        """The matrix of one BraidWord letter (index, exponent)."""
+        from ..braid.words import KAPPA  # a caller holding a BraidWord has loaded braid already
+
         i, e = letter
         if i == KAPPA:
             return self.kappa if e == 1 else self.kappa_inv
@@ -131,8 +133,8 @@ def build_cyl_rep(data: RepData, n: int) -> CylRep:
     return CylRep(data, n, sigma, core.placed(1, rest), sigma_inv, core.inverse().placed(1, rest))
 
 
-def eval_braid(rep: CylRep, w: BraidWord) -> QMatrix:
-    """Multiplicative evaluation of a word; the empty word maps to the identity."""
+def eval_braid(rep: CylRep, w) -> QMatrix:
+    """Multiplicative evaluation of the BraidWord w; the empty word maps to the identity."""
     if w.n != rep.n:
         raise DimensionError(f"word on {w.n} strands fed to a {rep.n}-strand representation")
     if not w.letters:

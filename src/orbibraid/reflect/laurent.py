@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 from ..errors import MAX_INDEX_DIGITS, SizeCapError
 from ..record import Record, set_slot
@@ -215,8 +214,10 @@ class LaurentScalar(Record):
     def __truediv__(self, other: LaurentScalar) -> LaurentScalar:
         return self * other.inverse()
 
-    def specialize(self, q0: Fraction) -> Fraction:
-        """Exact value at q = q0 (q0 nonzero, denominator nonvanishing)."""
+    def specialize(self, q0):
+        """Exact value at q = q0, a Fraction (q0 rational and nonzero, denominator nonvanishing)."""
+        from fractions import Fraction
+
         q0 = Fraction(q0)
         if q0 == 0:
             raise ZeroDivisionError("cannot specialize at q = 0")

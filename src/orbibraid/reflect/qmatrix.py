@@ -18,8 +18,6 @@ reindexing entries.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import DimensionError, SingularMatrixError
 from ..record import Record
 from .laurent import ONE, ZERO, LaurentScalar, parse_scalar
@@ -168,7 +166,8 @@ class QMatrix(Record):
                 a[r] = [x if y.is_zero else x - factor * y for x, y in zip(a[r], a[col])]
         return QMatrix(n, n, tuple(_sparse(row[n:]) for row in a))
 
-    def specialize(self, q0: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    def specialize(self, q0) -> tuple[tuple, ...]:
+        """Each entry's exact value at q = q0, a Fraction (``LaurentScalar.specialize``)."""
         return tuple(tuple(x.specialize(q0) for x in r) for r in self.entries)
 
     def to_strings(self) -> list[list[str]]:

@@ -19,7 +19,7 @@ from helpers import (
     relation_rewrite,
     seeded_rng,
 )
-from orbibraid import cli
+from orbibraid import cli, reflect
 from orbibraid.braid import BraidWord
 from orbibraid.braid import garside
 from orbibraid.braid.garside import MAX_NF_WORK
@@ -138,9 +138,10 @@ def test_rep_verify_checks_yang_baxter_once_and_builds_no_representation(capsys,
     def refuse(*args):
         raise AssertionError("rep verify built a representation or checked its relations")
 
-    monkeypatch.setattr(cli, "yang_baxter_check", counted)
-    monkeypatch.setattr(cli, "reflection_check", counted_reflection)
-    monkeypatch.setattr(cli, "build_cyl_rep", refuse)
+    # cli's handler imports the checks from the reflect package as it runs, so they are patched there.
+    monkeypatch.setattr(reflect, "yang_baxter_check", counted)
+    monkeypatch.setattr(reflect, "reflection_check", counted_reflection)
+    monkeypatch.setattr(reflect, "build_cyl_rep", refuse)
     monkeypatch.setattr(checks, "yang_baxter_check", counted)
     monkeypatch.setattr(checks, "reflection_check", counted_reflection)
     code, doc = run_json(capsys, "rep", "verify", str(data_path("sl2.rep.json")))

@@ -4,8 +4,9 @@ outside a package's __init__ uses every name it imports; a package's __all__
 lists exactly what its __init__ imports relatively or defines; each layer
 imports only from the layers below it; no code reads an object's __dict__;
 a DSL node holds no cache but its strand count or its types; values are
-records, not dataclasses, and importing the CLI loads neither dataclasses
-nor the modules it pulls in."""
+records, not dataclasses; importing the CLI loads neither dataclasses nor
+the modules it pulls in, nor any layer, and each command loads only the
+layers it runs."""
 
 import ast
 import subprocess
@@ -213,3 +214,34 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_string():
     )
     out = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+def _loaded_by(*argv: str) -> set[str]:
+    """What a fresh interpreter has loaded after importing the CLI and, given argv, running
+    that command (which must exit 0): each orbibraid module by its name below the package,
+    so a layer's modules by the layer's name, the package itself, and fractions."""
+    code = (
+        "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import orbibraid.cli\n"
+        "if sys.argv[2:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = orbibraid.cli.main(sys.argv[2:])\n"
+        "    if code: sys.exit(f'exit {code}')\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('orbibraid') or m == 'fractions'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(SRC), *argv], capture_output=True, text=True, check=True)
+    return {m.split(".")[1] if "." in m else m for m in out.stdout.split()}
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    # Every layer loaded costs a fresh process its import (the five together are
+    # about 3,400 lines), so a command loads only the layers it runs.
+    data = SRC / "orbibraid" / "data"
+    assert _loaded_by() == {"orbibraid", "cli", "errors", "record"}
+    braid = _loaded_by("braid", "eq", "-n", "3", "s1 s2 s1", "s2 s1 s2")
+    assert "braid" in braid and not braid & {"dsl", "coherence", "operad", "reflect"}
+    coherence = _loaded_by("coherence", "check", str(data / "diagrams" / "pentagon.diag"))
+    assert "coherence" in coherence and not coherence & {"operad", "reflect"}
+    operad = _loaded_by("operad", "classify", "-k", "3", "--output", "D", "--inputs", "D,D,D")
+    assert "operad" in operad and not operad & {"braid", "coherence", "reflect"}
+    rep = _loaded_by("rep", "verify", str(data / "sl2.rep.json"))
+    assert "reflect" in rep and not rep & {"braid", "coherence", "operad", "fractions"}
